@@ -154,7 +154,7 @@ void run(JsonSink& json) {
       std::uint64_t sent = 0;
       auto pump = [&] {
         while (conn != nullptr) {
-          const std::size_t n = conn->send(app::pattern_bytes(sent, 8192));
+          const std::size_t n = conn->send(app::pattern_view(sent, 8192));
           sent += n;
           if (n < 8192) break;
         }
@@ -216,7 +216,7 @@ void run(JsonSink& json) {
       std::uint64_t sent = 0;
       auto pump = [&] {
         while (conn != nullptr) {
-          const std::size_t n = conn->send(app::pattern_bytes(sent, 8192));
+          const std::size_t n = conn->send(app::pattern_view(sent, 8192));
           sent += n;
           if (n < 8192) break;
         }

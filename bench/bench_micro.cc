@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "app/client.h"
+#include "app/pattern.h"
 #include "app/server.h"
 #include "harness/scenario.h"
 #include "net/checksum.h"
@@ -116,6 +117,32 @@ void BM_InternetChecksum(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_InternetChecksum)->Arg(64)->Arg(1460)->Arg(65536);
+
+// The payload pattern every server generates and every client verifies
+// (app/pattern.h), at one segment, one server chunk and one large read. The
+// offset sits just short of the 64 KiB period so every call crosses it.
+constexpr std::uint64_t kPatternBenchOffset = 65'536 - 100;
+
+void BM_PatternFill(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(app::pattern_bytes(kPatternBenchOffset, n));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_PatternFill)->Arg(1460)->Arg(16384)->Arg(1 << 20);
+
+void BM_PatternVerify(benchmark::State& state) {
+  const net::Bytes data =
+      app::pattern_bytes(kPatternBenchOffset, static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(app::pattern_verify(kPatternBenchOffset, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_PatternVerify)->Arg(1460)->Arg(16384)->Arg(1 << 20);
 
 void BM_TcpSegmentSerialize(benchmark::State& state) {
   tcp::TcpSegment seg;

@@ -22,8 +22,10 @@
 # group lane in the Release lane: the exhaustive three-host promotion-race
 # explorer (single and simultaneous-double failure windows), a 64-seed
 # simultaneous double-failure sweep at N=3, its N=2 negative control, and
-# the group reintegration tests (docs/GROUPS.md). The default lane also
-# runs the doc link checker.
+# the group reintegration tests (docs/GROUPS.md). With --stbench, run the
+# end-to-end benchmark (stbench/README.md) on every workload for one
+# measured second at seed 1 and fail unless each run reports correct. The
+# default lane also runs the doc link checker.
 #
 # With --tsan, build the ThreadSanitizer configuration and run the parallel
 # shard-executor, determinism, clock-domain, and grey-sweep tests under it —
@@ -40,6 +42,7 @@
 #   scripts/check.sh --scale     # additionally: churn capacity smoke lane
 #   scripts/check.sh --shard     # additionally: 4-shard fabric chaos smoke
 #   scripts/check.sh --app       # additionally: block-store failover lane
+#   scripts/check.sh --stbench   # additionally: end-to-end benchmark smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,7 +83,7 @@ for arg in "$@"; do
       # Quick sanity pass over the hot-path microbenchmarks; the committed
       # numbers in BENCH_micro.json use --benchmark_min_time=0.2.
       ./build-release/bench/bench_micro \
-        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun' \
+        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_Pattern' \
         --benchmark_min_time=0.05
       ;;
     --chaos)
@@ -150,6 +153,17 @@ for arg in "$@"; do
         ./build-release/tests/integration_block_failover_test \
         --gtest_filter='*Sweep*'
       ./build-release/bench/bench_blockstore --quick
+      ;;
+    --stbench)
+      # run.py builds its own Release tree (.bench_build/) and gates each
+      # run on correctness and determinism; the last stdout line is the
+      # JSON verdict.
+      for w in bulk churn blockstore ring; do
+        last="$(python3 stbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+        echo "stbench $w: $last"
+        python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' "$last" ||
+          { echo "stbench: $w did not report correct" >&2; exit 1; }
+      done
       ;;
     *)
       echo "unknown option: $arg" >&2

@@ -138,13 +138,11 @@ void StreamClient::stop() {
 
 void StreamClient::maybe_request() {
   if (conn_ == nullptr || stopping_) return;
-  const std::uint64_t outstanding = requested_ - received_ / record_size_;
   while (requested_ - received_ / record_size_ < pipeline_) {
     const net::Bytes one(1, 0x52);  // 'R'
     if (conn_->send(one) == 0) break;
     ++requested_;
   }
-  (void)outstanding;
 }
 
 void StreamClient::on_readable() {

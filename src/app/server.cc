@@ -137,14 +137,13 @@ void ServerApp::on_peer_closed(Conn& c) {
 
 void ServerApp::serve_pattern(Conn& c, std::uint64_t budget) {
   while (budget > 0) {
-    // Generate only what the send buffer will actually accept: offering a
-    // full 16 KiB chunk into a nearly-full buffer wastes pattern generation
-    // on bytes that are immediately thrown away.
+    // Offer only what the send buffer will accept, straight from the
+    // pattern table: the buffer copies it, so nothing is allocated here.
     std::size_t chunk =
         static_cast<std::size_t>(std::min<std::uint64_t>(budget, 16384));
     chunk = std::min(chunk, c.tcp->send_space());
     if (chunk == 0) return;  // send buffer full; resume on_writable
-    const std::size_t n = c.tcp->send(pattern_bytes(c.served, chunk));
+    const std::size_t n = c.tcp->send(pattern_view(c.served, chunk));
     stats_.bytes_written += n;
     c.served += n;
     budget -= n;

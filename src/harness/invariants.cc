@@ -189,7 +189,12 @@ void InvariantChecker::on_switch_frame(sim::SimTime at,
   // No client-visible RST: a RST the client's own checksum verification
   // would accept must never be on the wire toward it. (A RST bit set by wire
   // corruption fails the checksum and is invisible — parse with verify.)
-  if (p.ip->dst == scope_.client_ip) {
+  // Frames whose wire flags byte has no RST bit cannot be one, so only those
+  // with it set pay for the verifying parse.
+  constexpr std::size_t kTcpFlagsByte = 13;
+  constexpr std::uint8_t kTcpRstBit = 0x04;
+  if (p.ip->dst == scope_.client_ip && p.l4.size() > kTcpFlagsByte &&
+      (p.l4[kTcpFlagsByte] & kTcpRstBit) != 0) {
     const auto seg =
         tcp::TcpSegment::parse(p.ip->src, p.ip->dst, p.l4, /*verify=*/true);
     if (seg.has_value() && seg->flags.rst) {

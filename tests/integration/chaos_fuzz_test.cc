@@ -18,6 +18,7 @@
 #include "harness/chaos.h"
 #include "harness/scenario.h"
 #include "harness/sweep.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
@@ -148,6 +149,39 @@ TEST(ChaosFuzzTest, UnsurvivableScheduleIsDetected) {
     if (v.invariant == "stream-exact") stream_violation = true;
   }
   EXPECT_TRUE(stream_violation);
+}
+
+// Negative control for no-client-rst: a client connecting to the service
+// port with nothing listening gets a real, checksum-valid RST from the
+// primary's stack, and the checker must report it. Guards the RST-bit
+// prefilter in front of the verifying parse.
+TEST(ChaosFuzzTest, ClientVisibleRstIsDetected) {
+  TopologyConfig tc;
+  tc.seed = 5;
+  TopologyBuilder b(tc);
+  const int lan = b.add_switch("switch");
+  b.add_host("client", {10, 0, 0, 1}, lan, {.with_stack = true});
+  b.add_cell(lan, {});
+  b.add_host("gateway", {10, 0, 0, 254}, lan);
+  const auto topo = b.build();
+  Cell& cell = topo->cell(0);
+  app::DownloadClient::Options opt;
+  opt.expected_bytes = 1000;
+  app::DownloadClient client(*topo->host(0).stack, topo->host(0).ip,
+                             {cell.connect_addr()}, opt);
+  InvariantChecker::Options iopt;
+  iopt.expected_bytes = opt.expected_bytes;
+  iopt.expect_masked = false;
+  InvariantChecker checker(*topo, iopt);
+  client.start();
+  topo->run_for(sim::Duration::seconds(2));
+
+  EXPECT_EQ(client.connection_failures(), 1);
+  int rst_violations = 0;
+  for (const Violation& v : checker.check(client)) {
+    if (v.invariant == "no-client-rst") ++rst_violations;
+  }
+  EXPECT_EQ(rst_violations, 1);
 }
 
 // Satellite: the serial heartbeat channel under line noise. Corrupt/cut
