@@ -15,6 +15,7 @@
 // Every ablation point is its own world; the grids run through
 // harness::SweepRunner with index-ordered results.
 #include "bench/bench_util.h"
+#include "sttcp/logger.h"
 
 namespace sttcp::bench {
 namespace {
@@ -26,27 +27,40 @@ struct TapRun {
   bool complete = false;
 };
 
+/// The ORIGINAL ST-TCP architecture (paper §3): the backup also receives
+/// all primary->client traffic (switch egress mirror + backup NIC in
+/// promiscuous mode). The new architecture replaced this with counters
+/// carried in the heartbeat.
+void emulate_old_design_tap(Topology& topo) {
+  Cell& cell = topo.cell();
+  topo.ethernet_switch().add_egress_mirror(topo.host_by_name("client")->port,
+                                           cell.backup_port());
+  cell.backup().nic().set_promiscuous(true);
+}
+
 TapRun run_tap(bool old_design, sim::Duration backup_cpu,
                std::uint64_t backup_bw = 0) {
-  ScenarioConfig cfg;
-  cfg.backup_cpu_packet_time = backup_cpu;
-  cfg.backup_link_bandwidth_bps = backup_bw;
-  Scenario sc(std::move(cfg));
-  if (old_design) sc.emulate_old_design_tap();
-  FileServer p_app(sc.primary_stack(), sc.service_port(), 50'000'000);
-  FileServer b_app(sc.backup_stack(), sc.service_port(), 50'000'000);
+  harness::CellConfig cell_cfg;
+  cell_cfg.backup_cpu_packet_time = backup_cpu;
+  cell_cfg.backup_link_bandwidth_bps = backup_bw;
+  const auto topo = make_figure2(TopologyConfig{}, cell_cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  if (old_design) emulate_old_design_tap(*topo);
+  FileServer p_app(cell.primary_stack(), cell.service_port(), 50'000'000);
+  FileServer b_app(cell.backup_stack(), cell.service_port(), 50'000'000);
   DownloadClient::Options opt;
   opt.expected_bytes = 50'000'000;
-  DownloadClient client(sc.client_stack(), sc.client_ip(), {sc.connect_addr()}, opt);
+  DownloadClient client(*client_host.stack, client_host.ip, {cell.connect_addr()}, opt);
   client.start();
-  sc.run_for(sim::Duration::seconds(60));
+  topo->run_for(sim::Duration::seconds(60));
   TapRun out;
   out.backup_rx_mb =
-      static_cast<double>(sc.backup().nic().stats().rx_bytes) / 1e6;
+      static_cast<double>(cell.backup().nic().stats().rx_bytes) / 1e6;
   out.primary_rx_mb =
-      static_cast<double>(sc.primary().nic().stats().rx_bytes) / 1e6;
-  out.false_failover = sc.world().trace().count("non_ft_mode") +
-                           sc.world().trace().count("takeover") >
+      static_cast<double>(cell.primary().nic().stats().rx_bytes) / 1e6;
+  out.false_failover = topo->world().trace().count("non_ft_mode") +
+                           topo->world().trace().count("takeover") >
                        0;
   out.complete = client.complete() && !client.corrupt();
   return out;
@@ -106,16 +120,17 @@ void run(JsonSink& json) {
     };
     const int bursts[] = {2, 8, 32, 64};
     const auto runs = pool.map(std::size(bursts), [&bursts](std::size_t i) {
-      ScenarioConfig cfg;
-      Scenario sc(std::move(cfg));
-      StreamServer p_app(sc.primary_stack(), sc.service_port(), 2000);
-      StreamServer b_app(sc.backup_stack(), sc.service_port(), 2000);
-      StreamClient client(sc.client_stack(), sc.client_ip(), sc.connect_addr(),
+      const auto topo = make_figure2(TopologyConfig{});
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      StreamServer p_app(cell.primary_stack(), cell.service_port(), 2000);
+      StreamServer b_app(cell.backup_stack(), cell.service_port(), 2000);
+      StreamClient client(*client_host.stack, client_host.ip, cell.connect_addr(),
                           2000, 8);
       client.start();
-      sc.inject(harness::Fault::FrameLoss(harness::Node::kBackup, bursts[i]).at(sim::Duration::millis(300)));
-      sc.run_for(sim::Duration::seconds(15));
-      const auto& tr = sc.world().trace();
+      inject(*topo, harness::Fault::FrameLoss(harness::Node::kBackup, bursts[i]).at(sim::Duration::millis(300)));
+      topo->run_for(sim::Duration::seconds(15));
+      const auto& tr = topo->world().trace();
       BurstRun out;
       out.requests = tr.count("missed_bytes_request");
       for (const auto& e : tr.all("missed_bytes_injected")) {
@@ -145,11 +160,13 @@ void run(JsonSink& json) {
     const std::size_t caps[] = {std::size_t{1} << 20, std::size_t{4} << 20,
                                 std::size_t{16} << 20};
     const auto runs = pool.map(std::size(caps), [&caps](std::size_t i) {
-      ScenarioConfig cfg;
+      TopologyConfig cfg;
       cfg.sttcp.hold_buffer_capacity = caps[i];
-      Scenario sc(std::move(cfg));
-      app::SinkServer p_app(sc.primary_stack(), sc.service_port());
-      app::SinkServer b_app(sc.backup_stack(), sc.service_port());
+      const auto topo = make_figure2(std::move(cfg));
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      app::SinkServer p_app(cell.primary_stack(), cell.service_port());
+      app::SinkServer b_app(cell.backup_stack(), cell.service_port());
       tcp::TcpConnection* conn = nullptr;
       std::uint64_t sent = 0;
       auto pump = [&] {
@@ -163,19 +180,19 @@ void run(JsonSink& json) {
       cb.on_established = [&] { pump(); };
       cb.on_writable = [&] { pump(); };
       cb.on_closed = [&](tcp::CloseReason) { conn = nullptr; };
-      conn = &sc.client_stack().connect(sc.client_ip(), sc.connect_addr(),
-                                        std::move(cb));
+      conn = &client_host.stack->connect(client_host.ip, cell.connect_addr(),
+                                         std::move(cb));
       // A short data-only outage toward the backup (~8 ms at ~11 MB/s of
       // upload is ~90 KB to recover): it must catch up from the hold buffer.
-      sc.world().loop().schedule_after(sim::Duration::millis(300), [&sc] {
-        sc.backup_link().set_drop_filter(
+      topo->world().loop().schedule_after(sim::Duration::millis(300), [&cell] {
+        cell.backup_link().set_drop_filter(
             [](const net::Frame& f) { return f.size() > 300; });
       });
-      sc.world().loop().schedule_after(sim::Duration::millis(308), [&sc] {
-        sc.backup_link().set_drop_filter(nullptr);
+      topo->world().loop().schedule_after(sim::Duration::millis(308), [&cell] {
+        cell.backup_link().set_drop_filter(nullptr);
       });
-      sc.run_for(sim::Duration::seconds(10));
-      const auto& tr = sc.world().trace();
+      topo->run_for(sim::Duration::seconds(10));
+      const auto& tr = topo->world().trace();
       HoldRun out;
       out.result = tr.count("hold_overflow") > 0  ? "overflow -> non-FT"
                    : tr.count("non_ft_mode") > 0  ? "non-FT (lag)"
@@ -207,11 +224,18 @@ void run(JsonSink& json) {
     };
     const auto runs = pool.map(2, [](std::size_t i) {
       const bool with_logger = i == 1;
-      ScenarioConfig cfg;
-      cfg.enable_logger = with_logger;
-      Scenario sc(std::move(cfg));
-      app::SinkServer p_app(sc.primary_stack(), sc.service_port(), true);
-      app::SinkServer b_app(sc.backup_stack(), sc.service_port(), true);
+      const auto topo = make_figure2(TopologyConfig{}, {}, with_logger);
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      std::unique_ptr<sttcp::StreamLogger> logger;
+      if (with_logger) {
+        sttcp::StreamLogger::Config lc;
+        lc.service_ip = cell.service_ip();
+        logger = std::make_unique<sttcp::StreamLogger>(
+            *topo->host_by_name("logger")->host, lc);
+      }
+      app::SinkServer p_app(cell.primary_stack(), cell.service_port(), true);
+      app::SinkServer b_app(cell.backup_stack(), cell.service_port(), true);
       tcp::TcpConnection* conn = nullptr;
       std::uint64_t sent = 0;
       auto pump = [&] {
@@ -225,24 +249,24 @@ void run(JsonSink& json) {
       cb.on_established = [&] { pump(); };
       cb.on_writable = [&] { pump(); };
       cb.on_closed = [&](tcp::CloseReason) { conn = nullptr; };
-      conn = &sc.client_stack().connect(sc.client_ip(), sc.connect_addr(),
-                                        std::move(cb));
+      conn = &client_host.stack->connect(client_host.ip, cell.connect_addr(),
+                                         std::move(cb));
       // Gap toward the backup, then the primary dies before serving the
       // catch-up: the classic output-commit hole.
-      sc.world().loop().schedule_after(sim::Duration::millis(300), [&sc] {
-        sc.backup_link().set_drop_filter(
+      topo->world().loop().schedule_after(sim::Duration::millis(300), [&cell] {
+        cell.backup_link().set_drop_filter(
             [](const net::Frame& f) { return f.size() > 300; });
       });
-      sc.world().loop().schedule_after(sim::Duration::millis(320), [&sc] {
-        sc.backup_link().set_drop_filter(nullptr);
-        sc.primary().crash("during catch-up window");
+      topo->world().loop().schedule_after(sim::Duration::millis(320), [&cell] {
+        cell.backup_link().set_drop_filter(nullptr);
+        cell.primary().crash("during catch-up window");
       });
       const std::uint64_t mark = [&] {
-        sc.run_for(sim::Duration::seconds(2));
+        topo->run_for(sim::Duration::seconds(2));
         return sent;
       }();
-      sc.run_for(sim::Duration::seconds(8));
-      const auto& tr = sc.world().trace();
+      topo->run_for(sim::Duration::seconds(8));
+      const auto& tr = topo->world().trace();
       LoggerRun out;
       out.takeover = tr.count("takeover") > 0;
       out.resumed = sent > mark + 5'000'000;

@@ -42,24 +42,26 @@ struct BlockRun {
 };
 
 BlockRun one(std::uint64_t seed, bool crash, bool cold) {
-  ScenarioConfig scfg;
+  TopologyConfig scfg;
   scfg.seed = seed;
-  Scenario sc(std::move(scfg));
+  const auto topo = make_figure2(std::move(scfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
 
   BlockStoreConfig acfg;
   BlockStoreConfig b_cfg = acfg;
   b_cfg.drop_cache_on_takeover = cold;
-  BlockStoreServer p_app(sc.primary_stack(), sc.service_port(), acfg,
+  BlockStoreServer p_app(cell.primary_stack(), cell.service_port(), acfg,
                          sttcp::DecisionLog::Mode::kRecord);
-  BlockStoreServer b_app(sc.backup_stack(), sc.service_port(), b_cfg,
+  BlockStoreServer b_app(cell.backup_stack(), cell.service_port(), b_cfg,
                          sttcp::DecisionLog::Mode::kReplay);
-  sc.primary_endpoint()->set_decision_log(&p_app.decisions());
-  sc.backup_endpoint()->set_decision_log(&b_app.decisions());
-  sc.primary_endpoint()->set_checkpoint_provider([&] { return p_app.checkpoint(); });
-  sc.primary_endpoint()->set_checkpoint_restorer(
+  cell.primary_endpoint()->set_decision_log(&p_app.decisions());
+  cell.backup_endpoint()->set_decision_log(&b_app.decisions());
+  cell.primary_endpoint()->set_checkpoint_provider([&] { return p_app.checkpoint(); });
+  cell.primary_endpoint()->set_checkpoint_restorer(
       [&](net::BytesView d) { p_app.stage_restore(d); });
-  sc.backup_endpoint()->set_checkpoint_provider([&] { return b_app.checkpoint(); });
-  sc.backup_endpoint()->set_checkpoint_restorer(
+  cell.backup_endpoint()->set_checkpoint_provider([&] { return b_app.checkpoint(); });
+  cell.backup_endpoint()->set_checkpoint_restorer(
       [&](net::BytesView d) { b_app.stage_restore(d); });
 
   // Working set sized to the cache so the warm/cold contrast is pure: after
@@ -72,18 +74,19 @@ BlockRun one(std::uint64_t seed, bool crash, bool cold) {
   wcfg.delete_prob = 0.0;
   wcfg.think_mean = sim::Duration::millis(10);
   wcfg.duration = sim::Duration::millis(2500);
-  BlockWorkload workload(sc, wcfg);
-  InvariantChecker checker(sc, {});
+  BlockWorkload workload(topo->world(), *client_host.stack, client_host.ip,
+                         cell.connect_addr(), wcfg);
+  InvariantChecker checker(*topo, {});
 
   workload.start();
   if (crash) {
-    sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1000)));
+    inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1000)));
   }
-  const sim::SimTime limit = sc.world().now() + sim::Duration::seconds(60);
-  while (!workload.drained() && sc.world().now() < limit) {
-    sc.run_for(sim::Duration::millis(100));
+  const sim::SimTime limit = topo->world().now() + sim::Duration::seconds(60);
+  while (!workload.drained() && topo->world().now() < limit) {
+    topo->run_for(sim::Duration::millis(100));
   }
-  sc.run_for(sim::Duration::seconds(3));
+  topo->run_for(sim::Duration::seconds(3));
 
   BlockRun out;
   out.clean = workload.drained() && checker.check(workload).empty();
@@ -94,7 +97,7 @@ BlockRun one(std::uint64_t seed, bool crash, bool cold) {
   out.promoted_misses = static_cast<double>(b_app.store_stats().cache_misses);
   out.requests = static_cast<double>(workload.stats().requests);
   if (crash) {
-    const auto& tr = sc.world().trace();
+    const auto& tr = topo->world().trace();
     if (auto t = tr.first_time("takeover")) {
       out.takeover_ms = (*t - (sim::SimTime::zero() + sim::Duration::millis(1000)))
                             .to_millis();

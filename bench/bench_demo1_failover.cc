@@ -22,7 +22,7 @@ void run() {
   // takeover / TCP-retransmission segments.
   std::string crash_metrics_json;
   {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.enable_metrics = true;
     DownloadSpec spec;
     spec.file_size = 100'000'000;
@@ -36,7 +36,7 @@ void run() {
 
   // ST-TCP: no failure (reference).
   {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     DownloadSpec spec;
     spec.file_size = 100'000'000;
     const DownloadRun r = run_download(std::move(cfg), spec);
@@ -46,7 +46,7 @@ void run() {
 
   // Plain TCP with a hot backup: the client must notice and reconnect.
   {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.enable_sttcp = false;
     DownloadSpec spec;
     spec.file_size = 100'000'000;

@@ -16,7 +16,7 @@ namespace {
 
 DownloadRun one(sim::Duration hb_period, int miss_threshold, bool immediate_rtx,
                 std::uint64_t seed = 1) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = seed;
   cfg.sttcp.hb_period = hb_period;
   cfg.sttcp.hb_miss_threshold = miss_threshold;
@@ -87,16 +87,18 @@ void run(JsonSink& json) {
       bool intact = false;
     };
     const auto runs = pool.map(std::size(kPeriods), [](std::size_t i) {
-      ScenarioConfig cfg;
+      TopologyConfig cfg;
       cfg.sttcp.hb_period = kPeriods[i];
-      Scenario sc(std::move(cfg));
-      StreamServer p_app(sc.primary_stack(), sc.service_port(), 4000);
-      StreamServer b_app(sc.backup_stack(), sc.service_port(), 4000);
-      StreamClient client(sc.client_stack(), sc.client_ip(), sc.connect_addr(),
+      const auto topo = make_figure2(std::move(cfg));
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      StreamServer p_app(cell.primary_stack(), cell.service_port(), 4000);
+      StreamServer b_app(cell.backup_stack(), cell.service_port(), 4000);
+      StreamClient client(*client_host.stack, client_host.ip, cell.connect_addr(),
                           4000, 8);
       client.start();
-      sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(1700)));
-      sc.run_for(sim::Duration::seconds(30));
+      inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(1700)));
+      topo->run_for(sim::Duration::seconds(30));
       return BidiRun{client.max_stall().to_millis(),
                      !client.corrupt() && !client.closed()};
     });

@@ -11,7 +11,7 @@ namespace {
 
 double transfer_secs(bool sttcp_enabled, std::uint64_t size,
                      sim::Duration hb_period = sim::Duration::millis(200)) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.enable_sttcp = sttcp_enabled;
   cfg.sttcp.hb_period = hb_period;
   DownloadSpec spec;

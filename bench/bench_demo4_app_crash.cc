@@ -14,7 +14,7 @@ namespace {
 
 DownloadRun one(DownloadSpec::FailureKind kind, std::uint64_t lag_bytes,
                 sim::Duration lag_time) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.sttcp.app_max_lag_bytes = lag_bytes;
   cfg.sttcp.app_max_lag_time = lag_time;
   cfg.sttcp.app_lag_bytes_grace = sim::Duration::millis(500);

@@ -19,7 +19,7 @@ void run() {
              "client glitch (ms)"});
     for (const auto& [kind, name] :
          {std::pair{FK::kNicPrimary, "primary"}, std::pair{FK::kNicBackup, "backup"}}) {
-      ScenarioConfig cfg;
+      TopologyConfig cfg;
       DownloadSpec spec;
       spec.file_size = 60'000'000;
       spec.failure = kind;
@@ -37,7 +37,7 @@ void run() {
     for (const auto interval :
          {sim::Duration::millis(150), sim::Duration::millis(300),
           sim::Duration::millis(600), sim::Duration::seconds(1)}) {
-      ScenarioConfig cfg;
+      TopologyConfig cfg;
       cfg.sttcp.ping_interval = interval;
       DownloadSpec spec;
       spec.file_size = 60'000'000;

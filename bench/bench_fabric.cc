@@ -2,27 +2,29 @@
 // has — router death and inter-subnet partition — run against a 4-shard
 // closed-loop churn with the stream-exactness gate bench_capacity enforces.
 //
-// Scenario A (router death): the core router crashes mid-churn and comes
-// back a second later. Every client flow stalls — nothing crosses subnets —
-// but no pair may misreact (heartbeats are intra-LAN), and every flow must
-// still finish byte-exact with zero RSTs once the router returns.
+// Router death: the core router crashes mid-churn and comes back 800 ms
+// later. Every client flow stalls — nothing crosses subnets — but no pair
+// may misreact (heartbeats are intra-LAN), and every flow must still finish
+// byte-exact with zero RSTs once the router returns.
 //
-// Scenario B (inter-subnet partition): one shard's uplink is severed and
-// healed. The partitioned pair keeps heartbeating and must NOT fail over;
-// the other shards must churn on undisturbed.
+// Inter-subnet partition: one shard's uplink is severed and healed. The
+// partitioned pair keeps heartbeating and must NOT fail over; the other
+// shards must churn on undisturbed.
 //
-// This is the `check.sh --shard` lane (Release, --quick). Exit is non-zero
-// on any reset, undrained flow, or unexpected takeover.
+// Both outages are harness Faults (Fault::Custom: no Node names a router or
+// a trunk), so they stamp fault_injected like every other fault. This is
+// the `check.sh --shard` lane (Release, --quick). Exit is non-zero on any
+// reset, undrained flow, or unexpected takeover.
 //
 // Flags: --json=PATH   append the table as JSONL
 //        --quick       reduced population / duration (the check.sh lane)
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "harness/fault.h"
 #include "harness/topology.h"
 #include "harness/workload.h"
 
@@ -30,6 +32,8 @@ namespace sttcp::bench {
 namespace {
 
 using harness::CellConfig;
+using harness::Fault;
+using harness::FaultPlan;
 using harness::HostOptions;
 using harness::ShardDirector;
 using harness::Topology;
@@ -81,10 +85,9 @@ struct SmokeResult {
   double fct_p99_ms = 0;
 };
 
-/// One churn run with `impair` scheduled mid-run against the fabric.
+/// One churn run with `outage` injected into the fabric before it starts.
 SmokeResult run_smoke(std::uint64_t seed, std::size_t conns,
-                      sim::Duration duration,
-                      const std::function<void(Topology&, sim::Duration)>& impair) {
+                      sim::Duration duration, const FaultPlan& outage) {
   auto topo = build_fabric(seed);
   std::vector<std::unique_ptr<app::SizedServer>> servers;
   for (int k = 0; k < kShards; ++k) {
@@ -109,7 +112,7 @@ SmokeResult run_smoke(std::uint64_t seed, std::size_t conns,
   };
   Workload wl(topo->world(), *topo->host(0).stack, {10, 0, 0, 1},
               director.target(0), wc);
-  impair(*topo, duration / 3);
+  inject(*topo, outage);
   wl.start();
 
   topo->run_for(duration);
@@ -147,23 +150,22 @@ int run(int argc, char** argv) {
       "fabric failure classes — router death and inter-subnet partition "
       "must stall, never corrupt, and never trigger a takeover");
 
+  const sim::Duration at = duration / 3;
   const SmokeResult death = run_smoke(
-      91, conns, duration, [&outage](Topology& topo, sim::Duration at) {
-        topo.world().loop().schedule_after(at,
-                                           [&topo] { topo.router().crash(); });
-        topo.world().loop().schedule_after(
-            at + outage, [&topo] { topo.router().restore(); });
-      });
+      91, conns, duration,
+      {Fault::Custom("router_crash:core", [](Topology& t) { t.router().crash(); })
+           .at(at),
+       Fault::Custom("router_restore:core", [](Topology& t) { t.router().restore(); })
+           .at(at + outage)});
+  // Shard 2's uplink is the router port link attached after the client-LAN
+  // port: links are client, (primary, backup) x 4, core.p0 (client lan),
+  // core.p1..p4 (shard lans).
   const SmokeResult partition = run_smoke(
-      92, conns, duration, [&outage](Topology& topo, sim::Duration at) {
-        // Shard 2's uplink is the router port link attached after the
-        // client-LAN port: links are client, (primary, backup) x 4,
-        // core.p0 (client lan), core.p1..p4 (shard lans).
-        net::Link& uplink = topo.link(9 + 3);
-        topo.world().loop().schedule_after(at, [&uplink] { uplink.fail(); });
-        topo.world().loop().schedule_after(at + outage,
-                                           [&uplink] { uplink.heal(); });
-      });
+      92, conns, duration,
+      {Fault::Custom("uplink_fail:s2", [](Topology& t) { t.link(9 + 3).fail(); })
+           .at(at),
+       Fault::Custom("uplink_heal:s2", [](Topology& t) { t.link(9 + 3).heal(); })
+           .at(at + outage)});
 
   Table t({"scenario", "conns", "offered", "started", "completed", "failed",
            "resets", "corrupt", "fct_p99_ms", "takeovers", "router_drops",

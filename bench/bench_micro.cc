@@ -8,7 +8,7 @@
 #include "app/client.h"
 #include "app/pattern.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 #include "net/checksum.h"
 #include "net/nic.h"
 #include "net/switch.h"
@@ -367,16 +367,17 @@ void BM_SimulatedTransferThroughput(benchmark::State& state) {
   // ST-TCP-replicated download per iteration.
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    harness::ScenarioConfig cfg;
-    harness::Scenario sc(std::move(cfg));
-    app::FileServer p(sc.primary_stack(), sc.service_port(), 10'000'000);
-    app::FileServer b(sc.backup_stack(), sc.service_port(), 10'000'000);
+    const auto topo = harness::make_figure2(harness::TopologyConfig{});
+    harness::Cell& cell = topo->cell();
+    harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p(cell.primary_stack(), cell.service_port(), 10'000'000);
+    app::FileServer b(cell.backup_stack(), cell.service_port(), 10'000'000);
     app::DownloadClient::Options opt;
     opt.expected_bytes = 10'000'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.run_for(sim::Duration::seconds(10));
+    topo->run_for(sim::Duration::seconds(10));
     bytes += client.received();
     benchmark::DoNotOptimize(client.complete());
   }

@@ -27,15 +27,17 @@ struct ReintRun {
 
 ReintRun one(std::uint64_t link_bps, std::size_t ckpt_pad,
              std::uint64_t seed = 1) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = seed;
   cfg.link_bandwidth_bps = link_bps;
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   // Size the file for ~12 s at the link rate so the transfer is still in
   // flight through the crash, the revival and the reintegration.
   const std::uint64_t size = link_bps / 8 * 12;
-  FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   // The pad models real application state travelling in the snapshot; the
   // restorer parses only the leading connection records, so padding is a
   // pure wire-size cost, exactly like opaque app state would be.
@@ -43,31 +45,31 @@ ReintRun one(std::uint64_t link_bps, std::size_t ckpt_pad,
     b.resize(b.size() + ckpt_pad, 0xa5);
     return b;
   };
-  sc.primary_endpoint()->set_checkpoint_provider(
+  cell.primary_endpoint()->set_checkpoint_provider(
       [&p_app, pad] { return pad(p_app.checkpoint()); });
-  sc.primary_endpoint()->set_checkpoint_restorer(
+  cell.primary_endpoint()->set_checkpoint_restorer(
       [&p_app](net::BytesView d) { p_app.stage_restore(d); });
-  sc.backup_endpoint()->set_checkpoint_provider(
+  cell.backup_endpoint()->set_checkpoint_provider(
       [&b_app, pad] { return pad(b_app.checkpoint()); });
-  sc.backup_endpoint()->set_checkpoint_restorer(
+  cell.backup_endpoint()->set_checkpoint_restorer(
       [&b_app](net::BytesView d) { b_app.stage_restore(d); });
   DownloadClient::Options opt;
   opt.expected_bytes = size;
-  DownloadClient client(sc.client_stack(), sc.client_ip(), {sc.connect_addr()},
+  DownloadClient client(*client_host.stack, client_host.ip, {cell.connect_addr()},
                         opt);
   client.start();
 
-  sc.inject(harness::Fault::Crash(harness::Node::kBackup)
+  inject(*topo, harness::Fault::Crash(harness::Node::kBackup)
                 .at(sim::Duration::millis(800)));
-  sc.inject(harness::Fault::PowerOn(harness::Node::kBackup)
+  inject(*topo, harness::Fault::PowerOn(harness::Node::kBackup)
                 .at(sim::Duration::millis(2800)));
 
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   const sim::SimTime limit = sim::SimTime() + sim::Duration::seconds(60);
-  while (tr.count("reintegration_complete") == 0 && sc.world().now() < limit) {
-    sc.run_for(sim::Duration::millis(50));
+  while (tr.count("reintegration_complete") == 0 && topo->world().now() < limit) {
+    topo->run_for(sim::Duration::millis(50));
   }
-  sc.run_for(sim::Duration::seconds(30));  // drain: let the download finish
+  topo->run_for(sim::Duration::seconds(30));  // drain: let the download finish
 
   ReintRun out;
   out.complete = client.complete();

@@ -46,22 +46,23 @@ void run() {
     Table t({"connections", "serial queue (ms)", "serial HB alive",
              "false failover"});
     for (const int n : {10, 50, 100, 140}) {
-      ScenarioConfig cfg;
-      Scenario sc(std::move(cfg));
-      StreamServer p_app(sc.primary_stack(), sc.service_port(), 100);
-      StreamServer b_app(sc.backup_stack(), sc.service_port(), 100);
+      const auto topo = make_figure2(TopologyConfig{});
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      StreamServer p_app(cell.primary_stack(), cell.service_port(), 100);
+      StreamServer b_app(cell.backup_stack(), cell.service_port(), 100);
       std::vector<std::unique_ptr<StreamClient>> clients;
       for (int i = 0; i < n; ++i) {
         clients.push_back(std::make_unique<StreamClient>(
-            sc.client_stack(), sc.client_ip(), sc.connect_addr(), 100, 1));
+            *client_host.stack, client_host.ip, cell.connect_addr(), 100, 1));
         clients.back()->start();
       }
-      sc.run_for(sim::Duration::seconds(8));
-      const bool failover = sc.world().trace().count("takeover") +
-                                sc.world().trace().count("non_ft_mode") >
+      topo->run_for(sim::Duration::seconds(8));
+      const bool failover = topo->world().trace().count("takeover") +
+                                topo->world().trace().count("non_ft_mode") >
                             0;
-      t.row(n, sc.serial().queue_delay(0).to_millis(),
-            ok(sc.primary_endpoint()->serial_channel_alive()),
+      t.row(n, cell.serial().queue_delay(0).to_millis(),
+            ok(cell.primary_endpoint()->serial_channel_alive()),
             failover ? "YES" : "no");
     }
     t.print();

@@ -43,7 +43,7 @@ void run(JsonSink& json) {
   };
 
   const auto runs = pool.map(std::size(rows), [&rows](std::size_t i) {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.sttcp.max_delay_fin = sim::Duration::seconds(30);
     DownloadSpec spec;
     spec.file_size = 60'000'000;
@@ -82,21 +82,22 @@ void run(JsonSink& json) {
     };
     const auto runs5 = pool.map(2, [](std::size_t i) {
       const bool at_backup = i == 0;
-      ScenarioConfig cfg;
-      Scenario sc(std::move(cfg));
-      StreamServer p_app(sc.primary_stack(), sc.service_port(), 2000);
-      StreamServer b_app(sc.backup_stack(), sc.service_port(), 2000);
-      StreamClient client(sc.client_stack(), sc.client_ip(), sc.connect_addr(),
+      const auto topo = make_figure2(TopologyConfig{});
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      StreamServer p_app(cell.primary_stack(), cell.service_port(), 2000);
+      StreamServer b_app(cell.backup_stack(), cell.service_port(), 2000);
+      StreamClient client(*client_host.stack, client_host.ip, cell.connect_addr(),
                           2000, 8);
       client.start();
       if (at_backup) {
-        sc.inject(harness::Fault::FrameLoss(harness::Node::kBackup, 10).at(sim::Duration::millis(300)));
+        inject(*topo, harness::Fault::FrameLoss(harness::Node::kBackup, 10).at(sim::Duration::millis(300)));
       } else {
-        sc.world().loop().schedule_after(sim::Duration::millis(300),
-                                         [&sc] { sc.primary_link().drop_next(10); });
+        topo->world().loop().schedule_after(
+            sim::Duration::millis(300), [&cell] { cell.primary_link().drop_next(10); });
       }
-      sc.run_for(sim::Duration::seconds(20));
-      const auto& tr = sc.world().trace();
+      topo->run_for(sim::Duration::seconds(20));
+      const auto& tr = topo->world().trace();
       return Row5Run{tr.count("missed_bytes_request"),
                      tr.count("missed_bytes_served"),
                      tr.count("missed_bytes_injected"),
@@ -162,28 +163,31 @@ void run(JsonSink& json) {
     const auto druns = pool.map(std::size(cases), [&cases, crash_at](std::size_t i) {
       const DegreeCase& c = cases[i];
       constexpr std::uint64_t kFile = 25'000'000;
-      ScenarioConfig cfg;
-      cfg.extra_backups = c.members - 2;
+      TopologyConfig cfg;
+      harness::CellConfig cell_cfg;
+      cell_cfg.extra_backups = c.members - 2;
       cfg.sttcp.max_delay_fin = sim::Duration::seconds(30);
-      Scenario sc(std::move(cfg));
-      FileServer p_app(sc.primary_stack(), sc.service_port(), kFile);
+      const auto topo = make_figure2(std::move(cfg), cell_cfg);
+      Cell& cell = topo->cell();
+      Topology::HostEntry& client_host = *topo->host_by_name("client");
+      FileServer p_app(cell.primary_stack(), cell.service_port(), kFile);
       std::vector<std::unique_ptr<FileServer>> b_apps;
-      for (int b = 0; b < sc.backup_count(); ++b) {
+      for (int b = 0; b < cell.backup_count(); ++b) {
         b_apps.push_back(std::make_unique<FileServer>(
-            sc.backup_member_stack(b), sc.service_port(), kFile));
+            cell.backup_stack(b), cell.service_port(), kFile));
       }
       DownloadClient::Options opt;
       opt.expected_bytes = kFile;
-      DownloadClient client(sc.client_stack(), sc.client_ip(),
-                            {sc.connect_addr()}, opt);
+      DownloadClient client(*client_host.stack, client_host.ip,
+                            {cell.connect_addr()}, opt);
       client.start();
-      for (const Node n : c.crash) sc.inject(harness::Fault::Crash(n).at(crash_at));
-      sc.run_for(sim::Duration::seconds(60));
+      for (const Node n : c.crash) inject(*topo, harness::Fault::Crash(n).at(crash_at));
+      topo->run_for(sim::Duration::seconds(60));
 
       DegreeRun r;
       r.complete = client.complete();
       r.corrupt = client.corrupt();
-      const auto& tr = sc.world().trace();
+      const auto& tr = topo->world().trace();
       const sim::SimTime t0 = sim::SimTime::zero() + crash_at;
       for (const char* ev : {"member_convicted", "peer_dead"}) {
         if (auto t = tr.first_time(ev)) {

@@ -12,9 +12,10 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
+#include "harness/topology.h"
 
 namespace sttcp::bench {
 
@@ -22,10 +23,11 @@ using app::DownloadClient;
 using app::FileServer;
 using app::StreamClient;
 using app::StreamServer;
-using harness::Scenario;
-using harness::ScenarioConfig;
+using harness::Cell;
 using harness::SweepRunner;
 using harness::Table;
+using harness::Topology;
+using harness::TopologyConfig;
 
 /// Machine-readable bench output: pass `--json=PATH` (or set
 /// STTCP_BENCH_JSON=PATH) and every table is appended to PATH as one JSON
@@ -93,21 +95,23 @@ struct DownloadSpec {
   sim::Duration stall_timeout = sim::Duration::seconds(5);
 };
 
-inline DownloadRun run_download(ScenarioConfig cfg, const DownloadSpec& spec) {
-  Scenario sc(std::move(cfg));
-  FileServer p_app(sc.primary_stack(), sc.service_port(), spec.file_size);
-  FileServer b_app(sc.backup_stack(), sc.service_port(), spec.file_size);
+inline DownloadRun run_download(TopologyConfig cfg, const DownloadSpec& spec) {
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  FileServer p_app(cell.primary_stack(), cell.service_port(), spec.file_size);
+  FileServer b_app(cell.backup_stack(), cell.service_port(), spec.file_size);
 
   DownloadClient::Options opt;
   opt.expected_bytes = spec.file_size;
-  std::vector<net::SocketAddr> servers{sc.connect_addr()};
+  std::vector<net::SocketAddr> servers{cell.connect_addr()};
   if (spec.baseline_reconnect) {
     opt.reconnect = true;
     opt.reconnect_delay = sim::Duration::millis(10);
     opt.stall_timeout = spec.stall_timeout;
-    servers.push_back(sc.backup_addr());
+    servers.push_back(cell.backup_addr());
   }
-  DownloadClient client(sc.client_stack(), sc.client_ip(), servers, opt);
+  DownloadClient client(*client_host.stack, client_host.ip, servers, opt);
   client.start();
 
   // App-level faults wrap a server method in Fault::Custom so every failure
@@ -126,26 +130,26 @@ inline DownloadRun run_download(ScenarioConfig cfg, const DownloadSpec& spec) {
       fault = Fault::Crash(Node::kBackup);
       break;
     case FK::kAppHangPrimary:
-      fault = Fault::Custom("app_hang:primary", [&p_app](Scenario&) { p_app.hang(); });
+      fault = Fault::Custom("app_hang:primary", [&p_app](Topology&) { p_app.hang(); });
       break;
     case FK::kAppHangBackup:
-      fault = Fault::Custom("app_hang:backup", [&b_app](Scenario&) { b_app.hang(); });
+      fault = Fault::Custom("app_hang:backup", [&b_app](Topology&) { b_app.hang(); });
       break;
     case FK::kAppFinPrimary:
       fault = Fault::Custom("app_fin_crash:primary",
-                            [&p_app](Scenario&) { p_app.crash_clean(); });
+                            [&p_app](Topology&) { p_app.crash_clean(); });
       break;
     case FK::kAppFinBackup:
       fault = Fault::Custom("app_fin_crash:backup",
-                            [&b_app](Scenario&) { b_app.crash_clean(); });
+                            [&b_app](Topology&) { b_app.crash_clean(); });
       break;
     case FK::kAppRstPrimary:
       fault = Fault::Custom("app_rst_crash:primary",
-                            [&p_app](Scenario&) { p_app.crash_abort(); });
+                            [&p_app](Topology&) { p_app.crash_abort(); });
       break;
     case FK::kAppRstBackup:
       fault = Fault::Custom("app_rst_crash:backup",
-                            [&b_app](Scenario&) { b_app.crash_abort(); });
+                            [&b_app](Topology&) { b_app.crash_abort(); });
       break;
     case FK::kNicPrimary:
       fault = Fault::NicFailure(Node::kPrimary);
@@ -154,9 +158,9 @@ inline DownloadRun run_download(ScenarioConfig cfg, const DownloadSpec& spec) {
       fault = Fault::NicFailure(Node::kBackup);
       break;
   }
-  if (fault.has_value()) sc.inject(fault->at(spec.crash_at));
+  if (fault.has_value()) inject(*topo, fault->at(spec.crash_at));
 
-  sc.run_for(spec.run_limit);
+  topo->run_for(spec.run_limit);
 
   DownloadRun out;
   out.complete = client.complete();
@@ -168,7 +172,7 @@ inline DownloadRun run_download(ScenarioConfig cfg, const DownloadSpec& spec) {
     out.transfer_secs = (client.completed_at() - client.started_at()).to_seconds();
   }
   out.max_stall_ms = client.max_stall().to_millis();
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   const sim::SimTime crash_time = sim::SimTime::zero() + spec.crash_at;
   for (const char* ev : {"peer_dead", "app_failure_detected", "nic_failure_detected",
                          "fin_disagreement", "hold_overflow", "watchdog_failure"}) {
@@ -185,8 +189,8 @@ inline DownloadRun run_download(ScenarioConfig cfg, const DownloadSpec& spec) {
   } else {
     out.outcome = "none";
   }
-  if (auto* ep = sc.primary_endpoint()) out.hb_sent = ep->stats().hb_sent;
-  if (sc.metrics() != nullptr) out.metrics_json = sc.metrics_json();
+  if (auto* ep = cell.primary_endpoint()) out.hb_sent = ep->stats().hb_sent;
+  if (topo->metrics() != nullptr) out.metrics_json = topo->metrics_json();
   return out;
 }
 

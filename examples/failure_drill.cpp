@@ -8,39 +8,43 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 
 namespace app = sttcp::app;
 namespace sim = sttcp::sim;
+using sttcp::harness::Cell;
 using sttcp::harness::Fault;
 using sttcp::harness::Node;
-using sttcp::harness::Scenario;
-using sttcp::harness::ScenarioConfig;
+using sttcp::harness::Topology;
+using sttcp::harness::TopologyConfig;
 
 namespace {
 
 /// Each drill builds its Fault once the servers exist (app-level faults wrap
-/// a server method in Fault::Custom); Scenario::inject() arms it.
+/// a server method in Fault::Custom); harness::inject() arms it.
 void drill(const char* title, const char* expectation,
            const std::function<Fault(app::StreamServer& primary_app,
                                      app::StreamServer& backup_app)>& make_fault) {
   std::printf("\n=== %s ===\n    expectation: %s\n", title, expectation);
 
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(10);
-  Scenario world(std::move(cfg));
-  app::StreamServer primary_app(world.primary_stack(), world.service_port(), 4000);
-  app::StreamServer backup_app(world.backup_stack(), world.service_port(), 4000);
-  app::StreamClient client(world.client_stack(), world.client_ip(),
-                           world.connect_addr(), 4000, /*pipeline=*/8);
+  const auto topo = sttcp::harness::make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::StreamServer primary_app(cell.primary_stack(), cell.service_port(), 4000);
+  app::StreamServer backup_app(cell.backup_stack(), cell.service_port(), 4000);
+  app::StreamClient client(*client_host.stack, client_host.ip,
+                           cell.connect_addr(), 4000, /*pipeline=*/8);
   client.start();
-  world.run_for(sim::Duration::millis(500));
+  topo->run_for(sim::Duration::millis(500));
   const std::uint64_t before = client.records_completed();
 
-  world.inject(make_fault(primary_app, backup_app));
-  world.run_for(sim::Duration::seconds(15));
+  inject(*topo, make_fault(primary_app, backup_app));
+  topo->run_for(sim::Duration::seconds(15));
 
-  const auto& trace = world.world().trace();
+  const auto& trace = topo->world().trace();
   const char* detection = "(none)";
   for (const char* ev :
        {"peer_dead", "app_failure_detected", "nic_failure_detected",
@@ -85,21 +89,21 @@ int main() {
   drill("row 2: primary application hang (no FIN)",
         "AppMaxLag detection on the heartbeat counters; takeover",
         [](app::StreamServer& p, app::StreamServer&) {
-          return Fault::Custom("app_hang:primary", [&p](Scenario&) { p.hang(); });
+          return Fault::Custom("app_hang:primary", [&p](Topology&) { p.hang(); });
         });
 
   drill("row 3: primary application crash, OS closes socket (FIN)",
         "the FIN is withheld (MaxDelayFIN); lag detection convicts; takeover",
         [](app::StreamServer& p, app::StreamServer&) {
           return Fault::Custom("app_fin_crash:primary",
-                               [&p](Scenario&) { p.crash_clean(); });
+                               [&p](Topology&) { p.crash_clean(); });
         });
 
   drill("row 3: backup application crash (FIN)",
         "the backup's FIN is discarded; primary goes non-fault-tolerant",
         [](app::StreamServer&, app::StreamServer& b) {
           return Fault::Custom("app_fin_crash:backup",
-                               [&b](Scenario&) { b.crash_clean(); });
+                               [&b](Topology&) { b.crash_clean(); });
         });
 
   drill("row 4: primary NIC failure",

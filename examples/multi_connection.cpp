@@ -10,42 +10,46 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 
 namespace app = sttcp::app;
 namespace sim = sttcp::sim;
+using sttcp::harness::Cell;
 using sttcp::harness::Fault;
 using sttcp::harness::Node;
-using sttcp::harness::Scenario;
-using sttcp::harness::ScenarioConfig;
+using sttcp::harness::Topology;
+using sttcp::harness::TopologyConfig;
 
 int main() {
   constexpr int kConnections = 50;
   constexpr std::uint64_t kFileSize = 2'000'000;
 
-  Scenario world{ScenarioConfig{}};
-  app::FileServer primary_app(world.primary_stack(), world.service_port(), kFileSize);
-  app::FileServer backup_app(world.backup_stack(), world.service_port(), kFileSize);
+  const auto topo = sttcp::harness::make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer primary_app(cell.primary_stack(), cell.service_port(), kFileSize);
+  app::FileServer backup_app(cell.backup_stack(), cell.service_port(), kFileSize);
 
   std::vector<std::unique_ptr<app::DownloadClient>> clients;
   for (int i = 0; i < kConnections; ++i) {
     app::DownloadClient::Options opt;
     opt.expected_bytes = kFileSize;
     clients.push_back(std::make_unique<app::DownloadClient>(
-        world.client_stack(), world.client_ip(),
-        std::vector<sttcp::net::SocketAddr>{world.connect_addr()}, opt));
+        *client_host.stack, client_host.ip,
+        std::vector<sttcp::net::SocketAddr>{cell.connect_addr()}, opt));
     clients.back()->start();
   }
 
-  world.run_for(sim::Duration::millis(600));
+  topo->run_for(sim::Duration::millis(600));
   std::printf("replicated connections on the backup: %zu / %d\n",
-              world.backup_endpoint()->replicated_connections(), kConnections);
+              cell.backup_endpoint()->replicated_connections(), kConnections);
   std::printf("serial heartbeat queue: %s (limit: one 200 ms period)\n",
-              world.serial().queue_delay(0).str().c_str());
+              cell.serial().queue_delay(0).str().c_str());
 
   std::printf("\ncrashing the primary...\n");
-  world.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::zero()));
-  world.run_for(sim::Duration::seconds(60));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::zero()));
+  topo->run_for(sim::Duration::seconds(60));
 
   int complete = 0;
   int intact = 0;
@@ -63,6 +67,6 @@ int main() {
   std::printf("  connection failures:  %d\n", failures);
   std::printf("  worst client stall:   %s\n", worst_stall.str().c_str());
   std::printf("  takeovers:            %zu\n",
-              world.world().trace().count("takeover"));
+              topo->world().trace().count("takeover"));
   return (complete == kConnections && failures == 0) ? 0 : 1;
 }

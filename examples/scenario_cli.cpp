@@ -13,12 +13,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "app/client.h"
 #include "app/server.h"
+#include "harness/fault.h"
 #include "harness/topology.h"
 #include "sttcp/logger.h"
 
@@ -27,7 +27,9 @@ namespace net = sttcp::net;
 namespace sim = sttcp::sim;
 using sttcp::harness::Cell;
 using sttcp::harness::CellConfig;
+using sttcp::harness::Fault;
 using sttcp::harness::HostOptions;
+using sttcp::harness::Node;
 using sttcp::harness::Topology;
 using sttcp::harness::TopologyBuilder;
 using sttcp::harness::TopologyConfig;
@@ -88,7 +90,7 @@ struct World {
 
 /// Classic flat LAN (Figure 2) or the routed one-cell fabric. The logger
 /// host, when requested, joins the cell's multicast group on the cell's LAN
-/// exactly like the Scenario facade wires it.
+/// exactly like harness::make_figure2 wires it.
 World build_world(const Options& opt) {
   World w;
   const bool routed = opt.routed;
@@ -203,52 +205,43 @@ int main(int argc, char** argv) {
                              {cell.connect_addr()}, copt);
   client.start();
 
-  // Faults act on the topology directly; each stamps the same
-  // "fault_injected" trace marker the Scenario facade's Fault machinery
-  // emits, so report tooling sees one vocabulary.
+  // Every failure kind is a harness Fault armed on the topology, so each
+  // stamps the same "fault_injected" trace marker.
   const auto at = sim::Duration::millis(opt.crash_ms);
-  const auto inject = [&](const std::string& label, std::function<void()> fn) {
-    topo.world().loop().schedule_after(at, [&, label, fn = std::move(fn)] {
-      topo.world().trace().record("harness", "fault_injected", label);
-      fn();
-    });
-  };
+  cell.register_server_app(cell.primary(), &p_app);
+  cell.register_server_app(cell.backup(), &b_app);
   if (opt.failure == "none") {
   } else if (opt.failure == "primary-crash") {
-    inject("crash:primary", [&] { cell.primary().crash("injected HW/OS crash"); });
+    inject(topo, Fault::Crash(Node::kPrimary).at(at));
   } else if (opt.failure == "backup-crash") {
-    inject("crash:backup", [&] { cell.backup().crash("injected HW/OS crash"); });
+    inject(topo, Fault::Crash(Node::kBackup).at(at));
   } else if (opt.failure == "primary-app-hang") {
-    inject("app_hang:primary", [&] { p_app.hang(); });
+    inject(topo, Fault::AppHang(Node::kPrimary).at(at));
   } else if (opt.failure == "backup-app-hang") {
-    inject("app_hang:backup", [&] { b_app.hang(); });
+    inject(topo, Fault::AppHang(Node::kBackup).at(at));
   } else if (opt.failure == "primary-app-fin") {
-    inject("app_fin:primary", [&] { p_app.crash_clean(); });
+    inject(topo, Fault::Custom("app_fin:primary", [&](Topology&) { p_app.crash_clean(); })
+                     .at(at));
   } else if (opt.failure == "backup-app-fin") {
-    inject("app_fin:backup", [&] { b_app.crash_clean(); });
+    inject(topo, Fault::Custom("app_fin:backup", [&](Topology&) { b_app.crash_clean(); })
+                     .at(at));
   } else if (opt.failure == "primary-nic") {
-    inject("nic_failure:primary", [&] {
-      topo.world().trace().record("primary", "nic_failed");
-      cell.primary().nic().fail();
-    });
+    inject(topo, Fault::NicFailure(Node::kPrimary).at(at));
   } else if (opt.failure == "backup-nic") {
-    inject("nic_failure:backup", [&] {
-      topo.world().trace().record("backup", "nic_failed");
-      cell.backup().nic().fail();
-    });
+    inject(topo, Fault::NicFailure(Node::kBackup).at(at));
   } else if (opt.failure == "serial-cut") {
-    inject("serial_cut", [&] {
-      topo.world().trace().record("serial", "serial_failed");
-      cell.serial().fail();
-    });
+    inject(topo, Fault::SerialCut().at(at));
   } else if (opt.failure == "backup-loss") {
-    inject("frame_loss:backup", [&] { cell.backup_link().drop_next(12); });
+    inject(topo, Fault::FrameLoss(Node::kBackup, 12).at(at));
   } else if (opt.failure == "router-crash") {
-    inject("router_crash:core", [&] { topo.router().crash(); });
+    inject(topo, Fault::Custom("router_crash:core",
+                               [](Topology& t) { t.router().crash(); })
+                     .at(at));
     // A dead router is forever without repair; bring it back after 2 s so
     // the download can finish and the report shows the stall.
-    topo.world().loop().schedule_after(at + sim::Duration::seconds(2),
-                                       [&] { topo.router().restore(); });
+    inject(topo, Fault::Custom("router_restore:core",
+                               [](Topology& t) { t.router().restore(); })
+                     .at(at + sim::Duration::seconds(2)));
   } else {
     std::fprintf(stderr, "unknown failure kind '%s' (see --list)\n",
                  opt.failure.c_str());

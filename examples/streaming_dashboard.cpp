@@ -12,14 +12,16 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 
 namespace app = sttcp::app;
 namespace sim = sttcp::sim;
+using sttcp::harness::Cell;
 using sttcp::harness::Fault;
 using sttcp::harness::Node;
-using sttcp::harness::Scenario;
-using sttcp::harness::ScenarioConfig;
+using sttcp::harness::Topology;
+using sttcp::harness::TopologyConfig;
 
 namespace {
 
@@ -39,31 +41,33 @@ void run(bool with_sttcp) {
                                     ? "WITH ST-TCP (client never reconnects)"
                                     : "WITHOUT ST-TCP (hot backup, but the "
                                       "connection dies)");
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.enable_sttcp = with_sttcp;
   cfg.enable_metrics = true;  // drive the dashboard footer off the registry
-  Scenario world(std::move(cfg));
-  app::FileServer primary_app(world.primary_stack(), world.service_port(), kFileSize);
-  app::FileServer backup_app(world.backup_stack(), world.service_port(), kFileSize);
+  const auto topo = sttcp::harness::make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer primary_app(cell.primary_stack(), cell.service_port(), kFileSize);
+  app::FileServer backup_app(cell.backup_stack(), cell.service_port(), kFileSize);
 
   app::DownloadClient::Options opt;
   opt.expected_bytes = kFileSize;
-  std::vector<sttcp::net::SocketAddr> servers{world.connect_addr()};
+  std::vector<sttcp::net::SocketAddr> servers{cell.connect_addr()};
   if (!with_sttcp) {
     opt.reconnect = true;
     opt.reconnect_delay = sim::Duration::millis(50);
     opt.stall_timeout = sim::Duration::seconds(3);  // the user's patience
-    servers.push_back(world.backup_addr());
+    servers.push_back(cell.backup_addr());
   }
-  app::DownloadClient client(world.client_stack(), world.client_ip(), servers, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip, servers, opt);
   client.start();
-  world.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1500)));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1500)));
 
   std::uint64_t last = 0;
   bool crash_reported = false;
   for (int tick = 1; tick <= 80 && !client.complete(); ++tick) {
-    world.run_for(sim::Duration::millis(250));
-    const double t = world.world().now().to_seconds();
+    topo->run_for(sim::Duration::millis(250));
+    const double t = topo->world().now().to_seconds();
     const char* note = "";
     if (!crash_reported && t >= 1.5) {
       note = "<- primary crashed here";
@@ -81,8 +85,8 @@ void run(bool with_sttcp) {
               client.connection_failures(), client.max_stall().str().c_str());
 
   // Telemetry footer, straight from the obs::MetricsRegistry.
-  auto& reg = *world.metrics();
-  world.export_metrics();
+  auto& reg = *topo->metrics();
+  topo->export_metrics();
   std::printf("  telemetry: %llu frames on the client link, "
               "%llu client-side TCP retransmissions\n",
               static_cast<unsigned long long>(

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 
-#include "harness/scenario.h"
-
 namespace sttcp::harness {
 
 using app::Decoder;
 using app::Envelope;
 using app::MsgType;
 using app::Status;
-
-BlockWorkload::BlockWorkload(Scenario& sc, BlockWorkloadConfig cfg)
-    : BlockWorkload(sc.world(), sc.client_stack(), sc.client_ip(),
-                    sc.connect_addr(), std::move(cfg)) {}
 
 BlockWorkload::BlockWorkload(sim::World& world, tcp::TcpStack& stack,
                              net::Ipv4Addr client_ip, net::SocketAddr server,

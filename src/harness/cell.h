@@ -20,6 +20,7 @@
 // knows who shares a subnet); a Cell never touches hosts it doesn't own.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,10 @@
 #include "net/serial_link.h"
 #include "sttcp/endpoint.h"
 #include "tcp/stack.h"
+
+namespace sttcp::app {
+class ServerApp;
+}
 
 namespace sttcp::harness {
 
@@ -102,8 +107,8 @@ class Cell {
   net::Host& backup() { return *backup_; }
   net::Link& primary_link() { return *primary_link_; }
   net::Link& backup_link() { return *backup_link_; }
-  /// Switch port indices (the multicast fan-out set; also what
-  /// emulate_old_design_tap mirrors to).
+  /// Switch port indices (the multicast fan-out set; also the mirror target
+  /// of the ablation bench's original-design tap).
   int primary_port() const { return primary_port_; }
   int backup_port() const { return backup_port_; }
 
@@ -138,6 +143,18 @@ class Cell {
   /// The baseline's reconnect target (the hot backup's own address).
   net::SocketAddr backup_addr() const;
 
+  /// Make a member's server application addressable by application-level
+  /// faults (Fault::AppHang). The caller keeps ownership; the pointer must
+  /// outlive the run. One app per member; re-registering replaces.
+  void register_server_app(const net::Host& member, app::ServerApp* app) {
+    server_apps_[&member] = app;
+  }
+  /// The app registered for `member`, or null.
+  app::ServerApp* server_app(const net::Host& member) const {
+    const auto it = server_apps_.find(&member);
+    return it == server_apps_.end() ? nullptr : it->second;
+  }
+
  private:
   Topology& topo_;
   sim::World* world_;  // the owning shard's world, captured at construction
@@ -165,6 +182,8 @@ class Cell {
   std::vector<net::MacAddr> extra_macs_;
   std::vector<std::unique_ptr<tcp::TcpStack>> extra_stacks_;
   std::vector<std::unique_ptr<sttcp::StTcpEndpoint>> extra_eps_;
+
+  std::map<const net::Host*, app::ServerApp*> server_apps_;  // never iterated
 };
 
 }  // namespace sttcp::harness

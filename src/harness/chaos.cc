@@ -5,7 +5,7 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 #include "net/impairment.h"
 
 namespace sttcp::harness {
@@ -31,7 +31,7 @@ std::uint64_t fnv_mix(std::uint64_t h, const std::string& s) {
 }  // namespace
 
 ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = seed;
   // Chaos runs MUST verify TCP checksums: the checksum-drop invariant is
   // what turns wire corruption into accounted drops instead of silent
@@ -40,31 +40,34 @@ ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
   // Crash schedules can leave one side's FIN arbitration waiting on a dead
   // peer; same allowance the existing chaos sweep makes.
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  Topology::HostEntry& gateway_host = *topo->host_by_name("gateway");
 
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), opts.file_size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), opts.file_size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), opts.file_size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), opts.file_size);
   app::DownloadClient::Options copt;
   copt.expected_bytes = opts.file_size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, copt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, copt);
 
   InvariantChecker::Options iopt;
   iopt.expected_bytes = opts.file_size;
   iopt.expect_masked = opts.expect_masked;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
   const FaultPlan plan = FaultPlan::Adversarial(seed);
-  sc.inject(plan);
+  inject(*topo, plan);
   client.start();
 
-  const sim::SimTime deadline = sc.world().now() + opts.run_cap;
-  while (!client.complete() && sc.world().now() < deadline) {
-    sc.run_for(sim::Duration::millis(250));
+  const sim::SimTime deadline = topo->world().now() + opts.run_cap;
+  while (!client.complete() && topo->world().now() < deadline) {
+    topo->run_for(sim::Duration::millis(250));
   }
   // Drain: FIN arbitration, hold-buffer release and replica GC settle before
   // the bounded-memory checks read their final state.
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
 
   ChaosVerdict v;
   v.seed = seed;
@@ -72,8 +75,8 @@ ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
   v.violations = checker.check(client);
   v.complete = client.complete();
   v.received = client.received();
-  const net::Link* links[4] = {&sc.client_link(), &sc.primary_link(),
-                               &sc.backup_link(), &sc.gateway_link()};
+  const net::Link* links[4] = {client_host.link, &cell.primary_link(),
+                               &cell.backup_link(), gateway_host.link};
   for (const net::Link* l : links) {
     if (const net::Impairment* imp = l->impairment_ptr()) {
       v.corrupted += imp->stats().corrupted;
@@ -82,12 +85,12 @@ ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
       v.burst_dropped += imp->stats().burst_dropped;
     }
   }
-  v.checksum_drops = sc.client_stack().stats().bad_checksum +
-                     sc.primary_stack().stats().bad_checksum +
-                     sc.backup_stack().stats().bad_checksum;
-  v.takeovers = sc.world().trace().count("takeover");
-  v.non_ft = sc.world().trace().count("non_ft_mode");
-  v.sim_ns = (sc.world().now() - sim::SimTime::zero()).ns();
+  v.checksum_drops = client_host.stack->stats().bad_checksum +
+                     cell.primary_stack().stats().bad_checksum +
+                     cell.backup_stack().stats().bad_checksum;
+  v.takeovers = topo->world().trace().count("takeover");
+  v.non_ft = topo->world().trace().count("non_ft_mode");
+  v.sim_ns = (topo->world().now() - sim::SimTime::zero()).ns();
 
   std::uint64_t h = 1469598103934665603ull;
   h = fnv_mix(h, v.seed);
@@ -109,38 +112,41 @@ ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
 
 MultiFailureVerdict run_multi_failure_seed(std::uint64_t seed,
                                            const MultiFailureOptions& opts) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = seed;
   cfg.tcp.verify_checksums = true;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  cfg.extra_backups = opts.backups > 1 ? opts.backups - 1 : 0;
-  Scenario sc(std::move(cfg));
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = opts.backups > 1 ? opts.backups - 1 : 0;
+  const auto topo = make_figure2(std::move(cfg), std::move(cell_cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
 
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), opts.file_size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), opts.file_size);
   std::vector<std::unique_ptr<app::FileServer>> b_apps;
-  for (int b = 0; b < sc.backup_count(); ++b) {
+  for (int b = 0; b < cell.backup_count(); ++b) {
     b_apps.push_back(std::make_unique<app::FileServer>(
-        sc.backup_member_stack(b), sc.service_port(), opts.file_size));
+        cell.backup_stack(b), cell.service_port(), opts.file_size));
   }
   app::DownloadClient::Options copt;
   copt.expected_bytes = opts.file_size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, copt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, copt);
 
   InvariantChecker::Options iopt;
   iopt.expected_bytes = opts.file_size;
   iopt.expect_masked = opts.expect_masked;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
   const FaultPlan plan = FaultPlan::MultiFailure(seed, opts.backups);
-  sc.inject(plan);
+  inject(*topo, plan);
   client.start();
 
-  const sim::SimTime deadline = sc.world().now() + opts.run_cap;
-  while (!client.complete() && sc.world().now() < deadline) {
-    sc.run_for(sim::Duration::millis(250));
+  const sim::SimTime deadline = topo->world().now() + opts.run_cap;
+  while (!client.complete() && topo->world().now() < deadline) {
+    topo->run_for(sim::Duration::millis(250));
   }
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
 
   MultiFailureVerdict v;
   v.seed = seed;
@@ -150,7 +156,7 @@ MultiFailureVerdict run_multi_failure_seed(std::uint64_t seed,
   v.violations = checker.check(client);
   v.complete = client.complete();
   v.received = client.received();
-  const sim::TraceRecorder& trace = sc.world().trace();
+  const sim::TraceRecorder& trace = topo->world().trace();
   for (const sim::TraceEntry& e : trace.entries()) {
     if (e.event == "member_convicted") v.convicted.push_back(e.detail);
     if (e.event == "promoted" && v.promotion_winner.empty()) {
@@ -159,7 +165,7 @@ MultiFailureVerdict run_multi_failure_seed(std::uint64_t seed,
   }
   v.takeovers = trace.count("takeover");
   v.non_ft = trace.count("non_ft_mode");
-  v.sim_ns = (sc.world().now() - sim::SimTime::zero()).ns();
+  v.sim_ns = (topo->world().now() - sim::SimTime::zero()).ns();
 
   std::uint64_t h = 1469598103934665603ull;
   h = fnv_mix(h, v.seed);
@@ -223,7 +229,7 @@ Node grey_victim(const FaultPlan& plan) {
 }
 
 GreyVerdict run_grey_seed(std::uint64_t seed, const GreyOptions& opts) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = seed;
   cfg.tcp.verify_checksums = true;
   // Arm the absolute-stagnation criterion: this is the only sweep that sets
@@ -232,44 +238,46 @@ GreyVerdict run_grey_seed(std::uint64_t seed, const GreyOptions& opts) {
   // A convicted-then-STONITHed host can leave FIN arbitration pending on the
   // survivor; same allowance the adversarial sweep makes.
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
 
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), opts.file_size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), opts.file_size);
-  sc.register_server_app(Node::kPrimary, &p_app);
-  sc.register_server_app(Node::kBackup, &b_app);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), opts.file_size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), opts.file_size);
+  cell.register_server_app(cell.primary(), &p_app);
+  cell.register_server_app(cell.backup(), &b_app);
   app::DownloadClient::Options copt;
   copt.expected_bytes = opts.file_size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, copt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, copt);
 
   InvariantChecker::Options iopt;
   iopt.expected_bytes = opts.file_size;
   iopt.expect_masked = true;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
   const FaultPlan plan = FaultPlan::Grey(seed);
   const Node victim = grey_victim(plan);
-  sc.inject(plan);
+  inject(*topo, plan);
   client.start();
 
-  const sim::SimTime deadline = sc.world().now() + opts.run_cap;
-  while (!client.complete() && sc.world().now() < deadline) {
-    sc.run_for(sim::Duration::millis(250));
+  const sim::SimTime deadline = topo->world().now() + opts.run_cap;
+  while (!client.complete() && topo->world().now() < deadline) {
+    topo->run_for(sim::Duration::millis(250));
   }
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
 
   GreyVerdict v;
   v.seed = seed;
   v.plan = plan.str();
   v.grey_node = to_string(victim);
   v.violations = checker.check(client);
-  checker.check_grey(sc.world().trace(), victim, opts.conviction_budget,
+  checker.check_grey(topo->world().trace(), victim, opts.conviction_budget,
                      v.violations);
   v.complete = client.complete();
   v.received = client.received();
 
-  const sim::TraceRecorder& trace = sc.world().trace();
+  const sim::TraceRecorder& trace = topo->world().trace();
   const std::string peer_name =
       victim == Node::kPrimary ? "backup" : "primary";
   const auto fault_at = trace.first_time("fault_injected");
@@ -286,7 +294,7 @@ GreyVerdict run_grey_seed(std::uint64_t seed, const GreyOptions& opts) {
   }
   v.takeovers = trace.count("takeover");
   v.non_ft = trace.count("non_ft_mode");
-  v.sim_ns = (sc.world().now() - sim::SimTime::zero()).ns();
+  v.sim_ns = (topo->world().now() - sim::SimTime::zero()).ns();
 
   std::uint64_t h = 1469598103934665603ull;
   h = fnv_mix(h, v.seed);

@@ -1,7 +1,7 @@
 // One chaos trial: adversarial multi-fault schedule + invariant verdict.
 //
 // run_chaos_seed(seed) is the unit the fuzzer, the replay path and the bench
-// all share: build the Figure-2 scenario from `seed`, draw the 2–4-fault
+// all share: build the Figure-2 topology from `seed`, draw the 2–4-fault
 // FaultPlan::Adversarial(seed) schedule, run the transfer under an
 // InvariantChecker, and fold everything observable into a ChaosVerdict. The
 // verdict carries a fingerprint of every outcome-relevant quantity, so

@@ -2,7 +2,7 @@
 // loop's ready set for the one-connection, one-server-pair failover.
 //
 // Chaos fuzzing samples schedules; this explorer ENUMERATES them. A trial is
-// a stateless re-execution: build the deterministic Figure-2 scenario from a
+// a stateless re-execution: build the deterministic Figure-2 topology from a
 // fixed seed, crash the primary mid-transfer, and step the event loop one
 // event at a time through a choice window covering detection -> takeover.
 // Wherever more than one pending event lies within `quantum` of the earliest
@@ -35,7 +35,7 @@ class EventLoop;
 
 namespace sttcp::harness {
 
-class Scenario;
+class Topology;
 
 struct ExploreOptions {
   std::uint64_t seed = 1;
@@ -104,7 +104,7 @@ class Explorer {
   /// in the sense that a fresh Explorer with equal options reproduces it.
   ExploreStats explore();
 
-  /// Re-execute one schedule by its recorded choice vector (fresh scenario,
+  /// Re-execute one schedule by its recorded choice vector (fresh topology,
   /// no search bookkeeping) and return its outcome digest — bit-identical to
   /// the digest recorded during explore().
   std::uint64_t replay(const std::vector<std::uint8_t>& choices);
@@ -133,7 +133,7 @@ class Explorer {
   /// failover mode markers. Schedule-history artifacts (sequence numbers,
   /// trace length) are deliberately excluded so converging interleavings
   /// collide and prune.
-  static std::uint64_t state_digest(sim::EventLoop& loop, Scenario& sc,
+  static std::uint64_t state_digest(sim::EventLoop& loop, Topology& topo,
                                     const app::DownloadClient& client);
 
   ExploreOptions opts_;

@@ -1,10 +1,12 @@
 #include "harness/fault.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
 
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 #include "sim/random.h"
 
 namespace sttcp::harness {
@@ -20,37 +22,32 @@ std::string fmt(const char* format, ...) {
   return buf;
 }
 
-// Group backups clamp to the highest existing one, so a group schedule
-// remains injectable on a smaller roster (the negative-control replay).
-int backup_index_of(Scenario& s, Node n) {
+/// The machine a Node names, with its switch link: cell 0's members, or the
+/// plain host of the same name. Group backups clamp to the highest existing
+/// one, so a group schedule remains injectable on a smaller roster (the
+/// negative-control replay).
+struct Target {
+  net::Host& host;
+  net::Link& link;
+};
+
+Target target_of(Topology& t, Node n) {
+  if (n == Node::kClient || n == Node::kGateway) {
+    Topology::HostEntry* h = t.host_by_name(to_string(n));
+    if (h == nullptr) {
+      throw std::logic_error(std::string("fault target: no host named ") + to_string(n));
+    }
+    return {*h->host, *h->link};
+  }
+  Cell& c = t.cell(0);
+  if (n == Node::kPrimary) return {c.primary(), c.primary_link()};
   const int want = n == Node::kBackup3 ? 2 : n == Node::kBackup2 ? 1 : 0;
-  const int last = s.backup_count() - 1;
-  return want < last ? want : last;
+  const int i = std::min(want, c.backup_count() - 1);
+  return {c.backup_host(i), c.backup_link(i)};
 }
 
-net::Host& host_of(Scenario& s, Node n) {
-  switch (n) {
-    case Node::kClient: return s.client();
-    case Node::kPrimary: return s.primary();
-    case Node::kBackup: return s.backup();
-    case Node::kGateway: return s.gateway();
-    case Node::kBackup2:
-    case Node::kBackup3: return s.backup_member(backup_index_of(s, n));
-  }
-  return s.primary();  // unreachable
-}
-
-net::Link& link_of(Scenario& s, Node n) {
-  switch (n) {
-    case Node::kClient: return s.client_link();
-    case Node::kPrimary: return s.primary_link();
-    case Node::kBackup: return s.backup_link();
-    case Node::kGateway: return s.gateway_link();
-    case Node::kBackup2:
-    case Node::kBackup3: return s.backup_member_link(backup_index_of(s, n));
-  }
-  return s.primary_link();  // unreachable
-}
+net::Host& host_of(Topology& t, Node n) { return target_of(t, n).host; }
+net::Link& link_of(Topology& t, Node n) { return target_of(t, n).link; }
 
 }  // namespace
 
@@ -69,16 +66,16 @@ const char* to_string(Node n) {
 Fault Fault::Crash(Node n) {
   Fault f;
   f.label_ = std::string("crash:") + to_string(n);
-  f.action_ = [n](Scenario& s) { host_of(s, n).crash("injected HW/OS crash"); };
+  f.action_ = [n](Topology& t) { host_of(t, n).crash("injected HW/OS crash"); };
   return f;
 }
 
 Fault Fault::PowerOn(Node n) {
   Fault f;
   f.label_ = std::string("power_on:") + to_string(n);
-  f.action_ = [n](Scenario& s) {
-    s.world().trace().record(to_string(n), "power_on");
-    host_of(s, n).power_on();
+  f.action_ = [n](Topology& t) {
+    t.world().trace().record(to_string(n), "power_on");
+    host_of(t, n).power_on();
   };
   return f;
 }
@@ -86,9 +83,9 @@ Fault Fault::PowerOn(Node n) {
 Fault Fault::NicFailure(Node n) {
   Fault f;
   f.label_ = std::string("nic_failure:") + to_string(n);
-  f.action_ = [n](Scenario& s) {
-    s.world().trace().record(to_string(n), "nic_failed");
-    host_of(s, n).nic().fail();
+  f.action_ = [n](Topology& t) {
+    t.world().trace().record(to_string(n), "nic_failed");
+    host_of(t, n).nic().fail();
   };
   return f;
 }
@@ -96,9 +93,9 @@ Fault Fault::NicFailure(Node n) {
 Fault Fault::NicRestore(Node n) {
   Fault f;
   f.label_ = std::string("nic_restore:") + to_string(n);
-  f.action_ = [n](Scenario& s) {
-    s.world().trace().record(to_string(n), "nic_restored");
-    host_of(s, n).nic().heal();
+  f.action_ = [n](Topology& t) {
+    t.world().trace().record(to_string(n), "nic_restored");
+    host_of(t, n).nic().heal();
   };
   return f;
 }
@@ -106,9 +103,9 @@ Fault Fault::NicRestore(Node n) {
 Fault Fault::SerialCut() {
   Fault f;
   f.label_ = "serial_cut";
-  f.action_ = [](Scenario& s) {
-    s.world().trace().record("serial", "serial_failed");
-    s.serial().fail();
+  f.action_ = [](Topology& t) {
+    t.world().trace().record("serial", "serial_failed");
+    t.cell(0).serial().fail();
   };
   return f;
 }
@@ -116,9 +113,9 @@ Fault Fault::SerialCut() {
 Fault Fault::SerialRestore() {
   Fault f;
   f.label_ = "serial_restore";
-  f.action_ = [](Scenario& s) {
-    s.world().trace().record("serial", "serial_restored");
-    s.serial().heal();
+  f.action_ = [](Topology& t) {
+    t.world().trace().record("serial", "serial_restored");
+    t.cell(0).serial().heal();
   };
   return f;
 }
@@ -126,9 +123,9 @@ Fault Fault::SerialRestore() {
 Fault Fault::FrameLoss(Node n, int frames) {
   Fault f;
   f.label_ = std::string("frame_loss:") + to_string(n);
-  f.action_ = [n, frames](Scenario& s) {
-    s.world().trace().record(to_string(n), "frame_drop_burst", "", frames);
-    link_of(s, n).drop_next(frames);
+  f.action_ = [n, frames](Topology& t) {
+    t.world().trace().record(to_string(n), "frame_drop_burst", "", frames);
+    link_of(t, n).drop_next(frames);
   };
   return f;
 }
@@ -136,9 +133,9 @@ Fault Fault::FrameLoss(Node n, int frames) {
 Fault Fault::LinkDown(Node n) {
   Fault f;
   f.label_ = std::string("link_down:") + to_string(n);
-  f.action_ = [n](Scenario& s) {
-    s.world().trace().record(to_string(n), "link_down");
-    link_of(s, n).fail();
+  f.action_ = [n](Topology& t) {
+    t.world().trace().record(to_string(n), "link_down");
+    link_of(t, n).fail();
   };
   return f;
 }
@@ -146,9 +143,9 @@ Fault Fault::LinkDown(Node n) {
 Fault Fault::LinkUp(Node n) {
   Fault f;
   f.label_ = std::string("link_up:") + to_string(n);
-  f.action_ = [n](Scenario& s) {
-    s.world().trace().record(to_string(n), "link_up");
-    link_of(s, n).heal();
+  f.action_ = [n](Topology& t) {
+    t.world().trace().record(to_string(n), "link_up");
+    link_of(t, n).heal();
   };
   return f;
 }
@@ -156,12 +153,12 @@ Fault Fault::LinkUp(Node n) {
 Fault Fault::LinkFlap(Node n, sim::Duration down_for) {
   Fault f;
   f.label_ = std::string("link_flap:") + to_string(n);
-  f.action_ = [n, down_for](Scenario& s) {
-    s.world().trace().record(to_string(n), "link_down");
-    link_of(s, n).fail();
-    s.world().loop().schedule_after(down_for, [&s, n] {
-      s.world().trace().record(to_string(n), "link_up");
-      link_of(s, n).heal();
+  f.action_ = [n, down_for](Topology& t) {
+    t.world().trace().record(to_string(n), "link_down");
+    link_of(t, n).fail();
+    t.world().loop().schedule_after(down_for, [&t, n] {
+      t.world().trace().record(to_string(n), "link_up");
+      link_of(t, n).heal();
     });
   };
   return f;
@@ -179,14 +176,14 @@ Fault impairment_fault(std::string label, Node n, sim::Duration window,
                        std::function<void(net::Impairment&)> clear) {
   Fault f = Fault::Custom(
       std::move(label),
-      [n, window, set = std::move(set), clear = std::move(clear)](Scenario& s) {
-        s.world().trace().record(to_string(n), "impair_on", "",
+      [n, window, set = std::move(set), clear = std::move(clear)](Topology& t) {
+        t.world().trace().record(to_string(n), "impair_on", "",
                                  static_cast<std::int64_t>(window.ms()));
-        set(link_of(s, n).impairment());
+        set(link_of(t, n).impairment());
         if (!window.is_zero()) {
-          s.world().loop().schedule_after(window, [&s, n, clear] {
-            s.world().trace().record(to_string(n), "impair_off");
-            clear(link_of(s, n).impairment());
+          t.world().loop().schedule_after(window, [&t, n, clear] {
+            t.world().trace().record(to_string(n), "impair_off");
+            clear(link_of(t, n).impairment());
           });
         }
       });
@@ -259,9 +256,9 @@ Fault Fault::Jitter(Node n, sim::Duration max_jitter, sim::Duration window) {
 Fault Fault::CpuStall(Node n, sim::LagProfile profile) {
   Fault f;
   f.label_ = fmt("cpu_stall:%s(%s)", to_string(n), profile.str().c_str());
-  f.action_ = [n, profile](Scenario& s) {
-    s.world().trace().record(to_string(n), "cpu_stall", profile.str());
-    host_of(s, n).cpu_domain().set_lag(profile);
+  f.action_ = [n, profile](Topology& t) {
+    t.world().trace().record(to_string(n), "cpu_stall", profile.str());
+    host_of(t, n).cpu_domain().set_lag(profile);
   };
   return f;
 }
@@ -281,9 +278,9 @@ Fault Fault::SlowNic(Node n, double p, sim::Duration window) {
 Fault Fault::AppHang(Node n) {
   Fault f;
   f.label_ = std::string("app_hang:") + to_string(n);
-  f.action_ = [n](Scenario& s) {
-    s.world().trace().record(to_string(n), "app_hang");
-    if (app::ServerApp* a = s.server_app(n)) a->hang();
+  f.action_ = [n](Topology& t) {
+    t.world().trace().record(to_string(n), "app_hang");
+    if (app::ServerApp* a = t.cell(0).server_app(host_of(t, n))) a->hang();
   };
   return f;
 }
@@ -293,21 +290,21 @@ Fault Fault::SerialCorrupt(double corrupt_p, double truncate_p,
   Fault f;
   f.label_ = fmt("serial_corrupt(c=%.3f,t=%.3f,%s)", corrupt_p, truncate_p,
                  window.str().c_str());
-  f.action_ = [corrupt_p, truncate_p, window](Scenario& s) {
-    s.world().trace().record("serial", "impair_on", "",
+  f.action_ = [corrupt_p, truncate_p, window](Topology& t) {
+    t.world().trace().record("serial", "impair_on", "",
                              static_cast<std::int64_t>(window.ms()));
-    s.serial().set_noise(corrupt_p, truncate_p);
+    t.cell(0).serial().set_noise(corrupt_p, truncate_p);
     if (!window.is_zero()) {
-      s.world().loop().schedule_after(window, [&s] {
-        s.world().trace().record("serial", "impair_off");
-        s.serial().set_noise(0.0, 0.0);
+      t.world().loop().schedule_after(window, [&t] {
+        t.world().trace().record("serial", "impair_off");
+        t.cell(0).serial().set_noise(0.0, 0.0);
       });
     }
   };
   return f;
 }
 
-Fault Fault::Custom(std::string label, std::function<void(Scenario&)> action) {
+Fault Fault::Custom(std::string label, std::function<void(Topology&)> action) {
   Fault f;
   f.label_ = std::move(label);
   f.action_ = std::move(action);
@@ -327,9 +324,28 @@ Fault Fault::repeat(int times, sim::Duration interval) const {
   return f;
 }
 
+void inject(Topology& topo, Fault fault) {
+  const int times = fault.times_ < 1 ? 1 : fault.times_;
+  for (int i = 0; i < times; ++i) {
+    const sim::Duration when = fault.at_ + fault.interval_ * i;
+    topo.world().loop().schedule_after(when, [&topo, fault] {
+      topo.world().trace().record("harness", "fault_injected", fault.label_);
+      if (topo.metrics() != nullptr) {
+        topo.metrics()->timeline().mark(obs::Milestone::kFaultInjected,
+                                        topo.world().now());
+      }
+      fault.action_(topo);
+    });
+  }
+}
+
+void inject(Topology& topo, const FaultPlan& plan) {
+  for (const Fault& f : plan.faults()) inject(topo, f);
+}
+
 FaultPlan FaultPlan::Adversarial(std::uint64_t seed) {
-  // Own stream, decorrelated from the scenario world rng (which is usually
-  // seeded with the same value): the plan must not shift when the scenario's
+  // Own stream, decorrelated from the topology's world rng (which is usually
+  // seeded with the same value): the plan must not shift when the world's
   // own draw order evolves.
   sim::Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
   FaultPlan plan;
@@ -508,7 +524,7 @@ bool FaultPlan::MultiFailureInvolvesLeader(std::uint64_t seed) {
 
 FaultPlan FaultPlan::Grey(std::uint64_t seed) {
   // Same stream decorrelation as Adversarial: the plan must not shift when
-  // the scenario's own draw order evolves.
+  // the world's own draw order evolves.
   sim::Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
   FaultPlan plan;
 

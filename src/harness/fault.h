@@ -1,13 +1,16 @@
-// Composable fault injection for Scenario.
+// Composable fault injection for a Topology.
 //
 // Faults are values: a factory names WHAT fails, builders say WHEN and how
-// often, and Scenario::inject() arms it against the live topology:
+// often, and inject() arms it against a live topology:
 //
 //   using namespace sttcp::sim::literals;
-//   scenario.inject(Fault::Crash(Node::kPrimary).at(2_s));
-//   scenario.inject(Fault::FrameLoss(Node::kBackup, 40).at(1_s).repeat(3, 500_ms));
-//   scenario.inject(Fault::LinkFlap(Node::kClient, 200_ms).at(4_s));
+//   inject(topo, Fault::Crash(Node::kPrimary).at(2_s));
+//   inject(topo, Fault::FrameLoss(Node::kBackup, 40).at(1_s).repeat(3, 500_ms));
+//   inject(topo, Fault::LinkFlap(Node::kClient, 200_ms).at(4_s));
 //
+// A Node names a Figure-2 machine by the topology's own coordinates: the
+// members of cell 0 and the plain hosts named "client" and "gateway" — the
+// LAN make_figure2 builds, or any builder recipe with the same names.
 // Every injection stamps the fault_injected trace event and (when telemetry
 // is enabled) the obs::FailoverTimeline kFaultInjected milestone, so the
 // failover decomposition starts at the true fault time regardless of which
@@ -24,13 +27,13 @@
 
 namespace sttcp::harness {
 
-class Scenario;
+class Topology;
 
 /// The four machines of the Figure-2 topology (the serial cable is addressed
 /// by the Serial* faults; the optional logger host is not a fault target).
-/// kBackup2/kBackup3 address the extra replication-group backups of an
-/// extra_backups > 0 scenario; on a classic pair they alias kBackup so a
-/// group schedule stays injectable as a negative control.
+/// kBackup2/kBackup3 address the extra replication-group backups of a cell
+/// with extra_backups > 0; on a classic pair they alias kBackup so a group
+/// schedule stays injectable as a negative control.
 enum class Node { kClient, kPrimary, kBackup, kGateway, kBackup2, kBackup3 };
 
 const char* to_string(Node n);
@@ -90,13 +93,13 @@ class Fault {
   static Fault SlowNic(Node n, double p, sim::Duration window);
   /// Application hang (paper §4.2): the node's server process stops
   /// consuming and producing, sockets stay open, the stack and heartbeat
-  /// daemon keep running. Requires Scenario::register_server_app(n, ...);
-  /// a no-op (with a trace record) when no app is registered for the node.
+  /// daemon keep running. Requires Cell::register_server_app for the node's
+  /// host; a no-op (with a trace record) when no app is registered for it.
   static Fault AppHang(Node n);
-  /// Escape hatch: run an arbitrary action against the scenario. The label
-  /// appears in the trace; used by the bench harness for app-level faults
-  /// (hang, clean close, abort) that are not topology events.
-  static Fault Custom(std::string label, std::function<void(Scenario&)> action);
+  /// Escape hatch: run an arbitrary action against the topology. The label
+  /// appears in the trace; used for app-level faults (hang, clean close,
+  /// abort) and for fabric components no Node names (routers, uplinks).
+  static Fault Custom(std::string label, std::function<void(Topology&)> action);
 
   /// Fire at `t` (relative to injection time; default: immediately).
   Fault at(sim::Duration t) const;
@@ -109,15 +112,19 @@ class Fault {
   sim::Duration interval() const { return interval_; }
 
  private:
-  friend class Scenario;
+  friend void inject(Topology& topo, Fault fault);
   Fault() = default;
 
   std::string label_;
-  std::function<void(Scenario&)> action_;
+  std::function<void(Topology&)> action_;
   sim::Duration at_ = sim::Duration::zero();
   int times_ = 1;
   sim::Duration interval_ = sim::Duration::zero();
 };
+
+/// Arm `fault` against `topo` (times relative to now). Each firing stamps the
+/// "fault_injected" trace event and the kFaultInjected timeline milestone.
+void inject(Topology& topo, Fault fault);
 
 /// An ordered bundle of faults; injected as one unit.
 class FaultPlan {
@@ -180,5 +187,7 @@ class FaultPlan {
  private:
   std::vector<Fault> faults_;
 };
+
+void inject(Topology& topo, const FaultPlan& plan);
 
 }  // namespace sttcp::harness

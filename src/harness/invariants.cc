@@ -5,7 +5,6 @@
 
 #include "app/client.h"
 #include "harness/block_workload.h"
-#include "harness/scenario.h"
 #include "harness/topology.h"
 #include "harness/workload.h"
 #include "net/headers.h"
@@ -74,7 +73,7 @@ InvariantChecker::Scope InvariantChecker::scope_from(Topology& topo,
   }
   s.sw = &topo.ethernet_switch(static_cast<std::size_t>(cell.switch_id()));
   // Every link in the cell's shard except a logger host's, in creation
-  // order: for the classic facade shape that is client, primary, backup,
+  // order: for the Figure-2 LAN that is client, primary, backup,
   // gateway — the historical impairment pre-fork order the 200-seed chaos
   // suite depends on. Shard-locality matters twice: impairment creation
   // forks that shard's RNG, and the corrupt taps must only ever fire on the
@@ -91,14 +90,8 @@ InvariantChecker::Scope InvariantChecker::scope_from(Topology& topo,
   return s;
 }
 
-InvariantChecker::InvariantChecker(Scenario& sc, Options opt)
-    : InvariantChecker(scope_from(sc.topology(), opt), opt) {}
-
 InvariantChecker::InvariantChecker(Topology& topo, Options opt)
-    : InvariantChecker(scope_from(topo, opt), opt) {}
-
-InvariantChecker::InvariantChecker(Scope scope, Options opt)
-    : scope_(std::move(scope)), opt_(opt) {
+    : scope_(scope_from(topo, opt)), opt_(opt) {
   // Create every link's impairment engine up front, in fixed link order. Each
   // creation forks the world rng, so leaving it to the faults would make the
   // fork order (and every later draw) depend on which faults the plan arms.

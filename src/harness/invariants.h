@@ -1,6 +1,6 @@
-// Runtime invariant checking for chaos scenarios.
+// Runtime invariant checking for chaos runs.
 //
-// An InvariantChecker wires itself into a Scenario's observation points (the
+// An InvariantChecker wires itself into a Topology cell's observation points (the
 // switch frame tap, per-host receive taps, the impairment corrupt taps) and
 // watches the whole run, then renders a verdict. The invariants are the
 // properties ST-TCP claims regardless of what the network does to it:
@@ -26,7 +26,7 @@
 //                    footprints inside the socket-buffer budget.
 //
 // The checker is pure observation: it never mutates traffic, draws no
-// randomness, and adds no events, so a scenario behaves bit-identically with
+// randomness, and adds no events, so a run behaves bit-identically with
 // and without it.
 #pragma once
 
@@ -52,7 +52,6 @@ class DownloadClient;
 namespace sttcp::harness {
 
 class BlockWorkload;
-class Scenario;
 class Topology;
 class Workload;
 
@@ -83,18 +82,15 @@ class InvariantChecker {
     int cell = 0;
   };
 
-  /// Installs taps. Must be constructed before traffic starts and outlive the
-  /// run. Pre-creates each link's Impairment (in fixed link order) so the
-  /// rng fork order is independent of which faults a plan happens to arm.
-  InvariantChecker(Scenario& sc, Options opt);
-
-  /// Same checker against a Topology cell (the unit the invariants are
-  /// stated over): the first stack-bearing plain host in the cell's shard is
-  /// taken as the client, cell opt.cell as the watched pair. Impairments are
-  /// pre-created on every shard-local link except a "logger" host's, in
-  /// creation order — for a facade-shaped topology that is the classic
-  /// client/primary/backup/gateway sequence. Throws std::logic_error if the
-  /// topology has no such cell or no stack-bearing host in its shard.
+  /// Installs taps on a Topology cell (the unit the invariants are stated
+  /// over): the first stack-bearing plain host in the cell's shard is taken
+  /// as the client, cell opt.cell as the watched pair. Must be constructed
+  /// before traffic starts and outlive the run. Pre-creates the Impairment of
+  /// every shard-local link except a "logger" host's, in creation order — for
+  /// the Figure-2 LAN the classic client/primary/backup/gateway sequence — so
+  /// the rng fork order is independent of which faults a plan happens to
+  /// arm. Throws std::logic_error if the topology has no such cell or no
+  /// stack-bearing host in its shard.
   InvariantChecker(Topology& topo, Options opt);
 
   /// Evaluate end-of-run invariants and return everything that failed (the
@@ -161,8 +157,6 @@ class InvariantChecker {
     tcp::TcpConfig tcp;
   };
   static Scope scope_from(Topology& topo, const Options& opt);
-
-  InvariantChecker(Scope scope, Options opt);
 
   void on_switch_frame(sim::SimTime at, const net::Frame& frame);
   void on_host_rx(int host_idx, const net::Frame& frame);

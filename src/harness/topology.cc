@@ -432,7 +432,7 @@ std::unique_ptr<Topology> TopologyBuilder::build() {
     }
   }
 
-  // Stacks, then cells, in creation order — this is the classic Scenario's
+  // Stacks, then cells, in creation order — this is the classic Figure-2
   // RNG fork order for a 1-cell topology (client stack, then serial +
   // primary/backup stacks + endpoints).
   for (Topology::HostEntry& h : t.hosts_) {
@@ -441,6 +441,69 @@ std::unique_ptr<Topology> TopologyBuilder::build() {
   for (auto& c : t.cells_) c->start();
 
   return std::move(topo_);
+}
+
+// --- Figure 2 ---------------------------------------------------------------
+
+TopologyConfig TopologyConfig::Paper2005() {
+  TopologyConfig cfg;
+  cfg.link_latency = sim::Duration::micros(50);
+  cfg.link_bandwidth_bps = 100'000'000;  // Fast Ethernet
+  cfg.serial_baud = 115200;
+  cfg.sttcp.hb_period = sim::Duration::millis(200);
+  cfg.sttcp.hb_miss_threshold = 3;
+  return cfg;
+}
+
+TopologyConfig TopologyConfig::FastNet() {
+  TopologyConfig cfg;
+  cfg.link_latency = sim::Duration::micros(5);
+  cfg.link_bandwidth_bps = 1'000'000'000;  // gigabit
+  cfg.serial_baud = 1'000'000;
+  cfg.sttcp.hb_period = sim::Duration::millis(50);
+  cfg.sttcp.hb_miss_threshold = 3;
+  return cfg;
+}
+
+std::unique_ptr<Topology> make_figure2(TopologyConfig cfg, CellConfig cell,
+                                       bool with_logger) {
+  const net::Ipv4Addr logger_ip{10, 0, 0, 9};
+  if (with_logger) cfg.logger_ip = logger_ip;
+  TopologyBuilder b(std::move(cfg));
+  const int lan = b.add_switch("switch");
+
+  HostOptions client_opt;
+  client_opt.mac = net::MacAddr::from_u64(0x020000000001ull);
+  client_opt.with_stack = true;
+  b.add_host("client", {10, 0, 0, 1}, lan, client_opt);
+
+  // Cell 0 derives the classic member MACs 02:00:00:00:00:02/03 and
+  // multicast group 0x57; CellConfig's default addressing is Figure 2's.
+  b.add_cell(lan, std::move(cell));
+
+  HostOptions gw_opt;
+  gw_opt.mac = net::MacAddr::from_u64(0x0200000000feull);
+  b.add_host("gateway", {10, 0, 0, 254}, lan, gw_opt);
+
+  // Optional stream logger host (§4.3 output-commit extension): joins the
+  // multicast group so it taps the same client traffic as the servers.
+  if (with_logger) {
+    HostOptions lg_opt;
+    lg_opt.mac = net::MacAddr::from_u64(0x020000000009ull);
+    const int idx = b.add_host("logger", logger_ip, lan, lg_opt);
+    Topology::HostEntry& lh = b.topology().host(static_cast<std::size_t>(idx));
+    Cell& c = b.topology().cell(0);
+    // The logger owns the service alias too, so tapped client->service
+    // packets pass its host's IP filter (a real tap would capture
+    // promiscuously; the alias is the simulator's equivalent).
+    lh.host->add_ip(c.service_ip());
+    lh.host->nic().subscribe_multicast(c.multicast_mac());
+    std::vector<int> ports = {c.primary_port()};
+    for (int i = 0; i < c.backup_count(); ++i) ports.push_back(c.backup_switch_port(i));
+    ports.push_back(lh.port);
+    b.topology().ethernet_switch().add_multicast_group(c.multicast_mac(), ports);
+  }
+  return b.build();
 }
 
 // --- ShardDirector ----------------------------------------------------------

@@ -10,7 +10,8 @@
 //
 // Layering (docs/ARCHITECTURE.md):
 //
-//   Scenario (compat facade)      <- existing tests/benches, unchanged
+//   Fault, InvariantChecker,      <- act on a built Topology;
+//   workloads, make_figure2          make_figure2 builds the paper's LAN
 //        |
 //   TopologyBuilder / Topology    <- this file: switches, routers, cells
 //        |
@@ -30,8 +31,8 @@
 //     egress port — how the ST-TCP tap crosses subnets, see
 //     docs/ROUTING.md);
 //   * TCP stacks for stack-bearing hosts, then Cell::start() per cell, in
-//     creation order — reproducing the classic Scenario fork order for a
-//     1-cell build.
+//     creation order — the classic single-pair fork order for a 1-cell
+//     build.
 //
 // ShardDirector is the front end: a consistent-hash ring mapping client
 // flows onto the cells' service addresses. It is control-plane only — the
@@ -71,7 +72,7 @@ struct TopologyConfig {
   sttcp::StTcpConfig sttcp;
   bool enable_sttcp = true;
   /// Stream-logger address cells should replay from (zero = no logger; the
-  /// logger host itself is wired by the owner — see Scenario).
+  /// logger host itself is wired by the owner — see make_figure2).
   net::Ipv4Addr logger_ip;
 
   std::ostream* log_out = nullptr;
@@ -80,6 +81,13 @@ struct TopologyConfig {
   bool enable_metrics = false;
   /// Write every frame crossing switch 0 to this libpcap file.
   std::string pcap_path;
+
+  /// The paper's 2005 testbed: Fast Ethernet, 115.2 kbps serial heartbeat
+  /// cable, 200 ms heartbeat period (the demos' default).
+  static TopologyConfig Paper2005();
+  /// A modern fabric: gigabit links, 5 µs latency, 1 Mbps serial, 50 ms
+  /// heartbeats — shows how failover scales when detection is cheap.
+  static TopologyConfig FastNet();
 };
 
 /// Options for TopologyBuilder::add_host.
@@ -182,8 +190,8 @@ class Topology {
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
   obs::PcapWriter* pcap() { return pcap_.get(); }
   /// Snapshot cumulative Stats (links, switches, routers, serials, stacks,
-  /// endpoints) into the registry. Names match the classic Scenario for a
-  /// 1-cell topology ("net.link.primary", "net.switch.forwarded", ...);
+  /// endpoints) into the registry. Names are the classic single-pair ones
+  /// for a 1-cell topology ("net.link.primary", "net.switch.forwarded", ...);
   /// extra switches/cells/routers get name-qualified prefixes.
   void export_metrics();
   std::string metrics_json();
@@ -294,6 +302,26 @@ class TopologyBuilder {
   int auto_host_macs_ = 0;
   bool built_ = false;
 };
+
+/// The paper's Figure-2 LAN as a one-cell topology:
+///
+///                    ┌────────┐
+///   client ──────────┤        ├────────── primary ──┐
+///                    │ switch │                     │ serial (RS-232
+///   gateway ─────────┤        ├────────── backup  ──┘  null-modem)
+///                    └────────┘
+///
+/// Hosts "client" (10.0.0.1, with a TCP stack) and "gateway" (10.0.0.254)
+/// plus cell 0 at its default addressing (primary 10.0.0.2, backup 10.0.0.3,
+/// service 10.0.0.100, multicast group 0x57). Builder calls run switch,
+/// client, cell, gateway, [logger] — the historical RNG fork order every
+/// golden value depends on. With `with_logger`, a plain host "logger"
+/// (10.0.0.9) joins the cell's multicast group and carries the service
+/// alias so it taps client traffic; construct the sttcp::StreamLogger on it.
+/// With cfg.enable_sttcp = false the primary runs plain TCP and clients
+/// connect to its own address — the Demo 1/3 baseline.
+std::unique_ptr<Topology> make_figure2(TopologyConfig cfg, CellConfig cell = {},
+                                       bool with_logger = false);
 
 /// Consistent-hash front end: maps a flow identifier onto one of N cells'
 /// service addresses. Control-plane only — this is the piece of the "shard

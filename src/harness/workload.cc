@@ -5,13 +5,8 @@
 
 #include "app/pattern.h"
 #include "app/server.h"
-#include "harness/scenario.h"
 
 namespace sttcp::harness {
-
-Workload::Workload(Scenario& sc, WorkloadConfig cfg)
-    : Workload(sc.world(), sc.client_stack(), sc.client_ip(), sc.connect_addr(),
-               std::move(cfg)) {}
 
 Workload::Workload(sim::World& world, tcp::TcpStack& stack, net::Ipv4Addr client_ip,
                    net::SocketAddr server, WorkloadConfig cfg)

@@ -38,8 +38,6 @@
 
 namespace sttcp::harness {
 
-class Scenario;
-
 struct WorkloadConfig {
   enum class Arrivals { kPoisson, kOnOff, kClosedLoop };
   Arrivals arrivals = Arrivals::kPoisson;
@@ -102,17 +100,15 @@ class Workload {
     obs::Histogram fct_us;
   };
 
-  Workload(Scenario& sc, WorkloadConfig cfg);
-  /// Scenario-free form for TopologyBuilder fabrics: drive `stack` from
-  /// `client_ip`, defaulting every flow to `server` unless cfg.target_for
-  /// redirects it.
+  /// Drive `stack` from `client_ip`, defaulting every flow to `server`
+  /// unless cfg.target_for redirects it.
   Workload(sim::World& world, tcp::TcpStack& stack, net::Ipv4Addr client_ip,
            net::SocketAddr server, WorkloadConfig cfg);
   ~Workload();
   Workload(const Workload&) = delete;
   Workload& operator=(const Workload&) = delete;
 
-  /// Begin generating arrivals. Call once; then Scenario::run_for() long
+  /// Begin generating arrivals. Call once; then Topology::run_for() long
   /// enough to cover duration plus a drain margin.
   void start();
 

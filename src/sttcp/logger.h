@@ -71,8 +71,8 @@ class StreamLogger {
   };
 
   /// `host` must already be wired to the switch with its NIC subscribed to
-  /// the multicast group (the Scenario does this when the logger is
-  /// enabled). The logger claims the host's TCP L4 hook — a logger host
+  /// the multicast group (harness::make_figure2 does this when the logger
+  /// is enabled). The logger claims the host's TCP L4 hook — a logger host
   /// runs no TCP stack of its own.
   StreamLogger(net::Host& host, Config config);
 

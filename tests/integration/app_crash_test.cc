@@ -4,43 +4,13 @@
 
 #include <memory>
 
-#include "app/client.h"
-#include "app/server.h"
-#include "harness/scenario.h"
+#include "tests/integration/download_rig.h"
 
 namespace sttcp::harness {
 namespace {
 
-using app::DownloadClient;
-using app::FileServer;
-
-struct Rig {
-  explicit Rig(ScenarioConfig cfg = {}) : scenario(std::move(cfg)) {}
-
-  void start_file_service(std::uint64_t file_size) {
-    primary_app = std::make_unique<FileServer>(scenario.primary_stack(),
-                                               scenario.service_port(), file_size);
-    backup_app = std::make_unique<FileServer>(scenario.backup_stack(),
-                                              scenario.service_port(), file_size);
-  }
-
-  void start_download(std::uint64_t expected) {
-    DownloadClient::Options opt;
-    opt.expected_bytes = expected;
-    client = std::make_unique<DownloadClient>(
-        scenario.client_stack(), scenario.client_ip(),
-        std::vector<net::SocketAddr>{scenario.connect_addr()}, opt);
-    client->start();
-  }
-
-  Scenario scenario;
-  std::unique_ptr<FileServer> primary_app;
-  std::unique_ptr<FileServer> backup_app;
-  std::unique_ptr<DownloadClient> client;
-};
-
-ScenarioConfig quick_lag_cfg() {
-  ScenarioConfig cfg;
+TopologyConfig quick_lag_cfg() {
+  TopologyConfig cfg;
   // Tight app-failure thresholds so tests run in seconds of sim time.
   cfg.sttcp.app_max_lag_bytes = 64 * 1024;
   cfg.sttcp.app_lag_bytes_grace = sim::Duration::millis(500);
@@ -52,19 +22,19 @@ ScenarioConfig quick_lag_cfg() {
 // --- Table 1 row 2: application failure, no FIN/RST generated ------------------
 
 TEST(AppCrashTest, PrimaryAppHangIsDetectedAndMasked) {
-  Rig rig(quick_lag_cfg());
+  DownloadRig rig(quick_lag_cfg());
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
   // The primary application hangs (no FIN): stops writing mid-transfer.
-  rig.scenario.world().loop().schedule_after(sim::Duration::millis(500),
-                                             [&] { rig.primary_app->hang(); });
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.primary_app->hang(); });
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_EQ(trace.count("backup", "app_failure_detected"), 1u);
   EXPECT_EQ(trace.count("backup", "takeover"), 1u);
   // The hung primary was powered down before the takeover.
@@ -72,21 +42,21 @@ TEST(AppCrashTest, PrimaryAppHangIsDetectedAndMasked) {
 }
 
 TEST(AppCrashTest, BackupAppHangLeavesPrimaryServing) {
-  Rig rig(quick_lag_cfg());
+  DownloadRig rig(quick_lag_cfg());
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.world().loop().schedule_after(sim::Duration::millis(500),
-                                             [&] { rig.backup_app->hang(); });
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.backup_app->hang(); });
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_EQ(trace.count("primary", "app_failure_detected"), 1u);
   EXPECT_EQ(trace.count("takeover"), 0u);
-  EXPECT_EQ(rig.scenario.primary_endpoint()->mode(),
+  EXPECT_EQ(rig.cell.primary_endpoint()->mode(),
             sttcp::StTcpEndpoint::Mode::kNonFaultTolerant);
   // The client barely noticed: the primary never stopped.
   EXPECT_LT(rig.client->max_stall().ms(), 1000);
@@ -95,20 +65,20 @@ TEST(AppCrashTest, BackupAppHangLeavesPrimaryServing) {
 // --- Table 1 row 3: application failure WITH FIN --------------------------------
 
 TEST(AppCrashTest, PrimaryAppCrashWithFinIsDetectedAndMasked) {
-  Rig rig(quick_lag_cfg());
+  DownloadRig rig(quick_lag_cfg());
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
   // OS cleanup: the primary's app dies and its socket is closed (FIN
   // generated mid-file). ST-TCP must withhold that FIN and fail over.
-  rig.scenario.world().loop().schedule_after(sim::Duration::millis(500),
-                                             [&] { rig.primary_app->crash_clean(); });
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.primary_app->crash_clean(); });
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   // The FIN was withheld pending arbitration, then lag detection convicted
   // the primary.
   EXPECT_EQ(trace.count("primary", "fin_delayed"), 1u);
@@ -118,38 +88,38 @@ TEST(AppCrashTest, PrimaryAppCrashWithFinIsDetectedAndMasked) {
 }
 
 TEST(AppCrashTest, BackupAppCrashWithFinIsDiscarded) {
-  Rig rig(quick_lag_cfg());
+  DownloadRig rig(quick_lag_cfg());
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.world().loop().schedule_after(sim::Duration::millis(500),
-                                             [&] { rig.backup_app->crash_clean(); });
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.backup_app->crash_clean(); });
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   // The backup's failure-FIN never reached the client (suppression), and
   // the primary detected the backup failure and went non-FT.
   EXPECT_EQ(trace.count("takeover"), 0u);
-  EXPECT_EQ(rig.scenario.primary_endpoint()->mode(),
+  EXPECT_EQ(rig.cell.primary_endpoint()->mode(),
             sttcp::StTcpEndpoint::Mode::kNonFaultTolerant);
 }
 
 TEST(AppCrashTest, PrimaryAppAbortWithRstIsMasked) {
-  Rig rig(quick_lag_cfg());
+  DownloadRig rig(quick_lag_cfg());
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.world().loop().schedule_after(sim::Duration::millis(500),
-                                             [&] { rig.primary_app->crash_abort(); });
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.primary_app->crash_abort(); });
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_EQ(trace.count("primary", "rst_delayed"), 1u);
   EXPECT_EQ(trace.count("backup", "takeover"), 1u);
 }
@@ -157,14 +127,14 @@ TEST(AppCrashTest, PrimaryAppAbortWithRstIsMasked) {
 // --- normal close must NOT trigger arbitration delays ---------------------------
 
 TEST(AppCrashTest, NormalCloseIsNotDelayedByMaxDelayFin) {
-  Rig rig(quick_lag_cfg());
+  DownloadRig rig(quick_lag_cfg());
   const std::uint64_t size = 1'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.run_for(sim::Duration::seconds(30));
+  rig.topo->run_for(sim::Duration::seconds(30));
 
   EXPECT_TRUE(rig.client->complete());
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   // Both apps closed; the FINs agreed via heartbeat. The primary's FIN may
   // briefly wait for the backup's notice but must never hit MaxDelayFIN.
   EXPECT_EQ(trace.count("fin_released_after_delay"), 0u);
@@ -180,15 +150,15 @@ TEST(AppCrashTest, IdleHangDetectedOnNextActivity) {
   // Paper §4.2.1: "In some instances — when there is no activity on the
   // connection — failure detection may be delayed. However, these failures
   // will be detected when the connection is used again."
-  Rig rig(quick_lag_cfg());
-  auto p_app = std::make_unique<app::StreamServer>(rig.scenario.primary_stack(),
-                                                   rig.scenario.service_port(), 4000);
-  auto b_app = std::make_unique<app::StreamServer>(rig.scenario.backup_stack(),
-                                                   rig.scenario.service_port(), 4000);
-  app::StreamClient client(rig.scenario.client_stack(), rig.scenario.client_ip(),
-                           rig.scenario.connect_addr(), 4000, /*pipeline=*/1);
+  DownloadRig rig(quick_lag_cfg());
+  auto p_app = std::make_unique<app::StreamServer>(rig.cell.primary_stack(),
+                                                   rig.cell.service_port(), 4000);
+  auto b_app = std::make_unique<app::StreamServer>(rig.cell.backup_stack(),
+                                                   rig.cell.service_port(), 4000);
+  app::StreamClient client(*rig.client_host.stack, rig.client_host.ip,
+                           rig.cell.connect_addr(), 4000, /*pipeline=*/1);
   client.start();
-  rig.scenario.run_for(sim::Duration::seconds(1));
+  rig.topo->run_for(sim::Duration::seconds(1));
   EXPECT_GT(client.records_completed(), 0u);
 
   // Hang the primary app while the connection is idle (client consumed all
@@ -196,11 +166,11 @@ TEST(AppCrashTest, IdleHangDetectedOnNextActivity) {
   // client asks for more.
   rig.primary_app.reset();
   p_app->hang();
-  rig.scenario.run_for(sim::Duration::seconds(5));
+  rig.topo->run_for(sim::Duration::seconds(5));
   // (The stream client keeps requesting, so activity resumes immediately
   // and the hang is detected.)
-  EXPECT_EQ(rig.scenario.world().trace().count("backup", "takeover"), 1u);
-  rig.scenario.run_for(sim::Duration::seconds(5));
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "takeover"), 1u);
+  rig.topo->run_for(sim::Duration::seconds(5));
   EXPECT_FALSE(client.corrupt());
   EXPECT_FALSE(client.closed());
 }

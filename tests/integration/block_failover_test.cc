@@ -15,8 +15,9 @@
 
 #include "app/block_server.h"
 #include "harness/block_workload.h"
+#include "harness/fault.h"
 #include "harness/invariants.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
@@ -26,37 +27,40 @@ using app::BlockStoreServer;
 using Mode = sttcp::DecisionLog::Mode;
 
 struct Rig {
-  Rig(ScenarioConfig scfg, BlockStoreConfig p_cfg, BlockStoreConfig b_cfg,
+  Rig(TopologyConfig scfg, BlockStoreConfig p_cfg, BlockStoreConfig b_cfg,
       BlockWorkloadConfig wcfg)
-      : sc(std::move(scfg)),
-        p_app(sc.primary_stack(), sc.service_port(), p_cfg, Mode::kRecord),
-        b_app(sc.backup_stack(), sc.service_port(), b_cfg, Mode::kReplay),
-        workload(sc, wcfg) {
-    sc.primary_endpoint()->set_decision_log(&p_app.decisions());
-    sc.backup_endpoint()->set_decision_log(&b_app.decisions());
-    sc.primary_endpoint()->set_checkpoint_provider(
+      : topo(make_figure2(std::move(scfg))),
+        cell(topo->cell()),
+        p_app(cell.primary_stack(), cell.service_port(), p_cfg, Mode::kRecord),
+        b_app(cell.backup_stack(), cell.service_port(), b_cfg, Mode::kReplay),
+        workload(topo->world(), *topo->host_by_name("client")->stack,
+                 topo->host_by_name("client")->ip, cell.connect_addr(), wcfg) {
+    cell.primary_endpoint()->set_decision_log(&p_app.decisions());
+    cell.backup_endpoint()->set_decision_log(&b_app.decisions());
+    cell.primary_endpoint()->set_checkpoint_provider(
         [this] { return p_app.checkpoint(); });
-    sc.primary_endpoint()->set_checkpoint_restorer(
+    cell.primary_endpoint()->set_checkpoint_restorer(
         [this](net::BytesView d) { p_app.stage_restore(d); });
-    sc.backup_endpoint()->set_checkpoint_provider(
+    cell.backup_endpoint()->set_checkpoint_provider(
         [this] { return b_app.checkpoint(); });
-    sc.backup_endpoint()->set_checkpoint_restorer(
+    cell.backup_endpoint()->set_checkpoint_restorer(
         [this](net::BytesView d) { b_app.stage_restore(d); });
-    sc.register_server_app(Node::kPrimary, &p_app);
-    sc.register_server_app(Node::kBackup, &b_app);
+    cell.register_server_app(cell.primary(), &p_app);
+    cell.register_server_app(cell.backup(), &b_app);
   }
 
   /// Run until the workload drains (plus a TIME_WAIT margin for the
   /// checker's memory audit), bounded by `limit`.
   void run_to_drain(sim::Duration limit) {
-    const sim::SimTime deadline = sc.world().now() + limit;
-    while (!workload.drained() && sc.world().now() < deadline) {
-      sc.run_for(sim::Duration::millis(100));
+    const sim::SimTime deadline = topo->world().now() + limit;
+    while (!workload.drained() && topo->world().now() < deadline) {
+      topo->run_for(sim::Duration::millis(100));
     }
-    sc.run_for(sim::Duration::seconds(3));  // 2 x MSL drain + decision beats
+    topo->run_for(sim::Duration::seconds(3));  // 2 x MSL drain + decision beats
   }
 
-  Scenario sc;
+  std::unique_ptr<Topology> topo;
+  Cell& cell;
   BlockStoreServer p_app;
   BlockStoreServer b_app;
   BlockWorkload workload;
@@ -88,18 +92,18 @@ void expect_clean(const Rig& rig, const std::vector<Violation>& v) {
 // backup computed from the replicated input + decision log is identical to
 // what the primary sent, and the quiesced store state matches exactly.
 TEST(BlockFailoverTest, HealthyRunIsByteDeterministic) {
-  ScenarioConfig scfg;
+  TopologyConfig scfg;
   scfg.seed = 7;
   BlockStoreConfig acfg;
   Rig rig(std::move(scfg), acfg, acfg, small_workload(acfg));
-  InvariantChecker checker(rig.sc, {});
+  InvariantChecker checker(*rig.topo, {});
 
   rig.workload.start();
   rig.run_to_drain(sim::Duration::seconds(30));
   // Quiesce: push every dirty page through the decision log, let the
   // final kFlush records reach the backup.
   rig.p_app.flush_all_dirty();
-  rig.sc.run_for(sim::Duration::seconds(1));
+  rig.topo->run_for(sim::Duration::seconds(1));
 
   expect_clean(rig, checker.check(rig.workload));
   EXPECT_EQ(rig.workload.stats().resets, 0u);
@@ -117,18 +121,18 @@ TEST(BlockFailoverTest, HealthyRunIsByteDeterministic) {
 // The promoted backup must carry every session through — acknowledged
 // writes survive, no client sees a reset or an unpredicted status.
 TEST(BlockFailoverTest, CrashMidTransactionIsMasked) {
-  ScenarioConfig scfg;
+  TopologyConfig scfg;
   scfg.seed = 11;
   BlockStoreConfig acfg;
   Rig rig(std::move(scfg), acfg, acfg, small_workload(acfg));
-  InvariantChecker checker(rig.sc, {});
+  InvariantChecker checker(*rig.topo, {});
 
   rig.workload.start();
-  rig.sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
+  inject(*rig.topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
   rig.run_to_drain(sim::Duration::seconds(60));
 
   expect_clean(rig, checker.check(rig.workload));
-  EXPECT_EQ(rig.sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "takeover"), 1u);
   EXPECT_GT(rig.b_app.store_stats().replay_executed, 0u);
 }
 
@@ -138,24 +142,24 @@ TEST(BlockFailoverTest, CrashMidTransactionIsMasked) {
 // backlog drain must leave the store consistent — same response-exactness
 // bar as any other crash point.
 TEST(BlockFailoverTest, CrashDuringCacheWritebackIsMasked) {
-  ScenarioConfig scfg;
+  TopologyConfig scfg;
   scfg.seed = 13;
   BlockStoreConfig acfg;
   acfg.writeback_period = sim::Duration::millis(50);
   BlockWorkloadConfig wcfg = small_workload(acfg);
   wcfg.put_prob = 0.7;  // writeback-heavy: keep the dirty queue busy
   Rig rig(std::move(scfg), acfg, acfg, wcfg);
-  InvariantChecker checker(rig.sc, {});
+  InvariantChecker checker(*rig.topo, {});
 
   rig.workload.start();
   // 16 writeback periods in, 100 us past the tick: the kFlush records for
   // that batch are at most one heartbeat from the backup when the axe falls.
-  rig.sc.inject(Fault::Crash(Node::kPrimary)
+  inject(*rig.topo, Fault::Crash(Node::kPrimary)
                     .at(sim::Duration::millis(800) + sim::Duration::micros(100)));
   rig.run_to_drain(sim::Duration::seconds(60));
 
   expect_clean(rig, checker.check(rig.workload));
-  EXPECT_EQ(rig.sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "takeover"), 1u);
   EXPECT_GT(rig.p_app.store_stats().writebacks, 0u);
 }
 
@@ -169,7 +173,7 @@ TEST(BlockFailoverTest, ColdBackupCacheCostsLatencyNotCorrectness) {
   // a warm cache misses ~never, so takeover-time misses are the ablation.
   const auto run = [](bool cold, std::uint64_t* misses_after,
                       obs::Histogram* lat) {
-    ScenarioConfig scfg;
+    TopologyConfig scfg;
     scfg.seed = 17;
     BlockStoreConfig acfg;
     BlockStoreConfig b_cfg = acfg;
@@ -183,10 +187,10 @@ TEST(BlockFailoverTest, ColdBackupCacheCostsLatencyNotCorrectness) {
     wcfg.duration = sim::Duration::millis(2500);
     wcfg.think_mean = sim::Duration::millis(10);
     Rig rig(std::move(scfg), acfg, b_cfg, wcfg);
-    InvariantChecker checker(rig.sc, {});
+    InvariantChecker checker(*rig.topo, {});
 
     rig.workload.start();
-    rig.sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1000)));
+    inject(*rig.topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1000)));
     rig.run_to_drain(sim::Duration::seconds(60));
 
     for (const Violation& v : checker.check(rig.workload)) {
@@ -216,23 +220,23 @@ TEST(BlockFailoverTest, ColdBackupCacheCostsLatencyNotCorrectness) {
 // with dirty pages, session table, decision cursor). At quiesce the rejoined
 // replica's store state is byte-identical to the survivor's.
 TEST(BlockFailoverTest, ReintegrationRestoresByteIdenticalStore) {
-  ScenarioConfig scfg;
+  TopologyConfig scfg;
   scfg.seed = 19;
   BlockStoreConfig acfg;
   BlockWorkloadConfig wcfg = small_workload(acfg);
   wcfg.duration = sim::Duration::seconds(5);  // long enough to span the rejoin
   Rig rig(std::move(scfg), acfg, acfg, wcfg);
-  InvariantChecker checker(rig.sc, {});
+  InvariantChecker checker(*rig.topo, {});
 
   rig.workload.start();
-  rig.sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(700)));
-  rig.sc.inject(Fault::PowerOn(Node::kPrimary).at(sim::Duration::millis(2200)));
+  inject(*rig.topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(700)));
+  inject(*rig.topo, Fault::PowerOn(Node::kPrimary).at(sim::Duration::millis(2200)));
 
-  const auto& tr = rig.sc.world().trace();
-  const sim::SimTime limit = rig.sc.world().now() + sim::Duration::seconds(12);
+  const auto& tr = rig.topo->world().trace();
+  const sim::SimTime limit = rig.topo->world().now() + sim::Duration::seconds(12);
   while (tr.count("reintegration_complete") == 0 &&
-         rig.sc.world().now() < limit) {
-    rig.sc.run_for(sim::Duration::millis(100));
+         rig.topo->world().now() < limit) {
+    rig.topo->run_for(sim::Duration::millis(100));
   }
   ASSERT_EQ(tr.count("reintegration_complete"), 1u) << tr.dump();
   rig.run_to_drain(sim::Duration::seconds(60));
@@ -240,7 +244,7 @@ TEST(BlockFailoverTest, ReintegrationRestoresByteIdenticalStore) {
   // Quiesce the surviving primary (the old backup) and let its kFlush
   // decisions reach the rejoined replica (the old primary).
   rig.b_app.flush_all_dirty();
-  rig.sc.run_for(sim::Duration::seconds(1));
+  rig.topo->run_for(sim::Duration::seconds(1));
 
   expect_clean(rig, checker.check(rig.workload));
   EXPECT_EQ(rig.p_app.store_digest(), rig.b_app.store_digest());
@@ -260,12 +264,12 @@ TEST_P(BlockChaosSweepTest, RandomCrashKeepsResponsesExact) {
   const std::uint64_t seed = GetParam();
   sim::Rng dice(seed * 6151 + 3);
 
-  ScenarioConfig scfg;
+  TopologyConfig scfg;
   scfg.seed = seed;
   BlockStoreConfig acfg;
   BlockWorkloadConfig wcfg = small_workload(acfg);
   Rig rig(std::move(scfg), acfg, acfg, wcfg);
-  InvariantChecker checker(rig.sc, {});
+  InvariantChecker checker(*rig.topo, {});
 
   rig.workload.start();
   const Node victim = dice.below(4) == 0 ? Node::kBackup : Node::kPrimary;
@@ -280,12 +284,12 @@ TEST_P(BlockChaosSweepTest, RandomCrashKeepsResponsesExact) {
   }
   SCOPED_TRACE("crash " + std::string(to_string(victim)) + " at " + when.str() +
                ", seed " + std::to_string(seed));
-  rig.sc.inject(Fault::Crash(victim).at(when));
+  inject(*rig.topo, Fault::Crash(victim).at(when));
   rig.run_to_drain(sim::Duration::seconds(90));
 
   expect_clean(rig, checker.check(rig.workload));
   // Exactly one failover action at most (none when the backup died).
-  const auto& tr = rig.sc.world().trace();
+  const auto& tr = rig.topo->world().trace();
   EXPECT_LE(tr.count("takeover") + tr.count("non_ft_mode"), 1u);
 }
 

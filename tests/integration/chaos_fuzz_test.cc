@@ -16,7 +16,7 @@
 #include "app/client.h"
 #include "app/server.h"
 #include "harness/chaos.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
 #include "harness/sweep.h"
 #include "harness/topology.h"
 
@@ -34,10 +34,10 @@ TEST(ChaosFuzzTest, VerifyChecksumsIsOnByDefault) {
   // wire corruption into accounted drops. Guard the config default so a
   // future "perf" change cannot silently disable the protection the fuzzer
   // thinks it is testing.
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   EXPECT_TRUE(cfg.tcp.verify_checksums);
-  EXPECT_TRUE(ScenarioConfig::Paper2005().tcp.verify_checksums);
-  EXPECT_TRUE(ScenarioConfig::FastNet().tcp.verify_checksums);
+  EXPECT_TRUE(TopologyConfig::Paper2005().tcp.verify_checksums);
+  EXPECT_TRUE(TopologyConfig::FastNet().tcp.verify_checksums);
 }
 
 TEST(ChaosFuzzTest, AdversarialPlansAreDeterministicAndBounded) {
@@ -125,23 +125,25 @@ TEST(ChaosFuzzTest, SameSeedGivesBitIdenticalVerdict) {
 // single-failure model every adversarial plan stays inside), so the transfer
 // cannot complete and the stream-exact invariant must report it.
 TEST(ChaosFuzzTest, UnsurvivableScheduleIsDetected) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 99;
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 4'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   InvariantChecker::Options iopt;
   iopt.expected_bytes = size;
-  InvariantChecker checker(sc, iopt);
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(150)));
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(180)));
+  InvariantChecker checker(*topo, iopt);
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(150)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(180)));
   client.start();
-  sc.run_for(sim::Duration::seconds(30));
+  topo->run_for(sim::Duration::seconds(30));
   const auto violations = checker.check(client);
   ASSERT_FALSE(violations.empty());
   bool stream_violation = false;
@@ -190,34 +192,36 @@ TEST(ChaosFuzzTest, ClientVisibleRstIsDetected) {
 // primary genuinely dies the backup still detects it and masks the failure
 // on deadline — the transfer completes without client-visible damage.
 TEST(SerialNoiseTest, NoisyHeartbeatChannelStillDetectsCrashOnDeadline) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 7;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 40'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   // Heavy, unbounded line noise from t=0; the primary dies mid-transfer.
-  sc.inject(Fault::SerialCorrupt(0.4, 0.3, sim::Duration::zero()));
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(2500)));
+  inject(*topo, Fault::SerialCorrupt(0.4, 0.3, sim::Duration::zero()));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(2500)));
   client.start();
-  sc.run_for(sim::Duration::seconds(120));
+  topo->run_for(sim::Duration::seconds(120));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
   // Exactly one takeover: the noise alone must never trigger one (the UDP
   // channel keeps the peer visibly alive), the real crash must.
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
   // The noise actually hit, and the codec rejected (counted) the damage.
-  EXPECT_GT(sc.serial().stats().messages_corrupted +
-                sc.serial().stats().messages_truncated,
+  EXPECT_GT(cell.serial().stats().messages_corrupted +
+                cell.serial().stats().messages_truncated,
             0u);
-  const auto& backup_stats = sc.backup_endpoint()->stats();
+  const auto& backup_stats = cell.backup_endpoint()->stats();
   EXPECT_GT(backup_stats.hb_malformed, 0u);
 }
 

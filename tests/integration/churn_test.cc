@@ -13,9 +13,10 @@
 #include <vector>
 
 #include "app/server.h"
+#include "harness/fault.h"
 #include "harness/invariants.h"
-#include "harness/scenario.h"
 #include "harness/sweep.h"
+#include "harness/topology.h"
 #include "harness/workload.h"
 
 namespace sttcp::harness {
@@ -29,8 +30,8 @@ struct ChurnOutcome {
   std::vector<Violation> violations;
 };
 
-ScenarioConfig churn_config(std::uint64_t seed) {
-  ScenarioConfig cfg;
+TopologyConfig churn_config(std::uint64_t seed) {
+  TopologyConfig cfg;
   cfg.seed = seed;
   cfg.sttcp.hold_buffer_capacity = 32 * 1024 * 1024;
   cfg.sttcp.serial_max_records = 32;
@@ -39,33 +40,36 @@ ScenarioConfig churn_config(std::uint64_t seed) {
 
 ChurnOutcome run_churn(std::uint64_t seed, const WorkloadConfig& wl_cfg,
                        sim::Duration crash_at) {
-  Scenario sc(churn_config(seed));
-  app::SizedServer p_app(sc.primary_stack(), sc.service_port());
-  app::SizedServer b_app(sc.backup_stack(), sc.service_port());
+  const auto topo = make_figure2(churn_config(seed));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::SizedServer p_app(cell.primary_stack(), cell.service_port());
+  app::SizedServer b_app(cell.backup_stack(), cell.service_port());
 
   InvariantChecker::Options iopt;
   iopt.expect_masked = true;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
-  Workload wl(sc, wl_cfg);
+  Workload wl(topo->world(), *client_host.stack, client_host.ip,
+              cell.connect_addr(), wl_cfg);
   if (!crash_at.is_zero()) {
-    sc.inject(Fault::Crash(Node::kPrimary).at(crash_at));
+    inject(*topo, Fault::Crash(Node::kPrimary).at(crash_at));
   }
   wl.start();
 
-  sc.run_for(wl_cfg.duration);
+  topo->run_for(wl_cfg.duration);
   for (int i = 0; i < 600 && !wl.drained(); ++i) {
-    sc.run_for(sim::Duration::millis(100));
+    topo->run_for(sim::Duration::millis(100));
   }
   // Quiet margin: TIME_WAIT (2 x MSL) and the endpoint's closed-connection
   // linger must empty the tables before the bounded-memory check runs.
-  sc.run_for(sim::Duration::seconds(3));
+  topo->run_for(sim::Duration::seconds(3));
 
   ChurnOutcome out;
   out.digest = wl.digest();
   out.stats = wl.stats();
   out.drained = wl.drained();
-  out.takeovers = sc.world().trace().count("takeover");
+  out.takeovers = topo->world().trace().count("takeover");
   out.violations = checker.check(wl);
   return out;
 }

@@ -13,7 +13,7 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
 #include "harness/sweep.h"
 #include "harness/topology.h"
 #include "harness/workload.h"
@@ -35,15 +35,17 @@ struct RunRecord {
 // One fixed-seed failover run: replicated download, primary crashes
 // mid-flight, backup takes over, client keeps reading.
 RunRecord failover_run(std::uint64_t seed) {
-  harness::ScenarioConfig cfg;
+  harness::TopologyConfig cfg;
   cfg.seed = seed;
-  harness::Scenario sc(std::move(cfg));
+  const auto topo = harness::make_figure2(std::move(cfg));
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
   // Seeded loss makes the run exercise retransmission and makes distinct
   // seeds observably different (the link RNGs fork from the world seed).
-  sc.client_link().set_drop_probability(0.02);
+  client_host.link->set_drop_probability(0.02);
 
   RunRecord out;
-  sc.ethernet_switch().set_frame_tap(
+  topo->ethernet_switch().set_frame_tap(
       [&out](sim::SimTime at, const net::Frame& f) {
         std::uint64_t h = out.frame_hash ^ static_cast<std::uint64_t>(at.ns());
         for (const std::uint8_t b : f) h = (h ^ b) * 1099511628211ull;
@@ -52,8 +54,8 @@ RunRecord failover_run(std::uint64_t seed) {
       });
 
   const std::uint64_t size = 2'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
 
   tcp::TcpConnection* conn = nullptr;
   tcp::TcpConnection::Callbacks cb;
@@ -62,14 +64,14 @@ RunRecord failover_run(std::uint64_t seed) {
     out.client_bytes.insert(out.client_bytes.end(), chunk.begin(), chunk.end());
   };
   cb.on_peer_closed = [&] { conn->close(); };
-  conn = &sc.client_stack().connect(sc.client_ip(), sc.connect_addr(),
-                                    std::move(cb));
+  conn = &client_host.stack->connect(client_host.ip, cell.connect_addr(),
+                                     std::move(cb));
 
-  sc.inject(harness::Fault::Crash(harness::Node::kPrimary)
+  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary)
                 .at(sim::Duration::millis(400)));
-  sc.run_for(sim::Duration::seconds(60));
+  topo->run_for(sim::Duration::seconds(60));
 
-  out.trace = sc.world().trace().dump();
+  out.trace = topo->world().trace().dump();
   return out;
 }
 

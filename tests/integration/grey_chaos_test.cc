@@ -17,8 +17,9 @@
 #include "app/client.h"
 #include "app/server.h"
 #include "harness/chaos.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
 #include "harness/sweep.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
@@ -131,58 +132,62 @@ TEST(GreyChaosTest, HeartbeatOnlyDetectorMissesAppHangThatCountersCatch) {
   const std::uint64_t size = 40'000'000;
   // Half 1: counters off. The hang is invisible to heartbeat silence.
   {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.seed = 5;
     cfg.sttcp.app_max_lag_bytes = 0;             // byte criterion off
     cfg.sttcp.app_max_lag_time = Duration::zero();  // time criterion off
     cfg.sttcp.progress_stall_time = Duration::zero();  // stagnation off
-    Scenario sc(std::move(cfg));
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
-    sc.register_server_app(Node::kPrimary, &p_app);
-    sc.register_server_app(Node::kBackup, &b_app);
+    const auto topo = make_figure2(std::move(cfg));
+    Cell& cell = topo->cell();
+    Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+    cell.register_server_app(cell.primary(), &p_app);
+    cell.register_server_app(cell.backup(), &b_app);
     app::DownloadClient::Options opt;
     opt.expected_bytes = size;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
-    sc.inject(Fault::AppHang(Node::kPrimary).at(Duration::millis(400)));
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
+    inject(*topo, Fault::AppHang(Node::kPrimary).at(Duration::millis(400)));
     client.start();
-    sc.run_for(Duration::seconds(10));
+    topo->run_for(Duration::seconds(10));
 
     EXPECT_TRUE(p_app.hung());
     EXPECT_FALSE(client.complete()) << "hung app cannot finish the transfer";
-    EXPECT_EQ(sc.world().trace().count("peer_convicted"), 0u)
+    EXPECT_EQ(topo->world().trace().count("peer_convicted"), 0u)
         << "heartbeat-only detector must NOT see an app hang: "
-        << sc.world().trace().dump();
-    EXPECT_EQ(sc.world().trace().count("takeover"), 0u);
+        << topo->world().trace().dump();
+    EXPECT_EQ(topo->world().trace().count("takeover"), 0u);
   }
   // Half 2: identical scenario, counter criteria at their defaults (plus the
   // stagnation watch). The same hang is convicted and masked.
   {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.seed = 5;
     cfg.sttcp.progress_stall_time = Duration::millis(1200);
     cfg.sttcp.max_delay_fin = Duration::seconds(20);
-    Scenario sc(std::move(cfg));
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
-    sc.register_server_app(Node::kPrimary, &p_app);
-    sc.register_server_app(Node::kBackup, &b_app);
+    const auto topo = make_figure2(std::move(cfg));
+    Cell& cell = topo->cell();
+    Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+    cell.register_server_app(cell.primary(), &p_app);
+    cell.register_server_app(cell.backup(), &b_app);
     app::DownloadClient::Options opt;
     opt.expected_bytes = size;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
-    sc.inject(Fault::AppHang(Node::kPrimary).at(Duration::millis(400)));
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
+    inject(*topo, Fault::AppHang(Node::kPrimary).at(Duration::millis(400)));
     client.start();
-    sc.run_for(Duration::seconds(30));
+    topo->run_for(Duration::seconds(30));
 
-    EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+    EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
     EXPECT_FALSE(client.corrupt());
-    const auto* conviction = sc.world().trace().first("peer_convicted");
+    const auto* conviction = topo->world().trace().first("peer_convicted");
     ASSERT_NE(conviction, nullptr);
     EXPECT_EQ(conviction->component, "backup");
     EXPECT_EQ(conviction->detail, "app_failure_detected");
-    EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+    EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
   }
 }
 
@@ -190,29 +195,31 @@ TEST(GreyChaosTest, HeartbeatOnlyDetectorMissesAppHangThatCountersCatch) {
 // TCP's job, not the failure detector's: retransmission masks it, the
 // transfer completes, and nobody is convicted.
 TEST(GreyChaosTest, SlowNicAloneIsMaskedWithoutConviction) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 9;
   cfg.sttcp.progress_stall_time = Duration::millis(1200);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 8'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   // Unbounded window: the degradation lasts the whole run.
-  sc.inject(Fault::SlowNic(Node::kPrimary, 0.30, Duration::zero()));
+  inject(*topo, Fault::SlowNic(Node::kPrimary, 0.30, Duration::zero()));
   client.start();
-  sc.run_for(Duration::seconds(60));
+  topo->run_for(Duration::seconds(60));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
-  EXPECT_EQ(sc.world().trace().count("peer_convicted"), 0u)
-      << sc.world().trace().dump();
+  EXPECT_EQ(topo->world().trace().count("peer_convicted"), 0u)
+      << topo->world().trace().dump();
   // The impairment really fired — the mask is TCP's, not luck.
-  EXPECT_GT(sc.primary_link().impairment_ptr()->stats().oneway_dropped, 0u);
+  EXPECT_GT(cell.primary_link().impairment_ptr()->stats().oneway_dropped, 0u);
 }
 
 // The focused stagnation case: a hard CPU stall on the primary freezes BOTH
@@ -220,36 +227,38 @@ TEST(GreyChaosTest, SlowNicAloneIsMaskedWithoutConviction) {
 // frozen), so the relative lag trackers see zero lag — only the absolute
 // ProgressWatch can convict, and must.
 TEST(GreyChaosTest, CpuStallPrimaryConvictedByStagnation) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 13;
   cfg.sttcp.progress_stall_time = Duration::millis(1200);
   cfg.sttcp.max_delay_fin = Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 40'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
-  sc.register_server_app(Node::kPrimary, &p_app);
-  sc.register_server_app(Node::kBackup, &b_app);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+  cell.register_server_app(cell.primary(), &p_app);
+  cell.register_server_app(cell.backup(), &b_app);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
-  sc.inject(
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
+  inject(*topo, 
       Fault::CpuStall(Node::kPrimary, sim::LagProfile::stall(Duration::seconds(8)))
           .at(Duration::millis(500)));
   client.start();
-  sc.run_for(Duration::seconds(30));
+  topo->run_for(Duration::seconds(30));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
-  const auto* conviction = sc.world().trace().first("peer_convicted");
-  ASSERT_NE(conviction, nullptr) << sc.world().trace().dump();
+  const auto* conviction = topo->world().trace().first("peer_convicted");
+  ASSERT_NE(conviction, nullptr) << topo->world().trace().dump();
   EXPECT_EQ(conviction->component, "backup");
   EXPECT_EQ(conviction->detail, "progress_stall_detected");
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
   // Conviction while heartbeats were still flowing: the last heartbeat the
   // backup heard arrived AFTER the stall began.
-  const auto stall_at = sc.world().trace().first_time("cpu_stall");
+  const auto stall_at = topo->world().trace().first_time("cpu_stall");
   ASSERT_TRUE(stall_at.has_value());
   EXPECT_GT(conviction->at, *stall_at);
 }
@@ -258,30 +267,32 @@ TEST(GreyChaosTest, CpuStallPrimaryConvictedByStagnation) {
 // degraded-but-alive: counters keep advancing between pulses, TCP absorbs
 // the hiccups, and no one is convicted.
 TEST(GreyChaosTest, DutyCycledStutterUnderThresholdIsMasked) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 21;
   cfg.sttcp.progress_stall_time = Duration::millis(1200);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 8'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   // Run 400 ms / stall 300 ms, eight pulses: every stall is well under both
   // the 1.2 s stagnation threshold and the relative-lag grace.
-  sc.inject(Fault::CpuStall(Node::kPrimary,
-                            sim::LagProfile::pulses(Duration::millis(400),
-                                                    Duration::millis(300), 8))
+  inject(*topo, Fault::CpuStall(Node::kPrimary,
+                                sim::LagProfile::pulses(Duration::millis(400),
+                                                        Duration::millis(300), 8))
                 .at(Duration::millis(300)));
   client.start();
-  sc.run_for(Duration::seconds(60));
+  topo->run_for(Duration::seconds(60));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
-  EXPECT_EQ(sc.world().trace().count("peer_convicted"), 0u)
-      << sc.world().trace().dump();
+  EXPECT_EQ(topo->world().trace().count("peer_convicted"), 0u)
+      << topo->world().trace().dump();
 }
 
 }  // namespace

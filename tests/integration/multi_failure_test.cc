@@ -19,8 +19,9 @@
 #include "app/client.h"
 #include "app/server.h"
 #include "harness/chaos.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
 #include "harness/sweep.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
@@ -74,34 +75,37 @@ TEST(MultiFailurePlanTest, SeedYieldsSameScheduleShapeAtEveryGroupSize) {
 // leader and the rank-1 backup die at the same instant mid-transfer; the
 // rank-2 backup (backup2) must win the promotion race and finish the stream.
 TEST(MultiFailureTest, LeaderAndRank1DieTogetherRank2FinishesTransfer) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 11;
-  cfg.extra_backups = 1;  // 1 leader + 2 backups
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;  // 1 leader + 2 backups
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 8'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_member_stack(0), sc.service_port(), size);
-  app::FileServer b2_app(sc.backup_member_stack(1), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(0), cell.service_port(), size);
+  app::FileServer b2_app(cell.backup_stack(1), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   InvariantChecker::Options iopt;
   iopt.expected_bytes = size;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(400)));
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(400)));
   client.start();
-  sc.run_for(sim::Duration::seconds(60));
+  topo->run_for(sim::Duration::seconds(60));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
   // backup2 — and only backup2 — promoted.
-  EXPECT_EQ(sc.world().trace().count("backup2", "promoted"), 1u);
-  EXPECT_EQ(sc.world().trace().count("promoted"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup2", "promoted"), 1u);
+  EXPECT_EQ(topo->world().trace().count("promoted"), 1u);
   for (const Violation& v : checker.check(client)) {
     ADD_FAILURE() << "violated " << v.str();
   }
@@ -111,33 +115,36 @@ TEST(MultiFailureTest, LeaderAndRank1DieTogetherRank2FinishesTransfer) {
 // the rank-1 backup ALONE. Its ballot is vacuous (no surviving voters); the
 // gateway ping is the whole quorum. It must still promote and finish.
 TEST(MultiFailureTest, LeaderAndRank2DieTogetherRank1FinishesTransfer) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 13;
-  cfg.extra_backups = 1;
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 8'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_member_stack(0), sc.service_port(), size);
-  app::FileServer b2_app(sc.backup_member_stack(1), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(0), cell.service_port(), size);
+  app::FileServer b2_app(cell.backup_stack(1), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   InvariantChecker::Options iopt;
   iopt.expected_bytes = size;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(400)));
-  sc.inject(Fault::Crash(Node::kBackup2).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kBackup2).at(sim::Duration::millis(400)));
   client.start();
-  sc.run_for(sim::Duration::seconds(60));
+  topo->run_for(sim::Duration::seconds(60));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
-  EXPECT_EQ(sc.world().trace().count("backup", "promoted"), 1u)
-      << sc.world().trace().dump();
+  EXPECT_EQ(topo->world().trace().count("backup", "promoted"), 1u)
+      << topo->world().trace().dump();
   for (const Violation& v : checker.check(client)) {
     ADD_FAILURE() << "violated " << v.str();
   }
@@ -146,32 +153,35 @@ TEST(MultiFailureTest, LeaderAndRank2DieTogetherRank1FinishesTransfer) {
 // Backup + backup at the same instant: the leader keeps serving, unaffected;
 // nobody promotes; nothing is client-visible.
 TEST(MultiFailureTest, BothBackupsDieTogetherLeaderUnaffected) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 12;
-  cfg.extra_backups = 1;
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 8'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_member_stack(0), sc.service_port(), size);
-  app::FileServer b2_app(sc.backup_member_stack(1), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(0), cell.service_port(), size);
+  app::FileServer b2_app(cell.backup_stack(1), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   InvariantChecker::Options iopt;
   iopt.expected_bytes = size;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(400)));
-  sc.inject(Fault::Crash(Node::kBackup2).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kBackup2).at(sim::Duration::millis(400)));
   client.start();
-  sc.run_for(sim::Duration::seconds(60));
+  topo->run_for(sim::Duration::seconds(60));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
-  EXPECT_EQ(sc.world().trace().count("promoted"), 0u);
-  EXPECT_EQ(sc.world().trace().count("takeover"), 0u);
+  EXPECT_EQ(topo->world().trace().count("promoted"), 0u);
+  EXPECT_EQ(topo->world().trace().count("takeover"), 0u);
   for (const Violation& v : checker.check(client)) {
     ADD_FAILURE() << "violated " << v.str();
   }

@@ -4,53 +4,24 @@
 
 #include <memory>
 
-#include "app/client.h"
-#include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "tests/integration/download_rig.h"
 
 namespace sttcp::harness {
 namespace {
 
-using app::DownloadClient;
-using app::FileServer;
-
-struct Rig {
-  explicit Rig(ScenarioConfig cfg = {}) : scenario(std::move(cfg)) {}
-
-  void start_file_service(std::uint64_t file_size) {
-    primary_app = std::make_unique<FileServer>(scenario.primary_stack(),
-                                               scenario.service_port(), file_size);
-    backup_app = std::make_unique<FileServer>(scenario.backup_stack(),
-                                              scenario.service_port(), file_size);
-  }
-
-  void start_download(std::uint64_t expected) {
-    DownloadClient::Options opt;
-    opt.expected_bytes = expected;
-    client = std::make_unique<DownloadClient>(
-        scenario.client_stack(), scenario.client_ip(),
-        std::vector<net::SocketAddr>{scenario.connect_addr()}, opt);
-    client->start();
-  }
-
-  Scenario scenario;
-  std::unique_ptr<FileServer> primary_app;
-  std::unique_ptr<FileServer> backup_app;
-  std::unique_ptr<DownloadClient> client;
-};
-
 TEST(NicFailureTest, PrimaryNicFailureTriggersTakeoverViaPingArbitration) {
-  Rig rig;
+  DownloadRig rig;
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.inject(Fault::NicFailure(Node::kPrimary).at(sim::Duration::millis(500)));
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  inject(*rig.topo, Fault::NicFailure(Node::kPrimary).at(sim::Duration::millis(500)));
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   // Both sides saw IP-HB death, kept the serial HB, and arbitration
   // convicted the primary.
   EXPECT_GE(trace.count("nic_arbitration_start"), 1u);
@@ -60,42 +31,42 @@ TEST(NicFailureTest, PrimaryNicFailureTriggersTakeoverViaPingArbitration) {
 }
 
 TEST(NicFailureTest, BackupNicFailureShutsBackupDown) {
-  Rig rig;
+  DownloadRig rig;
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.inject(Fault::NicFailure(Node::kBackup).at(sim::Duration::millis(500)));
-  rig.scenario.run_for(sim::Duration::seconds(60));
+  inject(*rig.topo, Fault::NicFailure(Node::kBackup).at(sim::Duration::millis(500)));
+  rig.topo->run_for(sim::Duration::seconds(60));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
   EXPECT_EQ(rig.client->connection_failures(), 0);
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_EQ(trace.count("primary", "nic_failure_detected"), 1u);
   EXPECT_EQ(trace.count("takeover"), 0u);
-  EXPECT_EQ(rig.scenario.primary_endpoint()->mode(),
+  EXPECT_EQ(rig.cell.primary_endpoint()->mode(),
             sttcp::StTcpEndpoint::Mode::kNonFaultTolerant);
-  EXPECT_FALSE(rig.scenario.backup().alive());  // powered down
+  EXPECT_FALSE(rig.cell.backup().alive());  // powered down
   // Client service continued through the primary: tiny stall at most.
   EXPECT_LT(rig.client->max_stall().ms(), 1500);
 }
 
 TEST(NicFailureTest, SerialFailureAloneIsHarmless) {
   // Only the serial cable dies: the IP heartbeat continues, no failover.
-  Rig rig;
+  DownloadRig rig;
   const std::uint64_t size = 10'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.inject(Fault::SerialCut().at(sim::Duration::millis(300)));
-  rig.scenario.run_for(sim::Duration::seconds(30));
+  inject(*rig.topo, Fault::SerialCut().at(sim::Duration::millis(300)));
+  rig.topo->run_for(sim::Duration::seconds(30));
 
   EXPECT_TRUE(rig.client->complete());
   EXPECT_FALSE(rig.client->corrupt());
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_EQ(trace.count("takeover"), 0u);
   EXPECT_EQ(trace.count("non_ft_mode"), 0u);
-  EXPECT_FALSE(rig.scenario.primary_endpoint()->serial_channel_alive());
-  EXPECT_TRUE(rig.scenario.primary_endpoint()->ip_channel_alive());
+  EXPECT_FALSE(rig.cell.primary_endpoint()->serial_channel_alive());
+  EXPECT_TRUE(rig.cell.primary_endpoint()->ip_channel_alive());
 }
 
 TEST(NicFailureTest, SingleHeartbeatChannelWouldMisfire) {
@@ -104,25 +75,25 @@ TEST(NicFailureTest, SingleHeartbeatChannelWouldMisfire) {
   // backup would wrongly shut the primary down. With both channels, the
   // serial HB keeps flowing and the backup correctly concludes that only
   // the IP path is gone.
-  Rig rig;
+  DownloadRig rig;
   const std::uint64_t size = 40'000'000;
   rig.start_file_service(size);
   rig.start_download(size);
-  rig.scenario.inject(Fault::NicFailure(Node::kBackup).at(sim::Duration::millis(500)));
-  rig.scenario.run_for(sim::Duration::seconds(5));
+  inject(*rig.topo, Fault::NicFailure(Node::kBackup).at(sim::Duration::millis(500)));
+  rig.topo->run_for(sim::Duration::seconds(5));
   // The backup never declared the primary dead, because the serial channel
   // stayed up.
-  EXPECT_EQ(rig.scenario.world().trace().count("backup", "peer_dead"), 0u);
-  EXPECT_EQ(rig.scenario.world().trace().count("backup", "takeover"), 0u);
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "peer_dead"), 0u);
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "takeover"), 0u);
   // The primary stays in charge throughout.
-  EXPECT_TRUE(rig.scenario.primary().alive());
+  EXPECT_TRUE(rig.cell.primary().alive());
 }
 
 TEST(NicFailureTest, TemporaryLossAtBackupIsRecoveredFromPrimary) {
   // Table 1 row 5: frames to the backup are dropped; the primary has
   // already ACKed those bytes so the client will not retransmit. The backup
   // must fetch them from the primary's hold buffer, and NO failover happens.
-  Rig rig;
+  DownloadRig rig;
   const std::uint64_t size = 5'000'000;
   rig.start_file_service(size);
 
@@ -130,18 +101,18 @@ TEST(NicFailureTest, TemporaryLossAtBackupIsRecoveredFromPrimary) {
   // client sends data. StreamClient sends request bytes continuously.
   rig.primary_app.reset();
   rig.backup_app.reset();
-  auto p_app = std::make_unique<app::StreamServer>(rig.scenario.primary_stack(),
-                                                   rig.scenario.service_port(), 2000);
-  auto b_app = std::make_unique<app::StreamServer>(rig.scenario.backup_stack(),
-                                                   rig.scenario.service_port(), 2000);
-  app::StreamClient client(rig.scenario.client_stack(), rig.scenario.client_ip(),
-                           rig.scenario.connect_addr(), 2000, /*pipeline=*/8);
+  auto p_app = std::make_unique<app::StreamServer>(rig.cell.primary_stack(),
+                                                   rig.cell.service_port(), 2000);
+  auto b_app = std::make_unique<app::StreamServer>(rig.cell.backup_stack(),
+                                                   rig.cell.service_port(), 2000);
+  app::StreamClient client(*rig.client_host.stack, rig.client_host.ip,
+                           rig.cell.connect_addr(), 2000, /*pipeline=*/8);
   client.start();
   // Drop a burst of frames on the backup's link only.
-  rig.scenario.inject(Fault::FrameLoss(Node::kBackup, 12).at(sim::Duration::millis(300)));
-  rig.scenario.run_for(sim::Duration::seconds(20));
+  inject(*rig.topo, Fault::FrameLoss(Node::kBackup, 12).at(sim::Duration::millis(300)));
+  rig.topo->run_for(sim::Duration::seconds(20));
 
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_GE(trace.count("backup", "missed_bytes_request"), 1u);
   EXPECT_GE(trace.count("primary", "missed_bytes_served"), 1u);
   EXPECT_GE(trace.count("backup", "missed_bytes_injected"), 1u);
@@ -150,10 +121,10 @@ TEST(NicFailureTest, TemporaryLossAtBackupIsRecoveredFromPrimary) {
   EXPECT_FALSE(client.corrupt());
   EXPECT_GT(client.records_completed(), 100u);
   // And the system can still fail over afterwards (backup state is intact).
-  rig.scenario.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::zero()));
-  rig.scenario.run_for(sim::Duration::seconds(10));
+  inject(*rig.topo, Fault::Crash(Node::kPrimary).at(sim::Duration::zero()));
+  rig.topo->run_for(sim::Duration::seconds(10));
   EXPECT_EQ(trace.count("backup", "takeover"), 1u);
-  rig.scenario.run_for(sim::Duration::seconds(5));
+  rig.topo->run_for(sim::Duration::seconds(5));
   EXPECT_FALSE(client.corrupt());
   EXPECT_FALSE(client.closed());
 }
@@ -165,15 +136,15 @@ TEST(NicFailureTest, HoldBufferOverflowForcesNonFt) {
   // (small) survive, so the backup keeps confirming an ever-staler position;
   // its recovery replies are bulk too and are lost. The client uploads
   // through the primary, whose hold buffer fills and overflows.
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   // Large enough for steady state (~2.5 MB at line rate per heartbeat), so
   // the overflow below is unambiguously caused by the injected outage.
   cfg.sttcp.hold_buffer_capacity = 6 * 1024 * 1024;
-  Rig rig(cfg);
-  auto p_app = std::make_unique<app::SinkServer>(rig.scenario.primary_stack(),
-                                                 rig.scenario.service_port());
-  auto b_app = std::make_unique<app::SinkServer>(rig.scenario.backup_stack(),
-                                                 rig.scenario.service_port());
+  DownloadRig rig(cfg);
+  auto p_app = std::make_unique<app::SinkServer>(rig.cell.primary_stack(),
+                                                 rig.cell.service_port());
+  auto b_app = std::make_unique<app::SinkServer>(rig.cell.backup_stack(),
+                                                 rig.cell.service_port());
 
   // Upload pump: the client streams pattern bytes to the service address.
   tcp::TcpConnection* conn = nullptr;
@@ -193,21 +164,21 @@ TEST(NicFailureTest, HoldBufferOverflowForcesNonFt) {
     conn = nullptr;
     upload_failed = true;
   };
-  conn = &rig.scenario.client_stack().connect(rig.scenario.client_ip(),
-                                              rig.scenario.connect_addr(),
-                                              std::move(cb));
+  conn = &rig.client_host.stack->connect(rig.client_host.ip,
+                                         rig.cell.connect_addr(),
+                                         std::move(cb));
 
   // From t=200ms, bulk frames toward/from the backup are lost; heartbeats
   // and ACK-sized frames survive, so the dual HB stays up.
-  rig.scenario.world().loop().schedule_after(sim::Duration::millis(200), [&rig] {
-    rig.scenario.backup_link().set_drop_filter(
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(200), [&rig] {
+    rig.cell.backup_link().set_drop_filter(
         [](const net::Frame& frame) { return frame.size() > 300; });
   });
-  rig.scenario.run_for(sim::Duration::seconds(30));
+  rig.topo->run_for(sim::Duration::seconds(30));
 
-  const auto& trace = rig.scenario.world().trace();
+  const auto& trace = rig.topo->world().trace();
   EXPECT_GE(trace.count("primary", "hold_overflow"), 1u);
-  EXPECT_EQ(rig.scenario.primary_endpoint()->mode(),
+  EXPECT_EQ(rig.cell.primary_endpoint()->mode(),
             sttcp::StTcpEndpoint::Mode::kNonFaultTolerant);
   EXPECT_EQ(trace.count("takeover"), 0u);
   // The upload itself kept running through the primary.

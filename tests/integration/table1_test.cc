@@ -8,7 +8,8 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
@@ -58,15 +59,17 @@ struct Outcome {
 /// Runs one Table-1 scenario with the standard download workload and
 /// returns what happened.
 Outcome run_case(const Table1Case& c, std::uint64_t seed = 1) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = seed;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(30);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   // Bidirectional workload so every detector has signal: a record stream
   // driven by client request bytes.
-  app::StreamServer p_app(sc.primary_stack(), sc.service_port(), 4000);
-  app::StreamServer b_app(sc.backup_stack(), sc.service_port(), 4000);
-  app::StreamClient client(sc.client_stack(), sc.client_ip(), sc.connect_addr(),
+  app::StreamServer p_app(cell.primary_stack(), cell.service_port(), 4000);
+  app::StreamServer b_app(cell.backup_stack(), cell.service_port(), 4000);
+  app::StreamClient client(*client_host.stack, client_host.ip, cell.connect_addr(),
                            4000, /*pipeline=*/8);
   client.start();
 
@@ -74,54 +77,54 @@ Outcome run_case(const Table1Case& c, std::uint64_t seed = 1) {
   switch (c.failure) {
     case Failure::kHwOsCrash:
       if (c.location == Location::kPrimary) {
-        sc.inject(Fault::Crash(Node::kPrimary).at(inject_at));
+        inject(*topo, Fault::Crash(Node::kPrimary).at(inject_at));
       } else {
-        sc.inject(Fault::Crash(Node::kBackup).at(inject_at));
+        inject(*topo, Fault::Crash(Node::kBackup).at(inject_at));
       }
       break;
     case Failure::kAppHang:
-      sc.world().loop().schedule_after(inject_at, [&] {
+      topo->world().loop().schedule_after(inject_at, [&] {
         (c.location == Location::kPrimary ? p_app : b_app).hang();
       });
       break;
     case Failure::kAppCrashFin:
-      sc.world().loop().schedule_after(inject_at, [&] {
+      topo->world().loop().schedule_after(inject_at, [&] {
         (c.location == Location::kPrimary ? p_app : b_app).crash_clean();
       });
       break;
     case Failure::kAppCrashRst:
-      sc.world().loop().schedule_after(inject_at, [&] {
+      topo->world().loop().schedule_after(inject_at, [&] {
         (c.location == Location::kPrimary ? p_app : b_app).crash_abort();
       });
       break;
     case Failure::kNic:
       if (c.location == Location::kPrimary) {
-        sc.inject(Fault::NicFailure(Node::kPrimary).at(inject_at));
+        inject(*topo, Fault::NicFailure(Node::kPrimary).at(inject_at));
       } else {
-        sc.inject(Fault::NicFailure(Node::kBackup).at(inject_at));
+        inject(*topo, Fault::NicFailure(Node::kBackup).at(inject_at));
       }
       break;
     case Failure::kTemporaryLoss:
       if (c.location == Location::kPrimary) {
         // Loss toward the primary: plain TCP handles it (client retransmits
         // because the primary never ACKed).
-        sc.world().loop().schedule_after(inject_at,
-                                         [&] { sc.primary_link().drop_next(10); });
+        topo->world().loop().schedule_after(inject_at,
+                                            [&] { cell.primary_link().drop_next(10); });
       } else {
-        sc.inject(Fault::FrameLoss(Node::kBackup, 10).at(inject_at));
+        inject(*topo, Fault::FrameLoss(Node::kBackup, 10).at(inject_at));
       }
       break;
   }
 
-  sc.run_for(sim::Duration::seconds(30));
+  topo->run_for(sim::Duration::seconds(30));
   client.stop();
-  sc.run_for(sim::Duration::seconds(5));
+  topo->run_for(sim::Duration::seconds(5));
 
   Outcome out;
   out.client_completed = client.records_completed() > 1000;
   out.client_corrupt = client.corrupt();
   out.client_failures = client.closed() ? 0 : 0;  // stream clients stay open
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   out.takeover = tr.count("takeover") > 0;
   out.non_ft = tr.count("non_ft_mode") > 0;
   out.recovery_used = tr.count("missed_bytes_injected") > 0;

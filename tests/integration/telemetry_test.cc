@@ -9,16 +9,18 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 #include "obs/metrics.h"
 
 namespace sttcp {
 namespace {
 
+using harness::Cell;
 using harness::Fault;
 using harness::Node;
-using harness::Scenario;
-using harness::ScenarioConfig;
+using harness::Topology;
+using harness::TopologyConfig;
 
 struct InstrumentedRun {
   bool complete = false;
@@ -27,35 +29,37 @@ struct InstrumentedRun {
   std::string json;
 };
 
-InstrumentedRun run_instrumented_failover(ScenarioConfig cfg,
+InstrumentedRun run_instrumented_failover(TopologyConfig cfg,
                                           sim::Duration crash_at) {
   cfg.enable_metrics = true;
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   constexpr std::uint64_t kBytes = 20'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), kBytes);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), kBytes);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), kBytes);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), kBytes);
   app::DownloadClient::Options opt;
   opt.expected_bytes = kBytes;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.inject(Fault::Crash(Node::kPrimary).at(crash_at));
-  sc.run_for(sim::Duration::seconds(60));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(crash_at));
+  topo->run_for(sim::Duration::seconds(60));
 
   InstrumentedRun out;
   out.complete = client.complete() && !client.corrupt() &&
                  client.connection_failures() == 0;
   out.max_stall = client.max_stall();
-  const auto seg = sc.metrics()->timeline().segments();
+  const auto seg = topo->metrics()->timeline().segments();
   if (seg.has_value()) out.segments = *seg;
   EXPECT_TRUE(seg.has_value()) << "timeline incomplete: "
-                               << sc.metrics()->timeline().json();
-  out.json = sc.metrics_json();
+                               << topo->metrics()->timeline().json();
+  out.json = topo->metrics_json();
   return out;
 }
 
 TEST(TelemetryTest, TimelineSegmentsSumToClientObservedGap) {
-  const ScenarioConfig cfg;
+  const TopologyConfig cfg;
   const double hb_ms =
       static_cast<double>(cfg.sttcp.hb_period.us()) / 1000.0;
   // 20 MB at 100 Mbps is ~1.7 s of transfer; crash at 1 s lands mid-stream.
@@ -85,8 +89,8 @@ TEST(TelemetryTest, TimelineSegmentsSumToClientObservedGap) {
 }
 
 TEST(TelemetryTest, HoldsAcrossPresets) {
-  for (const ScenarioConfig& preset :
-       {ScenarioConfig::Paper2005(), ScenarioConfig::FastNet()}) {
+  for (const TopologyConfig& preset :
+       {TopologyConfig::Paper2005(), TopologyConfig::FastNet()}) {
     const double hb_ms =
         static_cast<double>(preset.sttcp.hb_period.us()) / 1000.0;
     // Crash while the 20 MB transfer is still in flight: ~1.7 s on the
@@ -102,22 +106,24 @@ TEST(TelemetryTest, HoldsAcrossPresets) {
 }
 
 TEST(TelemetryTest, CountersAndHistogramsArePopulatedAcrossLayers) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.enable_metrics = true;
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   constexpr std::uint64_t kBytes = 5'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), kBytes);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), kBytes);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), kBytes);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), kBytes);
   app::DownloadClient::Options opt;
   opt.expected_bytes = kBytes;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(200)));
-  sc.run_for(sim::Duration::seconds(60));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(200)));
+  topo->run_for(sim::Duration::seconds(60));
   ASSERT_TRUE(client.complete());
-  sc.export_metrics();
-  obs::MetricsRegistry& reg = *sc.metrics();
+  topo->export_metrics();
+  obs::MetricsRegistry& reg = *topo->metrics();
 
   // net: frames moved on the client link, queue delay histogram sampled.
   EXPECT_GT(reg.counter("net.link.client.frames_delivered").value(), 100u);
@@ -144,7 +150,7 @@ TEST(TelemetryTest, CountersAndHistogramsArePopulatedAcrossLayers) {
   EXPECT_GT(reg.counter("sttcp.backup.takeovers").value(), 0u);
 
   // JSON export carries every family plus the timeline.
-  const std::string js = sc.metrics_json();
+  const std::string js = topo->metrics_json();
   for (const char* key :
        {"net.link.client.frames_delivered", "net.switch.forwarded",
         "tcp.primary.srtt_us", "sttcp.backup.hb_interarrival_us.ip",
@@ -154,10 +160,10 @@ TEST(TelemetryTest, CountersAndHistogramsArePopulatedAcrossLayers) {
 }
 
 TEST(TelemetryTest, MetricsOffMeansNoRegistryAndEmptyJson) {
-  Scenario sc{ScenarioConfig{}};
-  EXPECT_EQ(sc.metrics(), nullptr);
-  EXPECT_EQ(sc.pcap(), nullptr);
-  EXPECT_EQ(sc.metrics_json(), "{}");
+  const auto topo = make_figure2(TopologyConfig{});
+  EXPECT_EQ(topo->metrics(), nullptr);
+  EXPECT_EQ(topo->pcap(), nullptr);
+  EXPECT_EQ(topo->metrics_json(), "{}");
 }
 
 }  // namespace

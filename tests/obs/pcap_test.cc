@@ -1,6 +1,6 @@
 // PCAP golden tests: byte-exact file header, record round-trip through the
 // independent reader, and an end-to-end capture of a real simulated TCP
-// handshake via the Scenario frame tap.
+// handshake via the Figure-2 switch frame tap.
 #include "obs/pcap.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 
 namespace sttcp::obs {
 namespace {
@@ -85,27 +85,29 @@ TEST(PcapReaderTest, RejectsMalformedInput) {
 TEST(PcapScenarioTest, CapturesARealHandshakeToDisk) {
   const std::string path = ::testing::TempDir() + "sttcp_handshake.pcap";
   {
-    harness::ScenarioConfig cfg;
+    harness::TopologyConfig cfg;
     cfg.pcap_path = path;
-    harness::Scenario sc(std::move(cfg));
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), 100'000);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), 100'000);
+    const auto topo = harness::make_figure2(std::move(cfg));
+    harness::Cell& cell = topo->cell();
+    harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), 100'000);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), 100'000);
     app::DownloadClient::Options opt;
     opt.expected_bytes = 100'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.run_for(sim::Duration::seconds(2));
+    topo->run_for(sim::Duration::seconds(2));
     ASSERT_TRUE(client.complete());
-    ASSERT_NE(sc.pcap(), nullptr);
-    EXPECT_GT(sc.pcap()->frames_written(), 3u);
-    sc.pcap()->flush();
+    ASSERT_NE(topo->pcap(), nullptr);
+    EXPECT_GT(topo->pcap()->frames_written(), 3u);
+    topo->pcap()->flush();
 
     const auto parsed = PcapReader::parse_file(path);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->magic, kPcapMagic);
     EXPECT_EQ(parsed->linktype, kLinkTypeEthernet);
-    EXPECT_EQ(parsed->records.size(), sc.pcap()->frames_written());
+    EXPECT_EQ(parsed->records.size(), topo->pcap()->frames_written());
     std::int64_t prev_ts = -1;
     for (const PcapRecord& r : parsed->records) {
       EXPECT_GE(r.frame.size(), 12u);  // at least the Ethernet MAC pair

@@ -9,91 +9,101 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 
 namespace sttcp::sttcp {
 namespace {
 
-using harness::Scenario;
-using harness::ScenarioConfig;
+using harness::Cell;
+using harness::Topology;
+using harness::TopologyConfig;
 
 TEST(EndpointTest, HeartbeatsFlowOnBothChannels) {
-  Scenario sc{ScenarioConfig{}};
-  sc.run_for(sim::Duration::seconds(2));
-  const auto& p = sc.primary_endpoint()->stats();
-  const auto& b = sc.backup_endpoint()->stats();
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  topo->run_for(sim::Duration::seconds(2));
+  const auto& p = cell.primary_endpoint()->stats();
+  const auto& b = cell.backup_endpoint()->stats();
   // ~5 HB/s for 2s on each side, received on both channels.
   EXPECT_GE(p.hb_sent, 9u);
   EXPECT_GE(p.hb_received_ip, 9u);
   EXPECT_GE(p.hb_received_serial, 9u);
   EXPECT_GE(b.hb_received_ip, 9u);
   EXPECT_GE(b.hb_received_serial, 9u);
-  EXPECT_TRUE(sc.primary_endpoint()->ip_channel_alive());
-  EXPECT_TRUE(sc.primary_endpoint()->serial_channel_alive());
+  EXPECT_TRUE(cell.primary_endpoint()->ip_channel_alive());
+  EXPECT_TRUE(cell.primary_endpoint()->serial_channel_alive());
 }
 
 TEST(EndpointTest, NoConnectionsMeansEmptyHeartbeat) {
-  Scenario sc{ScenarioConfig{}};
-  sc.run_for(sim::Duration::seconds(1));
-  EXPECT_EQ(sc.primary_endpoint()->replicated_connections(), 0u);
-  EXPECT_EQ(sc.backup_endpoint()->replicated_connections(), 0u);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  topo->run_for(sim::Duration::seconds(1));
+  EXPECT_EQ(cell.primary_endpoint()->replicated_connections(), 0u);
+  EXPECT_EQ(cell.backup_endpoint()->replicated_connections(), 0u);
 }
 
 TEST(EndpointTest, ClosedConnectionsAreGarbageCollected) {
-  Scenario sc{ScenarioConfig{}};
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 100'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 100'000);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 100'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 100'000);
   app::DownloadClient::Options opt;
   opt.expected_bytes = 100'000;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.run_for(sim::Duration::seconds(2));
+  topo->run_for(sim::Duration::seconds(2));
   ASSERT_TRUE(client.complete());
-  EXPECT_EQ(sc.primary_endpoint()->replicated_connections(), 1u);
+  EXPECT_EQ(cell.primary_endpoint()->replicated_connections(), 1u);
   // After the close linger, the replication records disappear.
-  sc.run_for(sim::Duration::seconds(10));
-  EXPECT_EQ(sc.primary_endpoint()->replicated_connections(), 0u);
-  EXPECT_EQ(sc.backup_endpoint()->replicated_connections(), 0u);
+  topo->run_for(sim::Duration::seconds(10));
+  EXPECT_EQ(cell.primary_endpoint()->replicated_connections(), 0u);
+  EXPECT_EQ(cell.backup_endpoint()->replicated_connections(), 0u);
   // And the TCP connections themselves are gone (TIME_WAIT elapsed).
-  EXPECT_EQ(sc.primary_stack().connection_count(), 0u);
-  EXPECT_EQ(sc.client_stack().connection_count(), 0u);
+  EXPECT_EQ(cell.primary_stack().connection_count(), 0u);
+  EXPECT_EQ(client_host.stack->connection_count(), 0u);
 }
 
 TEST(EndpointTest, SequentialConnectionsEachReplicated) {
-  Scenario sc{ScenarioConfig{}};
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 50'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 50'000);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 50'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 50'000);
   for (int i = 0; i < 5; ++i) {
     app::DownloadClient::Options opt;
     opt.expected_bytes = 50'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.run_for(sim::Duration::seconds(1));
+    topo->run_for(sim::Duration::seconds(1));
     EXPECT_TRUE(client.complete()) << i;
     EXPECT_FALSE(client.corrupt()) << i;
   }
-  EXPECT_EQ(sc.world().trace().count("backup", "replica_created"), 5u);
-  EXPECT_EQ(sc.world().trace().count("takeover"), 0u);
+  EXPECT_EQ(topo->world().trace().count("backup", "replica_created"), 5u);
+  EXPECT_EQ(topo->world().trace().count("takeover"), 0u);
 }
 
 TEST(EndpointTest, ConcurrentConnectionsAllReplicatedAndFailedOver) {
-  Scenario sc{ScenarioConfig{}};
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 3'000'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 3'000'000);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 3'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 3'000'000);
   std::vector<std::unique_ptr<app::DownloadClient>> clients;
   for (int i = 0; i < 8; ++i) {
     app::DownloadClient::Options opt;
     opt.expected_bytes = 3'000'000;
     clients.push_back(std::make_unique<app::DownloadClient>(
-        sc.client_stack(), sc.client_ip(),
-        std::vector<net::SocketAddr>{sc.connect_addr()}, opt));
+        *client_host.stack, client_host.ip,
+        std::vector<net::SocketAddr>{cell.connect_addr()}, opt));
     clients.back()->start();
   }
-  sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(400)));
-  sc.run_for(sim::Duration::seconds(60));
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(400)));
+  topo->run_for(sim::Duration::seconds(60));
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
   for (auto& c : clients) {
     EXPECT_TRUE(c->complete());
     EXPECT_FALSE(c->corrupt());
@@ -107,54 +117,57 @@ TEST(EndpointTest, ReplicaIsnInferredFromHandshakeAckThenRemapped) {
   // the primary's ISS from the tapped handshake ACK (ack-1) without waiting
   // for the announcement; when the announcement arrives it only remaps the
   // replication id.
-  Scenario sc{ScenarioConfig{}};
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 200'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 200'000);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 200'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 200'000);
   app::DownloadClient::Options opt;
   opt.expected_bytes = 200'000;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.run_for(sim::Duration::seconds(3));
+  topo->run_for(sim::Duration::seconds(3));
   ASSERT_TRUE(client.complete());
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   EXPECT_EQ(tr.count("backup", "replica_inferred"), 1u);
   EXPECT_EQ(tr.count("backup", "replica_id_remapped"), 1u);
   EXPECT_TRUE(tr.strictly_before("replica_inferred", "replica_id_remapped"));
   // Exactly one replica connection existed (no duplicate from the announce).
-  EXPECT_EQ(sc.backup_stack().stats().replicas_created, 1u);
+  EXPECT_EQ(cell.backup_stack().stats().replicas_created, 1u);
 }
 
 TEST(EndpointTest, InferredReplicaSurvivesPrimaryDeathBeforeAnnounce) {
   // The case that motivates inference: the primary accepts and answers the
   // client but dies before any announcement reaches the backup. The
   // inferred replica still owns the connection after takeover.
-  ScenarioConfig cfg;
-  Scenario sc(std::move(cfg));
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 10'000'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 10'000'000);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 10'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 10'000'000);
   // Eat ALL primary->backup announce datagrams: UDP heartbeats on the IP
   // path die, serial heartbeats (periodic only) still flow but announces are
   // carried there too — so instead crash the primary right after the
   // handshake completes, before the first serial heartbeat with the record.
   app::DownloadClient::Options opt;
   opt.expected_bytes = 10'000'000;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
   // The immediate (IP-only) announce is dropped; the next serial HB would
   // be at 200 ms — the primary dies at 50 ms. Drop exactly the primary's
   // UDP frames (heartbeats/control), leaving its TCP traffic untouched:
   // the IPv4 protocol byte sits at Ethernet(14) + 9.
-  sc.primary_link().set_drop_filter(
+  cell.primary_link().set_drop_filter(
       [](const net::Frame& f) { return f.size() > 23 && f[23] == 17; });
-  sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(50)));
-  sc.run_for(sim::Duration::seconds(60));
+  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(50)));
+  topo->run_for(sim::Duration::seconds(60));
   EXPECT_TRUE(client.complete());
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
-  EXPECT_GE(sc.world().trace().count("backup", "replica_inferred"), 1u);
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_GE(topo->world().trace().count("backup", "replica_inferred"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
 }
 
 TEST(EndpointTest, FailoverTimeGrowsWithHbPeriod) {
@@ -166,18 +179,20 @@ TEST(EndpointTest, FailoverTimeGrowsWithHbPeriod) {
                                     sim::Duration::millis(500),
                                     sim::Duration::seconds(1)};
   for (int i = 0; i < 3; ++i) {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.sttcp.hb_period = periods[i];
-    Scenario sc(std::move(cfg));
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), 40'000'000);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), 40'000'000);
+    const auto topo = make_figure2(std::move(cfg));
+    Cell& cell = topo->cell();
+    Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), 40'000'000);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), 40'000'000);
     app::DownloadClient::Options opt;
     opt.expected_bytes = 40'000'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(700)));
-    sc.run_for(sim::Duration::seconds(120));
+    inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(700)));
+    topo->run_for(sim::Duration::seconds(120));
     ASSERT_TRUE(client.complete()) << "period " << periods[i].str();
     stalls[i] = client.max_stall();
     // Detection cannot be faster than miss_threshold periods.
@@ -193,17 +208,19 @@ TEST(EndpointTest, FailureFreeOverheadIsSmall) {
   // 100 Mbps data path).
   double secs[2];
   for (int pass = 0; pass < 2; ++pass) {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.enable_sttcp = (pass == 0);
-    Scenario sc(std::move(cfg));
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), 20'000'000);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), 20'000'000);
+    const auto topo = make_figure2(std::move(cfg));
+    Cell& cell = topo->cell();
+    Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), 20'000'000);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), 20'000'000);
     app::DownloadClient::Options opt;
     opt.expected_bytes = 20'000'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.run_for(sim::Duration::seconds(60));
+    topo->run_for(sim::Duration::seconds(60));
     ASSERT_TRUE(client.complete());
     EXPECT_FALSE(client.corrupt());
     secs[pass] = (client.completed_at() - client.started_at()).to_seconds();
@@ -218,18 +235,20 @@ TEST(EndpointTest, ImmediateRetransmitShortensFailover) {
   // beats the paper's wait-for-next-timer behaviour.
   sim::Duration stall[2];
   for (int pass = 0; pass < 2; ++pass) {
-    ScenarioConfig cfg;
+    TopologyConfig cfg;
     cfg.sttcp.immediate_retransmit_on_takeover = (pass == 1);
-    Scenario sc(std::move(cfg));
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), 40'000'000);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), 40'000'000);
+    const auto topo = make_figure2(std::move(cfg));
+    Cell& cell = topo->cell();
+    Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), 40'000'000);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), 40'000'000);
     app::DownloadClient::Options opt;
     opt.expected_bytes = 40'000'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(700)));
-    sc.run_for(sim::Duration::seconds(120));
+    inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(700)));
+    topo->run_for(sim::Duration::seconds(120));
     ASSERT_TRUE(client.complete());
     stall[pass] = client.max_stall();
   }
@@ -241,19 +260,20 @@ TEST(EndpointTest, TakeoverWithoutPowerControlStillProceeds) {
   // takeover. (With a truly half-dead primary this would risk dual-active —
   // exactly why the paper powers the primary down; the trace records the
   // failed attempt.)
-  ScenarioConfig cfg;
-  Scenario sc(std::move(cfg));
-  sc.power().set_functional(false);
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 20'000'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 20'000'000);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  topo->power().set_functional(false);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 20'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 20'000'000);
   app::DownloadClient::Options opt;
   opt.expected_bytes = 20'000'000;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(400)));
-  sc.run_for(sim::Duration::seconds(60));
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(400)));
+  topo->run_for(sim::Duration::seconds(60));
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
   EXPECT_TRUE(client.complete());
 }
 
@@ -261,61 +281,66 @@ TEST(EndpointTest, NormalCloseCompletesWithinOneHeartbeat) {
   // §4.2.2: "during normal operation — when neither the primary nor the
   // backup has failed — the FIN is not delayed by MaxDelayFIN." The primary
   // waits at most ~a heartbeat for the backup's FIN notice.
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(60);
-  Scenario sc(std::move(cfg));
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 100'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 100'000);
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 100'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 100'000);
   app::DownloadClient::Options opt;
   opt.expected_bytes = 100'000;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.run_for(sim::Duration::seconds(5));
+  topo->run_for(sim::Duration::seconds(5));
   ASSERT_TRUE(client.complete());
   // The whole transfer including close stayed far below MaxDelayFIN.
   EXPECT_LT((client.completed_at() - client.started_at()).to_seconds(), 1.0);
-  EXPECT_EQ(sc.world().trace().count("fin_released_after_delay"), 0u);
+  EXPECT_EQ(topo->world().trace().count("fin_released_after_delay"), 0u);
   // The client heard the server FIN (peer_closed drove completion).
-  EXPECT_EQ(sc.world().trace().count("primary", "fin_agreed"), 1u);
+  EXPECT_EQ(topo->world().trace().count("primary", "fin_agreed"), 1u);
 }
 
 TEST(EndpointTest, ManyConnectionsHeartbeatStaysUnderSerialBudget) {
   // §3 sizing: at 200 ms HB, 100 connections consume ~80 kbps of the
   // 115.2 kbps serial link. Verify the serial channel still delivers
   // heartbeats with 100 live connections.
-  ScenarioConfig cfg;
-  Scenario sc(std::move(cfg));
-  app::StreamServer p_app(sc.primary_stack(), sc.service_port(), 100);
-  app::StreamServer b_app(sc.backup_stack(), sc.service_port(), 100);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::StreamServer p_app(cell.primary_stack(), cell.service_port(), 100);
+  app::StreamServer b_app(cell.backup_stack(), cell.service_port(), 100);
   std::vector<std::unique_ptr<app::StreamClient>> clients;
   for (int i = 0; i < 100; ++i) {
     clients.push_back(std::make_unique<app::StreamClient>(
-        sc.client_stack(), sc.client_ip(), sc.connect_addr(), 100, 1));
+        *client_host.stack, client_host.ip, cell.connect_addr(), 100, 1));
     clients.back()->start();
   }
-  sc.run_for(sim::Duration::seconds(5));
-  EXPECT_EQ(sc.primary_endpoint()->replicated_connections(), 100u);
-  EXPECT_TRUE(sc.primary_endpoint()->serial_channel_alive());
-  EXPECT_TRUE(sc.backup_endpoint()->serial_channel_alive());
-  EXPECT_EQ(sc.world().trace().count("takeover"), 0u);
-  EXPECT_EQ(sc.world().trace().count("non_ft_mode"), 0u);
+  topo->run_for(sim::Duration::seconds(5));
+  EXPECT_EQ(cell.primary_endpoint()->replicated_connections(), 100u);
+  EXPECT_TRUE(cell.primary_endpoint()->serial_channel_alive());
+  EXPECT_TRUE(cell.backup_endpoint()->serial_channel_alive());
+  EXPECT_EQ(topo->world().trace().count("takeover"), 0u);
+  EXPECT_EQ(topo->world().trace().count("non_ft_mode"), 0u);
   // Serial link utilisation stays under capacity (queue drains).
-  EXPECT_LT(sc.serial().queue_delay(0), sim::Duration::millis(200));
+  EXPECT_LT(cell.serial().queue_delay(0), sim::Duration::millis(200));
 }
 
 TEST(EndpointTest, LongFailureFreeSoakNeverMisfires) {
   // Two minutes of mixed traffic with no injected failure: the detectors
   // (lag, FIN arbitration, NIC arbitration, hold buffer) must stay silent.
-  Scenario sc{ScenarioConfig{}};
-  app::StreamServer p_stream(sc.primary_stack(), sc.service_port(), 3000);
-  app::StreamServer b_stream(sc.backup_stack(), sc.service_port(), 3000);
-  app::StreamClient stream_client(sc.client_stack(), sc.client_ip(),
-                                  sc.connect_addr(), 3000, 4);
+  const auto topo = make_figure2(TopologyConfig{});
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::StreamServer p_stream(cell.primary_stack(), cell.service_port(), 3000);
+  app::StreamServer b_stream(cell.backup_stack(), cell.service_port(), 3000);
+  app::StreamClient stream_client(*client_host.stack, client_host.ip,
+                                  cell.connect_addr(), 3000, 4);
   stream_client.start();
   // Alternate activity with an eventual graceful close to exercise the
   // idle-connection and FIN-agreement paths mid-soak.
-  sim::PeriodicTimer idler(sc.world().loop());
+  sim::PeriodicTimer idler(topo->world().loop());
   int phase = 0;
   idler.start(sim::Duration::seconds(10), [&] {
     if (++phase == 6) {
@@ -323,8 +348,8 @@ TEST(EndpointTest, LongFailureFreeSoakNeverMisfires) {
       idler.stop();
     }
   });
-  sc.run_for(sim::Duration::seconds(120));
-  const auto& tr = sc.world().trace();
+  topo->run_for(sim::Duration::seconds(120));
+  const auto& tr = topo->world().trace();
   EXPECT_EQ(tr.count("takeover"), 0u) << tr.dump();
   EXPECT_EQ(tr.count("non_ft_mode"), 0u) << tr.dump();
   EXPECT_EQ(tr.count("app_failure_detected"), 0u);
@@ -332,8 +357,8 @@ TEST(EndpointTest, LongFailureFreeSoakNeverMisfires) {
   EXPECT_EQ(tr.count("hold_overflow"), 0u);
   EXPECT_EQ(tr.count("fin_released_after_delay"), 0u);
   EXPECT_FALSE(stream_client.corrupt());
-  EXPECT_TRUE(sc.primary().alive());
-  EXPECT_TRUE(sc.backup().alive());
+  EXPECT_TRUE(cell.primary().alive());
+  EXPECT_TRUE(cell.backup().alive());
 }
 
 }  // namespace

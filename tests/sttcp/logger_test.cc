@@ -12,14 +12,12 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 #include "sttcp/endpoint.h"
 
 namespace sttcp::sttcp {
 namespace {
-
-using harness::Scenario;
-using harness::ScenarioConfig;
 
 TEST(LoggerCodecTest, RequestRoundTrip) {
   LoggerRequest q;
@@ -53,11 +51,19 @@ TEST(LoggerCodecTest, ReplyRoundTrip) {
 }
 
 struct UploadRig {
-  explicit UploadRig(ScenarioConfig cfg) : sc(std::move(cfg)) {
-    p_app = std::make_unique<app::SinkServer>(sc.primary_stack(),
-                                              sc.service_port(), /*verify=*/true);
-    b_app = std::make_unique<app::SinkServer>(sc.backup_stack(),
-                                              sc.service_port(), /*verify=*/true);
+  explicit UploadRig(bool with_logger)
+      : topo(harness::make_figure2({}, {}, with_logger)),
+        cell(topo->cell()),
+        client_host(*topo->host_by_name("client")) {
+    if (with_logger) {
+      StreamLogger::Config lc;
+      lc.service_ip = cell.service_ip();
+      logger = std::make_unique<StreamLogger>(*topo->host_by_name("logger")->host, lc);
+    }
+    p_app = std::make_unique<app::SinkServer>(cell.primary_stack(),
+                                              cell.service_port(), /*verify=*/true);
+    b_app = std::make_unique<app::SinkServer>(cell.backup_stack(),
+                                              cell.service_port(), /*verify=*/true);
     tcp::TcpConnection::Callbacks cb;
     cb.on_established = [this] { pump(); };
     cb.on_writable = [this] { pump(); };
@@ -65,8 +71,8 @@ struct UploadRig {
       conn = nullptr;
       failed = true;
     };
-    conn = &sc.client_stack().connect(sc.client_ip(), sc.connect_addr(),
-                                      std::move(cb));
+    conn = &client_host.stack->connect(client_host.ip, cell.connect_addr(),
+                                       std::move(cb));
   }
 
   void pump() {
@@ -77,7 +83,10 @@ struct UploadRig {
     }
   }
 
-  Scenario sc;
+  std::unique_ptr<harness::Topology> topo;
+  harness::Cell& cell;
+  harness::Topology::HostEntry& client_host;
+  std::unique_ptr<StreamLogger> logger;
   std::unique_ptr<app::SinkServer> p_app;
   std::unique_ptr<app::SinkServer> b_app;
   tcp::TcpConnection* conn = nullptr;
@@ -86,15 +95,13 @@ struct UploadRig {
 };
 
 TEST(LoggerTest, PassiveCaptureTracksClientStream) {
-  ScenarioConfig cfg;
-  cfg.enable_logger = true;
-  UploadRig rig(cfg);
-  rig.sc.run_for(sim::Duration::seconds(1));
-  ASSERT_NE(rig.sc.logger(), nullptr);
+  UploadRig rig(/*with_logger=*/true);
+  rig.topo->run_for(sim::Duration::seconds(1));
+  ASSERT_NE(rig.logger, nullptr);
   // The logger saw the stream and logged (nearly) everything sent so far.
-  EXPECT_GT(rig.sc.logger()->stats().bytes_logged, 5'000'000u);
-  const std::uint64_t logged = rig.sc.logger()->logged_bytes(
-      rig.sc.client_ip(), rig.conn->tuple().local.port, rig.sc.service_port());
+  EXPECT_GT(rig.logger->stats().bytes_logged, 5'000'000u);
+  const std::uint64_t logged = rig.logger->logged_bytes(
+      rig.client_host.ip, rig.conn->tuple().local.port, rig.cell.service_port());
   EXPECT_GT(logged, 5'000'000u);
   EXPECT_LE(logged, rig.sent);
 }
@@ -104,28 +111,26 @@ TEST(LoggerTest, PassiveCaptureTracksClientStream) {
 // backup still has the hole. The client will not retransmit those bytes —
 // the dead primary acknowledged them.
 void run_gap_then_crash(UploadRig& rig) {
-  rig.sc.world().loop().schedule_after(sim::Duration::millis(300), [&rig] {
-    rig.sc.backup_link().set_drop_filter(
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(300), [&rig] {
+    rig.cell.backup_link().set_drop_filter(
         [](const net::Frame& f) { return f.size() > 300; });
   });
-  rig.sc.world().loop().schedule_after(sim::Duration::millis(320), [&rig] {
-    rig.sc.backup_link().set_drop_filter(nullptr);
-    rig.sc.primary().crash("dies during the backup's catch-up window");
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(320), [&rig] {
+    rig.cell.backup_link().set_drop_filter(nullptr);
+    rig.cell.primary().crash("dies during the backup's catch-up window");
   });
-  rig.sc.run_for(sim::Duration::seconds(8));
+  rig.topo->run_for(sim::Duration::seconds(8));
 }
 
 TEST(LoggerTest, GapPlusPrimaryDeathRecoveredViaLogger) {
-  ScenarioConfig cfg;
-  cfg.enable_logger = true;
-  UploadRig rig(cfg);
+  UploadRig rig(/*with_logger=*/true);
   const std::uint64_t sent_before = [&] {
-    rig.sc.run_for(sim::Duration::millis(300));
+    rig.topo->run_for(sim::Duration::millis(300));
     return rig.sent;
   }();
   run_gap_then_crash(rig);
 
-  const auto& tr = rig.sc.world().trace();
+  const auto& tr = rig.topo->world().trace();
   EXPECT_EQ(tr.count("backup", "takeover"), 1u);
   EXPECT_GE(tr.count("backup", "logger_request"), 1u);
   EXPECT_GE(tr.count("logger", "logger_served"), 1u);
@@ -141,13 +146,11 @@ TEST(LoggerTest, GapPlusPrimaryDeathRecoveredViaLogger) {
 TEST(LoggerTest, WithoutLoggerTheSameFailureIsUnrecoverable) {
   // The paper's stated limitation: "for other applications, ST-TCP treats
   // this failure as unrecoverable."
-  ScenarioConfig cfg;
-  cfg.enable_logger = false;
-  UploadRig rig(cfg);
-  rig.sc.run_for(sim::Duration::millis(300));
+  UploadRig rig(/*with_logger=*/false);
+  rig.topo->run_for(sim::Duration::millis(300));
   run_gap_then_crash(rig);
 
-  const auto& tr = rig.sc.world().trace();
+  const auto& tr = rig.topo->world().trace();
   EXPECT_EQ(tr.count("backup", "takeover"), 1u);
   EXPECT_EQ(tr.count("backup", "logger_request"), 0u);
   // The stream is wedged: the hole spans more than the backup's receive
@@ -155,34 +158,30 @@ TEST(LoggerTest, WithoutLoggerTheSameFailureIsUnrecoverable) {
   // primary's last ACK) cannot even enter the window, and the backup's
   // application never advances past the gap.
   tcp::TcpConnection* bconn = nullptr;
-  rig.sc.backup_stack().for_each([&](tcp::TcpConnection& c) { bconn = &c; });
+  rig.cell.backup_stack().for_each([&](tcp::TcpConnection& c) { bconn = &c; });
   ASSERT_NE(bconn, nullptr);
   const std::uint64_t wedged_at = bconn->bytes_received();
   EXPECT_LT(wedged_at + 300'000, rig.sent);  // a large unfillable hole remains
-  rig.sc.run_for(sim::Duration::seconds(5));
+  rig.topo->run_for(sim::Duration::seconds(5));
   EXPECT_EQ(bconn->bytes_received(), wedged_at);  // and not moving
 }
 
 TEST(LoggerTest, LoggerIdleWhenNoFailure) {
-  ScenarioConfig cfg;
-  cfg.enable_logger = true;
-  UploadRig rig(cfg);
-  rig.sc.run_for(sim::Duration::seconds(2));
+  UploadRig rig(/*with_logger=*/true);
+  rig.topo->run_for(sim::Duration::seconds(2));
   // Capture happens; no requests are ever made.
-  EXPECT_EQ(rig.sc.logger()->stats().requests_served, 0u);
-  EXPECT_EQ(rig.sc.world().trace().count("logger_request"), 0u);
+  EXPECT_EQ(rig.logger->stats().requests_served, 0u);
+  EXPECT_EQ(rig.topo->world().trace().count("logger_request"), 0u);
   EXPECT_FALSE(rig.failed);
 }
 
 TEST(LoggerTest, NormalTakeoverDoesNotNeedLogger) {
   // A clean crash with no gap: the logger is present but unused.
-  ScenarioConfig cfg;
-  cfg.enable_logger = true;
-  UploadRig rig(cfg);
-  rig.sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(500)));
-  rig.sc.run_for(sim::Duration::seconds(10));
-  EXPECT_EQ(rig.sc.world().trace().count("backup", "takeover"), 1u);
-  EXPECT_EQ(rig.sc.world().trace().count("backup", "logger_injected"), 0u);
+  UploadRig rig(/*with_logger=*/true);
+  inject(*rig.topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(500)));
+  rig.topo->run_for(sim::Duration::seconds(10));
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(rig.topo->world().trace().count("backup", "logger_injected"), 0u);
   EXPECT_FALSE(rig.failed);
   EXPECT_FALSE(rig.b_app->corrupt());
 }

@@ -13,38 +13,40 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
 
 using Mode = sttcp::StTcpEndpoint::Mode;
 
-void wire_checkpoints(Scenario& sc, app::ServerApp& p_app, app::ServerApp& b_app) {
-  sc.primary_endpoint()->set_checkpoint_provider(
+void wire_checkpoints(Cell& cell, app::ServerApp& p_app, app::ServerApp& b_app) {
+  cell.primary_endpoint()->set_checkpoint_provider(
       [&p_app] { return p_app.checkpoint(); });
-  sc.primary_endpoint()->set_checkpoint_restorer(
+  cell.primary_endpoint()->set_checkpoint_restorer(
       [&p_app](net::BytesView d) { p_app.stage_restore(d); });
-  sc.backup_endpoint()->set_checkpoint_provider(
+  cell.backup_endpoint()->set_checkpoint_provider(
       [&b_app] { return b_app.checkpoint(); });
-  sc.backup_endpoint()->set_checkpoint_restorer(
+  cell.backup_endpoint()->set_checkpoint_restorer(
       [&b_app](net::BytesView d) { b_app.stage_restore(d); });
 }
 
 TEST(ReintegrationTest, RebootedBackupRejoinsIdlePair) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 1;
   cfg.enable_metrics = true;
-  Scenario sc(std::move(cfg));
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 1'000'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 1'000'000);
-  wire_checkpoints(sc, p_app, b_app);
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 1'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 1'000'000);
+  wire_checkpoints(cell, p_app, b_app);
 
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(500)));
-  sc.inject(Fault::PowerOn(Node::kBackup).at(sim::Duration::seconds(3)));
-  sc.run_for(sim::Duration::seconds(6));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(500)));
+  inject(*topo, Fault::PowerOn(Node::kBackup).at(sim::Duration::seconds(3)));
+  topo->run_for(sim::Duration::seconds(6));
 
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   EXPECT_EQ(tr.count("primary", "non_ft_mode"), 1u) << tr.dump();
   EXPECT_EQ(tr.count("backup", "rejoin_start"), 1u);
   EXPECT_EQ(tr.count("primary", "reintegration_start"), 1u);
@@ -52,56 +54,58 @@ TEST(ReintegrationTest, RebootedBackupRejoinsIdlePair) {
   EXPECT_EQ(tr.count("backup", "rejoin_complete"), 1u);
   EXPECT_TRUE(tr.strictly_before("reintegration_start", "reintegration_complete"));
 
-  ASSERT_NE(sc.primary_endpoint(), nullptr);
-  ASSERT_NE(sc.backup_endpoint(), nullptr);
-  EXPECT_EQ(sc.primary_endpoint()->mode(), Mode::kReplicating);
-  EXPECT_EQ(sc.backup_endpoint()->mode(), Mode::kReplicating);
-  EXPECT_EQ(sc.primary_endpoint()->stats().reintegrations, 1u);
-  EXPECT_EQ(sc.backup_endpoint()->stats().rejoins, 1u);
+  ASSERT_NE(cell.primary_endpoint(), nullptr);
+  ASSERT_NE(cell.backup_endpoint(), nullptr);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.backup_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.primary_endpoint()->stats().reintegrations, 1u);
+  EXPECT_EQ(cell.backup_endpoint()->stats().rejoins, 1u);
 
   // The timeline milestones ride along in the JSON export.
-  const std::string json = sc.metrics_json();
+  const std::string json = topo->metrics_json();
   EXPECT_NE(json.find("reintegration_start"), std::string::npos) << json;
   EXPECT_NE(json.find("reintegration_complete"), std::string::npos) << json;
 }
 
 TEST(ReintegrationTest, RevivedPrimaryRejoinsMidTransferAndSurvivesSecondCrash) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 2;
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 80'000'000;  // ~7 s at Fast Ethernet
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
-  wire_checkpoints(sc, p_app, b_app);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+  wire_checkpoints(cell, p_app, b_app);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
 
   // First failure: the primary dies mid-transfer; the backup takes over.
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
   // Revival: the old primary returns with blank RAM and rejoins as backup —
   // while the (now much further along) transfer keeps flowing.
-  sc.inject(Fault::PowerOn(Node::kPrimary).at(sim::Duration::seconds(3)));
+  inject(*topo, Fault::PowerOn(Node::kPrimary).at(sim::Duration::seconds(3)));
 
-  const auto& tr = sc.world().trace();
-  const sim::SimTime deadline = sc.world().now() + sim::Duration::seconds(8);
-  while (tr.count("reintegration_complete") == 0 && sc.world().now() < deadline) {
-    sc.run_for(sim::Duration::millis(100));
+  const auto& tr = topo->world().trace();
+  const sim::SimTime deadline = topo->world().now() + sim::Duration::seconds(8);
+  while (tr.count("reintegration_complete") == 0 && topo->world().now() < deadline) {
+    topo->run_for(sim::Duration::millis(100));
   }
   ASSERT_EQ(tr.count("backup", "reintegration_complete"), 1u) << tr.dump();
   ASSERT_EQ(tr.count("primary", "rejoin_complete"), 1u);
   EXPECT_FALSE(client.complete());  // the transfer really was still in flight
   // The mid-stream connection travelled in the snapshot and was adopted.
-  EXPECT_GE(sc.primary_endpoint()->stats().snapshot_conns_adopted, 1u);
-  EXPECT_EQ(sc.backup_endpoint()->mode(), Mode::kReplicating);
-  EXPECT_EQ(sc.primary_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_GE(cell.primary_endpoint()->stats().snapshot_conns_adopted, 1u);
+  EXPECT_EQ(cell.backup_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), Mode::kReplicating);
 
   // Second failure: the survivor of the first crash dies. The rejoined
   // ex-primary must take over and finish the transfer.
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(300)));
-  sc.run_for(sim::Duration::seconds(120));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(300)));
+  topo->run_for(sim::Duration::seconds(120));
 
   EXPECT_TRUE(client.complete()) << tr.dump();
   EXPECT_FALSE(client.corrupt());
@@ -109,38 +113,39 @@ TEST(ReintegrationTest, RevivedPrimaryRejoinsMidTransferAndSurvivesSecondCrash) 
   EXPECT_EQ(client.received(), size);
   EXPECT_EQ(tr.count("backup", "takeover"), 1u);
   EXPECT_EQ(tr.count("primary", "takeover"), 1u);
-  EXPECT_EQ(sc.primary_endpoint()->mode(), Mode::kTakenOver);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), Mode::kTakenOver);
 }
 
 TEST(ReintegrationTest, SnapshotRetrySurvivesFrameLoss) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 3;
   cfg.sttcp.reintegration_retry = sim::Duration::millis(150);
-  Scenario sc(std::move(cfg));
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 1'000'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 1'000'000);
-  wire_checkpoints(sc, p_app, b_app);
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 1'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 1'000'000);
+  wire_checkpoints(cell, p_app, b_app);
 
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(500)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(500)));
   // Burn the survivor's Ethernet frames exactly when the rejoiner comes
   // back: the rejoin request still arrives (serial heartbeat), but the
   // UDP snapshot is lost and must be re-sent until one lands.
-  sc.inject(Fault::FrameLoss(Node::kPrimary, 30).at(sim::Duration::seconds(3)));
-  sc.inject(Fault::PowerOn(Node::kBackup).at(sim::Duration::seconds(3)));
-  sc.run_for(sim::Duration::seconds(15));
+  inject(*topo, Fault::FrameLoss(Node::kPrimary, 30).at(sim::Duration::seconds(3)));
+  inject(*topo, Fault::PowerOn(Node::kBackup).at(sim::Duration::seconds(3)));
+  topo->run_for(sim::Duration::seconds(15));
 
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   EXPECT_EQ(tr.count("primary", "reintegration_complete"), 1u) << tr.dump();
   EXPECT_GE(tr.count("primary", "snapshot_sent"), 2u);  // at least one retry
-  EXPECT_EQ(sc.primary_endpoint()->mode(), Mode::kReplicating);
-  EXPECT_EQ(sc.backup_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.backup_endpoint()->mode(), Mode::kReplicating);
 }
 
 // --- replication groups (N = 3) -------------------------------------------
 
-void wire_member_checkpoints(Scenario& sc, int member, app::ServerApp& app) {
-  sttcp::StTcpEndpoint* ep = member == 0 ? sc.primary_endpoint()
-                                         : sc.backup_member_endpoint(member - 1);
+void wire_member_checkpoints(Cell& cell, int member, app::ServerApp& app) {
+  sttcp::StTcpEndpoint* ep = member == 0 ? cell.primary_endpoint()
+                                         : cell.backup_endpoint(member - 1);
   ep->set_checkpoint_provider([&app] { return app.checkpoint(); });
   ep->set_checkpoint_restorer(
       [&app](net::BytesView d) { app.stage_restore(d); });
@@ -150,31 +155,34 @@ void wire_member_checkpoints(Scenario& sc, int member, app::ServerApp& app) {
 // re-enters at the LOWEST promotion rank: the group's survivors keep their
 // seniority, the homecomer starts over at the back of the line.
 TEST(GroupReintegrationTest, RevivedLeaderRejoinsAtLowestRankMidTransfer) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 21;
-  cfg.extra_backups = 1;
-  Scenario sc(std::move(cfg));
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 80'000'000;  // ~7 s at Fast Ethernet
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_member_stack(0), sc.service_port(), size);
-  app::FileServer b2_app(sc.backup_member_stack(1), sc.service_port(), size);
-  wire_member_checkpoints(sc, 0, p_app);
-  wire_member_checkpoints(sc, 1, b_app);
-  wire_member_checkpoints(sc, 2, b2_app);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(0), cell.service_port(), size);
+  app::FileServer b2_app(cell.backup_stack(1), cell.service_port(), size);
+  wire_member_checkpoints(cell, 0, p_app);
+  wire_member_checkpoints(cell, 1, b_app);
+  wire_member_checkpoints(cell, 2, b2_app);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
 
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
-  sc.inject(Fault::PowerOn(Node::kPrimary).at(sim::Duration::seconds(3)));
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
+  inject(*topo, Fault::PowerOn(Node::kPrimary).at(sim::Duration::seconds(3)));
 
-  const auto& tr = sc.world().trace();
-  const sim::SimTime deadline = sc.world().now() + sim::Duration::seconds(10);
+  const auto& tr = topo->world().trace();
+  const sim::SimTime deadline = topo->world().now() + sim::Duration::seconds(10);
   while (tr.count("primary", "rejoin_complete") == 0 &&
-         sc.world().now() < deadline) {
-    sc.run_for(sim::Duration::millis(100));
+         topo->world().now() < deadline) {
+    topo->run_for(sim::Duration::millis(100));
   }
   ASSERT_EQ(tr.count("primary", "rejoin_complete"), 1u) << tr.dump();
   EXPECT_FALSE(client.complete());  // the transfer really was still in flight
@@ -182,16 +190,16 @@ TEST(GroupReintegrationTest, RevivedLeaderRejoinsAtLowestRankMidTransfer) {
   // rank-1 (backup) won the promotion; backup2 kept rank 1; the homecoming
   // ex-leader is the junior member.
   EXPECT_EQ(tr.count("backup", "promoted"), 1u) << tr.dump();
-  sttcp::StTcpEndpoint* leader = sc.backup_member_endpoint(0);
+  sttcp::StTcpEndpoint* leader = cell.backup_endpoint(0);
   ASSERT_NE(leader, nullptr);
   EXPECT_TRUE(leader->is_group_leader());
   EXPECT_EQ(leader->promotion_rank(), 0);
-  EXPECT_EQ(sc.backup_member_endpoint(1)->promotion_rank(), 1);
-  EXPECT_EQ(sc.primary_endpoint()->promotion_rank(), 2);
-  EXPECT_EQ(sc.primary_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.backup_endpoint(1)->promotion_rank(), 1);
+  EXPECT_EQ(cell.primary_endpoint()->promotion_rank(), 2);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), Mode::kReplicating);
 
   // The group is back at full strength: let the transfer finish clean.
-  sc.run_for(sim::Duration::seconds(120));
+  topo->run_for(sim::Duration::seconds(120));
   EXPECT_TRUE(client.complete()) << tr.dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
@@ -201,75 +209,81 @@ TEST(GroupReintegrationTest, RevivedLeaderRejoinsAtLowestRankMidTransfer) {
 // the group must keep masking — the stream never stalls past failover and
 // the client finishes bit-exact.
 TEST(GroupReintegrationTest, SecondFailureDuringSnapshotStillMasked) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 22;
-  cfg.extra_backups = 1;
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;
   cfg.sttcp.reintegration_retry = sim::Duration::millis(200);
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 80'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_member_stack(0), sc.service_port(), size);
-  app::FileServer b2_app(sc.backup_member_stack(1), sc.service_port(), size);
-  wire_member_checkpoints(sc, 0, p_app);
-  wire_member_checkpoints(sc, 1, b_app);
-  wire_member_checkpoints(sc, 2, b2_app);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(0), cell.service_port(), size);
+  app::FileServer b2_app(cell.backup_stack(1), cell.service_port(), size);
+  wire_member_checkpoints(cell, 0, p_app);
+  wire_member_checkpoints(cell, 1, b_app);
+  wire_member_checkpoints(cell, 2, b2_app);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
 
   // backup2 dies and comes back; while its snapshot is (re)transferring, the
   // rank-1 backup dies too. The leader keeps serving the client throughout.
-  sc.inject(Fault::Crash(Node::kBackup2).at(sim::Duration::millis(800)));
-  sc.inject(Fault::PowerOn(Node::kBackup2).at(sim::Duration::seconds(3)));
-  sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(3050)));
+  inject(*topo, Fault::Crash(Node::kBackup2).at(sim::Duration::millis(800)));
+  inject(*topo, Fault::PowerOn(Node::kBackup2).at(sim::Duration::seconds(3)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(3050)));
 
-  sc.run_for(sim::Duration::seconds(120));
-  const auto& tr = sc.world().trace();
+  topo->run_for(sim::Duration::seconds(120));
+  const auto& tr = topo->world().trace();
   EXPECT_TRUE(client.complete()) << tr.dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
   EXPECT_EQ(client.received(), size);
   // The leader never lost the connection: no takeover, no promotion.
   EXPECT_EQ(tr.count("takeover"), 0u) << tr.dump();
-  EXPECT_TRUE(sc.primary_endpoint()->is_group_leader());
+  EXPECT_TRUE(cell.primary_endpoint()->is_group_leader());
   // backup2 made it back in (possibly after snapshot retries).
   EXPECT_EQ(tr.count("backup2", "rejoin_complete"), 1u) << tr.dump();
-  EXPECT_EQ(sc.backup_member_endpoint(1)->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.backup_endpoint(1)->mode(), Mode::kReplicating);
 }
 
 TEST(ReintegrationTest, PowerOnIsNoOpOnLiveHost) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 4;
-  Scenario sc(std::move(cfg));
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), 1'000'000);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), 1'000'000);
-  wire_checkpoints(sc, p_app, b_app);
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 1'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 1'000'000);
+  wire_checkpoints(cell, p_app, b_app);
 
-  sc.inject(Fault::PowerOn(Node::kBackup).at(sim::Duration::millis(100)));
-  sc.run_for(sim::Duration::seconds(2));
+  inject(*topo, Fault::PowerOn(Node::kBackup).at(sim::Duration::millis(100)));
+  topo->run_for(sim::Duration::seconds(2));
 
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   EXPECT_EQ(tr.count("rejoin_start"), 0u) << tr.dump();
   EXPECT_EQ(tr.count("host_boot"), 0u);
-  EXPECT_EQ(sc.primary_endpoint()->mode(), Mode::kReplicating);
-  EXPECT_EQ(sc.backup_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), Mode::kReplicating);
+  EXPECT_EQ(cell.backup_endpoint()->mode(), Mode::kReplicating);
 }
 
 TEST(ReintegrationTest, CheckpointCodecIsRobust) {
-  ScenarioConfig cfg;
+  TopologyConfig cfg;
   cfg.seed = 5;
-  Scenario sc(std::move(cfg));
+  const auto topo = make_figure2(std::move(cfg));
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 20'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
 
   // Mid-transfer checkpoint carries the live connection's serve state.
   const net::Bytes snap = p_app.checkpoint();
@@ -279,7 +293,7 @@ TEST(ReintegrationTest, CheckpointCodecIsRobust) {
   b_app.stage_restore(snap);
   b_app.stage_restore(net::Bytes{0xff, 0x01, 0x02});
   b_app.stage_restore(net::Bytes{});
-  sc.run_for(sim::Duration::seconds(5));
+  topo->run_for(sim::Duration::seconds(5));
   EXPECT_TRUE(client.complete());
   EXPECT_FALSE(client.corrupt());
 }

@@ -9,7 +9,8 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
+#include "harness/topology.h"
 #include "net/frame.h"
 
 namespace sttcp {
@@ -19,24 +20,26 @@ TEST(SttcpStressTest, SixtyFourConnectionsSurviveFailover) {
   constexpr int kConnections = 64;
   constexpr std::uint64_t kFileSize = 1'000'000;
 
-  harness::Scenario sc{harness::ScenarioConfig{}};
+  const auto topo = harness::make_figure2(harness::TopologyConfig{});
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
   // Runaway guard: the whole run (64 x 1 MB replicated downloads plus a
   // failover) must fit a bounded number of events or something is looping.
-  sc.world().loop().set_event_budget(80'000'000);
+  topo->world().loop().set_event_budget(80'000'000);
 
   // Tap every LAN frame, as the pcap writer would: each tapped frame is a
   // refcount on the sender's buffer, and must stay readable here.
   std::uint64_t tapped_frames = 0;
   std::uint64_t tapped_bytes = 0;
-  sc.ethernet_switch().set_frame_tap(
+  topo->ethernet_switch().set_frame_tap(
       [&](sim::SimTime, const net::Frame& f) {
         ++tapped_frames;
         tapped_bytes += f.size();
         ASSERT_FALSE(f.empty());
       });
 
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), kFileSize);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), kFileSize);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), kFileSize);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), kFileSize);
 
   std::vector<std::unique_ptr<app::DownloadClient>> clients;
   clients.reserve(kConnections);
@@ -44,18 +47,18 @@ TEST(SttcpStressTest, SixtyFourConnectionsSurviveFailover) {
     app::DownloadClient::Options opt;
     opt.expected_bytes = kFileSize;
     clients.push_back(std::make_unique<app::DownloadClient>(
-        sc.client_stack(), sc.client_ip(),
-        std::vector<net::SocketAddr>{sc.connect_addr()}, opt));
+        *client_host.stack, client_host.ip,
+        std::vector<net::SocketAddr>{cell.connect_addr()}, opt));
     clients.back()->start();
   }
 
-  sc.run_for(sim::Duration::millis(600));
-  EXPECT_EQ(sc.backup_endpoint()->replicated_connections(),
+  topo->run_for(sim::Duration::millis(600));
+  EXPECT_EQ(cell.backup_endpoint()->replicated_connections(),
             static_cast<std::size_t>(kConnections));
 
-  sc.inject(harness::Fault::Crash(harness::Node::kPrimary)
+  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary)
                 .at(sim::Duration::zero()));
-  sc.run_for(sim::Duration::seconds(120));
+  topo->run_for(sim::Duration::seconds(120));
 
   int complete = 0, intact = 0, failures = 0;
   for (const auto& c : clients) {
@@ -66,7 +69,7 @@ TEST(SttcpStressTest, SixtyFourConnectionsSurviveFailover) {
   EXPECT_EQ(complete, kConnections);
   EXPECT_EQ(intact, kConnections);
   EXPECT_EQ(failures, 0);
-  EXPECT_EQ(sc.world().trace().count("takeover"), 1u);
+  EXPECT_EQ(topo->world().trace().count("takeover"), 1u);
 
   // The tap must have seen the whole transfer: at least the payload volume
   // once (client->multicast frames are tapped once at ingress).

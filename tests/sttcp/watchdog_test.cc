@@ -9,35 +9,37 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 #include "sttcp/endpoint.h"
 
 namespace sttcp::sttcp {
 namespace {
 
 TEST(WatchdogTest, QuietAppRaisesSuspicion) {
-  harness::Scenario sc{harness::ScenarioConfig{}};
-  Watchdog wd(sc.world(), *sc.primary_endpoint(), sim::Duration::millis(100), 3);
+  const auto topo = harness::make_figure2(harness::TopologyConfig{});
+  harness::Cell& cell = topo->cell();
+  Watchdog wd(topo->world(), *cell.primary_endpoint(), sim::Duration::millis(100), 3);
   wd.start();
   // Pet regularly for a while: no suspicion.
   for (int i = 0; i < 10; ++i) {
-    sc.world().loop().schedule_after(sim::Duration::millis(i * 50),
-                                     [&wd] { wd.pet(); });
+    topo->world().loop().schedule_after(sim::Duration::millis(i * 50),
+                                        [&wd] { wd.pet(); });
   }
-  sc.run_for(sim::Duration::millis(600));
+  topo->run_for(sim::Duration::millis(600));
   EXPECT_FALSE(wd.suspicious());
   // Stop petting: suspicion after ~3 intervals.
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
   EXPECT_TRUE(wd.suspicious());
-  EXPECT_EQ(sc.world().trace().count("watchdog", "app_suspect"), 1u);
+  EXPECT_EQ(topo->world().trace().count("watchdog", "app_suspect"), 1u);
 }
 
 TEST(WatchdogTest, StoppedWatchdogStaysQuiet) {
-  harness::Scenario sc{harness::ScenarioConfig{}};
-  Watchdog wd(sc.world(), *sc.primary_endpoint(), sim::Duration::millis(100), 3);
+  const auto topo = harness::make_figure2(harness::TopologyConfig{});
+  harness::Cell& cell = topo->cell();
+  Watchdog wd(topo->world(), *cell.primary_endpoint(), sim::Duration::millis(100), 3);
   wd.start();
   wd.stop();
-  sc.run_for(sim::Duration::seconds(2));
+  topo->run_for(sim::Duration::seconds(2));
   EXPECT_FALSE(wd.suspicious());
 }
 
@@ -45,51 +47,55 @@ TEST(WatchdogTest, PrimaryWatchdogSuspicionTriggersTakeover) {
   // An idle-connection primary app crash produces no lag and no FIN —
   // undetectable at the TCP layer (the paper's stated limitation). The
   // watchdog closes the gap: the backup takes over on the relayed suspicion.
-  harness::Scenario sc{harness::ScenarioConfig{}};
-  app::StreamServer p_app(sc.primary_stack(), sc.service_port(), 1000);
-  app::StreamServer b_app(sc.backup_stack(), sc.service_port(), 1000);
-  Watchdog wd(sc.world(), *sc.primary_endpoint(), sim::Duration::millis(100), 3);
+  const auto topo = harness::make_figure2(harness::TopologyConfig{});
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::StreamServer p_app(cell.primary_stack(), cell.service_port(), 1000);
+  app::StreamServer b_app(cell.backup_stack(), cell.service_port(), 1000);
+  Watchdog wd(topo->world(), *cell.primary_endpoint(), sim::Duration::millis(100), 3);
   p_app.set_heartbeat_hook([&wd] { wd.pet(); });
   // Idle-keepalive petting, as a real integration would do.
-  sim::PeriodicTimer petter(sc.world().loop());
+  sim::PeriodicTimer petter(topo->world().loop());
   petter.start(sim::Duration::millis(50), [&] {
     if (!p_app.hung()) wd.pet();
   });
   wd.start();
 
-  app::StreamClient client(sc.client_stack(), sc.client_ip(), sc.connect_addr(),
+  app::StreamClient client(*client_host.stack, client_host.ip, cell.connect_addr(),
                            1000, 1);
   client.start();
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
   EXPECT_GT(client.records_completed(), 0u);
 
   // The app hangs while the connection happens to be idle.
   p_app.hang();
-  sc.run_for(sim::Duration::seconds(3));
+  topo->run_for(sim::Duration::seconds(3));
   EXPECT_TRUE(wd.suspicious());
-  EXPECT_EQ(sc.world().trace().count("backup", "watchdog_failure"), 1u);
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup", "watchdog_failure"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
   // Service resumes on the backup.
-  sc.run_for(sim::Duration::seconds(3));
+  topo->run_for(sim::Duration::seconds(3));
   EXPECT_FALSE(client.corrupt());
   EXPECT_FALSE(client.closed());
 }
 
 TEST(WatchdogTest, BackupWatchdogSuspicionForcesNonFt) {
-  harness::Scenario sc{harness::ScenarioConfig{}};
-  app::StreamServer p_app(sc.primary_stack(), sc.service_port(), 1000);
-  app::StreamServer b_app(sc.backup_stack(), sc.service_port(), 1000);
-  Watchdog wd(sc.world(), *sc.backup_endpoint(), sim::Duration::millis(100), 3);
+  const auto topo = harness::make_figure2(harness::TopologyConfig{});
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::StreamServer p_app(cell.primary_stack(), cell.service_port(), 1000);
+  app::StreamServer b_app(cell.backup_stack(), cell.service_port(), 1000);
+  Watchdog wd(topo->world(), *cell.backup_endpoint(), sim::Duration::millis(100), 3);
   wd.start();  // never petted: suspicion fires quickly
 
-  app::StreamClient client(sc.client_stack(), sc.client_ip(), sc.connect_addr(),
+  app::StreamClient client(*client_host.stack, client_host.ip, cell.connect_addr(),
                            1000, 1);
   client.start();
-  sc.run_for(sim::Duration::seconds(3));
-  EXPECT_EQ(sc.world().trace().count("primary", "watchdog_failure"), 1u);
-  EXPECT_EQ(sc.primary_endpoint()->mode(), StTcpEndpoint::Mode::kNonFaultTolerant);
-  EXPECT_EQ(sc.world().trace().count("takeover"), 0u);
-  sc.run_for(sim::Duration::seconds(2));
+  topo->run_for(sim::Duration::seconds(3));
+  EXPECT_EQ(topo->world().trace().count("primary", "watchdog_failure"), 1u);
+  EXPECT_EQ(cell.primary_endpoint()->mode(), StTcpEndpoint::Mode::kNonFaultTolerant);
+  EXPECT_EQ(topo->world().trace().count("takeover"), 0u);
+  topo->run_for(sim::Duration::seconds(2));
   EXPECT_FALSE(client.corrupt());
   EXPECT_FALSE(client.closed());
 }

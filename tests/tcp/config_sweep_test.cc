@@ -7,8 +7,9 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/fault.h"
 #include "harness/sweep.h"
+#include "harness/topology.h"
 #include "tests/tcp/tcp_fixture.h"
 
 namespace sttcp::tcp {
@@ -102,23 +103,25 @@ class SttcpConfigSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(SttcpConfigSweepTest, FailoverIntact) {
   const SweepParam& p = GetParam();
-  harness::ScenarioConfig cfg;
+  harness::TopologyConfig cfg;
   cfg.tcp.mss = p.mss;
   cfg.tcp.send_buffer = p.send_buffer;
   cfg.tcp.recv_buffer = p.recv_buffer;
   cfg.tcp.min_rto = sim::Duration::millis(p.min_rto_ms);
   cfg.tcp.congestion_control = p.congestion_control;
-  harness::Scenario sc(std::move(cfg));
+  const auto topo = harness::make_figure2(std::move(cfg));
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 3'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.inject(harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(300)));
-  sc.run_for(sim::Duration::seconds(120));
+  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary).at(sim::Duration::millis(300)));
+  topo->run_for(sim::Duration::seconds(120));
   EXPECT_TRUE(client.complete()) << p.name;
   EXPECT_FALSE(client.corrupt()) << p.name;
   EXPECT_EQ(client.connection_failures(), 0) << p.name;
@@ -135,24 +138,26 @@ INSTANTIATE_TEST_SUITE_P(Configs, SttcpConfigSweepTest,
 TEST(ConfigSweepRunnerTest, PooledSweepMatchesSerial) {
   const auto job = [](std::size_t i) {
     const SweepParam& p = kParams[i];
-    harness::ScenarioConfig cfg;
+    harness::TopologyConfig cfg;
     cfg.tcp.mss = p.mss;
     cfg.tcp.send_buffer = p.send_buffer;
     cfg.tcp.recv_buffer = p.recv_buffer;
     cfg.tcp.min_rto = sim::Duration::millis(p.min_rto_ms);
     cfg.tcp.congestion_control = p.congestion_control;
-    harness::Scenario sc(std::move(cfg));
+    const auto topo = harness::make_figure2(std::move(cfg));
+    harness::Cell& cell = topo->cell();
+    harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
     const std::uint64_t size = 400'000;
-    app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-    app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+    app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+    app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
     app::DownloadClient::Options opt;
     opt.expected_bytes = size;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.run_for(sim::Duration::seconds(60));
+    topo->run_for(sim::Duration::seconds(60));
     return std::tuple(client.complete(), client.corrupt(), client.received(),
-                      sc.world().trace().entries().size());
+                      topo->world().trace().entries().size());
   };
   // A small slice of the grid keeps this fast even under sanitizers.
   constexpr std::size_t kJobs = 3;
