@@ -24,8 +24,14 @@
 # simultaneous double-failure sweep at N=3, its N=2 negative control, and
 # the group reintegration tests (docs/GROUPS.md). With --stbench, run the
 # end-to-end benchmark (stbench/README.md) on every workload for one
-# measured second at seed 1 and fail unless each run reports correct. The
-# default lane also runs the doc link checker.
+# measured second at seed 1 and fail unless each run reports correct. With
+# --same=<rev>, prove a refactor changed no output: build <rev> in a
+# throwaway git worktree (Release, under build-same/), run the deterministic
+# benches (bench_table1_scenarios, bench_chaos 64, bench_demo1_failover,
+# bench_fabric --quick, bench_explore 3000 with its wall-clock column
+# stripped) and the five examples in both trees, and diff their stdout and
+# exit codes — any difference fails the lane. The default lane also runs the
+# doc link checker.
 #
 # With --tsan, build the ThreadSanitizer configuration and run the parallel
 # shard-executor, determinism, clock-domain, and grey-sweep tests under it —
@@ -43,10 +49,30 @@
 #   scripts/check.sh --shard     # additionally: 4-shard fabric chaos smoke
 #   scripts/check.sh --app       # additionally: block-store failover lane
 #   scripts/check.sh --stbench   # additionally: end-to-end benchmark smoke
+#   scripts/check.sh --same=HEAD~1  # additionally: outputs identical to a rev
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# Deterministic outputs of one build tree, one file per program, each ending
+# with the program's exit code (a failing verdict is an output too).
+same_outputs() {
+  local build="$1" out="$2"
+  mkdir -p "$out"
+  local cmd name
+  for cmd in "bench/bench_table1_scenarios" "bench/bench_chaos 64" \
+             "bench/bench_demo1_failover" "bench/bench_fabric --quick" \
+             "bench/bench_explore 3000" "examples/failure_drill" \
+             "examples/multi_connection" "examples/quickstart" \
+             "examples/scenario_cli" "examples/streaming_dashboard"; do
+    name="$(basename "${cmd%% *}")"
+    # shellcheck disable=SC2086  # $cmd carries the program's arguments
+    { "$build"/$cmd || echo "exit status $?"; } >"$out/$name.txt"
+  done
+  # The explorer's last column is wall-clock seconds.
+  sed -i -E 's/[|+][^|+]*$//' "$out/bench_explore.txt"
+}
 
 scripts/check_docs.sh
 
@@ -164,6 +190,24 @@ for arg in "$@"; do
         python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' "$last" ||
           { echo "stbench: $w did not report correct" >&2; exit 1; }
       done
+      ;;
+    --same=*)
+      rev="${arg#--same=}"
+      cmake -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
+      cmake --build build-release -j "$JOBS"
+      rm -rf build-same
+      git worktree prune
+      git worktree add --detach build-same/tree "$rev" >/dev/null
+      cmake -S build-same/tree -B build-same/build -DCMAKE_BUILD_TYPE=Release >/dev/null
+      cmake --build build-same/build -j "$JOBS"
+      same_outputs build-same/build build-same/base
+      same_outputs build-release build-same/head
+      git worktree remove --force build-same/tree
+      if ! diff -r build-same/base build-same/head; then
+        echo "check.sh --same: outputs differ from $rev" >&2
+        exit 1
+      fi
+      echo "check.sh --same: outputs identical to $rev"
       ;;
     *)
       echo "unknown option: $arg" >&2

@@ -1,6 +1,6 @@
 // ST-TCP configuration: every tunable the paper names (heartbeat period,
 // AppMaxLagBytes, AppMaxLagTime, MaxDelayFIN, hold-buffer size, ping
-// arbitration) plus the addressing of the server pair.
+// arbitration) plus the addressing of the replication roster.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,7 @@
 
 namespace sttcp::sttcp {
 
-/// One member of a 1+N replication group, in initial-rank order (index 0 is
+/// One member of the replication roster, in initial-rank order (index 0 is
 /// the leader, index 1 the first backup, ...). See docs/GROUPS.md.
 struct GroupMemberCfg {
   std::string name;     // STONITH power-off target
@@ -29,20 +29,17 @@ struct StTcpConfig {
   net::Ipv4Addr service_ip;
   std::uint16_t service_port = 80;
   /// This server's own (management) address, used for HB/control traffic.
+  /// The endpoint finds its own roster entry by this address.
   net::Ipv4Addr my_ip;
-  /// The peer server's own address.
-  net::Ipv4Addr peer_ip;
-  /// Peer host name, for the STONITH power-off command.
-  std::string peer_name;
   /// Gateway pinged during NIC-failure arbitration (§4.3).
   net::Ipv4Addr gateway_ip;
-  /// 1+N replication group, ordered by initial promotion rank (index 0 =
-  /// leader). Empty = classic pair mode: the pair is synthesized from
-  /// my_ip/peer_ip/peer_name and every PR-before-groups behaviour is
-  /// preserved bit-for-bit. With a group, `my_member` indexes this vector.
+  /// The replication roster, ordered by initial promotion rank (index 0 =
+  /// leader), identical on every member. Two entries are the classic pair
+  /// (primary, backup: the paper's protocol, wire format unchanged); three
+  /// or more are a 1+N group (docs/GROUPS.md). Every other entry is a peer:
+  /// its address carries HB/control traffic, its name is the STONITH
+  /// power-off target.
   std::vector<GroupMemberCfg> group;
-  /// This endpoint's index into `group` (-1 in pair mode).
-  int my_member = -1;
   /// Optional stream logger (§4.3 output-commit extension): the backup
   /// fetches client bytes the dead primary had already acknowledged from
   /// here after a takeover. Zero address disables the fallback.

@@ -22,6 +22,9 @@ StTcpEndpoint::StTcpEndpoint(net::Host& host, tcp::TcpStack& stack,
       promote_timer_(host.world().loop()),
       ping_timer_(host.world().loop()),
       logger_timer_(host.world().loop()) {
+  for (std::size_t i = 0; i < cfg_.group.size(); ++i) {
+    if (cfg_.group[i].ip == cfg_.my_ip) my_member_ = static_cast<std::uint8_t>(i);
+  }
   reintegrator_ = std::make_unique<Reintegrator>(*this);
 }
 
@@ -29,8 +32,6 @@ StTcpEndpoint::~StTcpEndpoint() = default;
 
 void StTcpEndpoint::start() {
   started_ = true;
-  last_rx_ip_ = world_.now();
-  last_rx_serial_ = world_.now();
 
   if (auto* reg = world_.metrics()) {
     const std::string prefix = "sttcp." + host_.name();
@@ -46,26 +47,23 @@ void StTcpEndpoint::start() {
     timeline_ = &reg->timeline();
   }
 
-  if (group_mode()) {
-    // Initial view: every configured member, in configured rank order.
-    view_.epoch = 0;
-    view_.order.clear();
-    peers_.clear();
-    for (std::size_t i = 0; i < cfg_.group.size(); ++i) {
-      view_.order.push_back(static_cast<std::uint8_t>(i));
-      if (static_cast<int>(i) == cfg_.my_member) continue;
-      GroupPeer p;
-      p.member = static_cast<std::uint8_t>(i);
-      p.ip = cfg_.group[i].ip;
-      p.name = cfg_.group[i].name;
-      p.has_serial = cfg_.group[i].serial &&
-                     cfg_.group[static_cast<std::size_t>(cfg_.my_member)].serial;
-      p.last_rx_ip = world_.now();
-      p.last_rx_serial = world_.now();
-      peers_.push_back(p);
-    }
-    update_group_gauges();
+  // Initial view: every roster member, in roster (rank) order; every other
+  // member is a peer.
+  view_.epoch = 0;
+  view_.order.clear();
+  peers_.clear();
+  for (std::size_t i = 0; i < cfg_.group.size(); ++i) {
+    view_.order.push_back(static_cast<std::uint8_t>(i));
+    if (i == my_member_) continue;
+    Peer p;
+    p.member = static_cast<std::uint8_t>(i);
+    p.ip = cfg_.group[i].ip;
+    p.name = cfg_.group[i].name;
+    p.has_serial = cfg_.group[i].serial && cfg_.group[my_member_].serial;
+    peers_.push_back(p);
+    reset_peer(peers_.back());
   }
+  update_group_gauges();
 
   stack_.set_observer(this);
   if (cfg_.deterministic_isn) {
@@ -123,15 +121,13 @@ void StTcpEndpoint::install_replica_seams() {
 }
 
 bool StTcpEndpoint::ip_channel_alive() const {
-  const sim::Duration deadline =
-      cfg_.hb_period * cfg_.hb_miss_threshold + cfg_.hb_period / 2;
-  return world_.now() - last_rx_ip_ <= deadline;
+  return std::any_of(peers_.begin(), peers_.end(),
+                     [this](const Peer& p) { return peer_ip_alive(p); });
 }
 
 bool StTcpEndpoint::serial_channel_alive() const {
-  const sim::Duration deadline =
-      cfg_.hb_period * cfg_.hb_miss_threshold + cfg_.hb_period / 2;
-  return world_.now() - last_rx_serial_ <= deadline;
+  return std::any_of(peers_.begin(), peers_.end(),
+                     [this](const Peer& p) { return peer_serial_alive(p); });
 }
 
 // ---------------------------------------------------------------------------
@@ -154,12 +150,11 @@ HeartbeatMsg StTcpEndpoint::make_hb_header() {
     msg.view_epoch = view_.epoch;
     msg.view_order = view_.order;
   }
-  // Logged-decision block (pair mode only, docs/APPLICATION.md): cumulative
-  // ack of the peer's decision stream + our own unacked records, capped so
-  // a burst cannot blow the UDP byte budget — periodic beats retransmit the
-  // remainder oldest-first until acked.
-  if (decision_log_ != nullptr && !group_mode() &&
-      replicating_or_reintegrating()) {
+  // Logged-decision block (pairs only — see set_decision_log;
+  // docs/APPLICATION.md): cumulative ack of the peer's decision stream + our
+  // own unacked records, capped so a burst cannot blow the UDP byte budget —
+  // periodic beats retransmit the remainder oldest-first until acked.
+  if (decision_log_ != nullptr && replicating_or_reintegrating()) {
     constexpr std::size_t kMaxDecisionsPerBeat = 512;
     msg.decisions_valid = true;
     msg.decision_ack = decision_log_->rx_cursor();
@@ -169,7 +164,7 @@ HeartbeatMsg StTcpEndpoint::make_hb_header() {
 }
 
 HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
-                                    int peer_idx) const {
+                                    std::size_t pi) const {
   HbRecord rec;
   rec.repl_id = id;
   rec.fin_generated = rc.fin();
@@ -179,12 +174,9 @@ HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
   rec.acked_by_peer = rc.acked();
   rec.app_written = rc.written();
   rec.app_read = rc.read();
-  // Group mode announces are per-member: each member keeps seeing the
-  // announce until IT has echoed the id (pair mode keeps the shared flag).
-  const bool announce_needed =
-      peer_idx < 0 ? !rc.announce_confirmed
-                   : !(static_cast<std::size_t>(peer_idx) < rc.gp.size() &&
-                       rc.gp[static_cast<std::size_t>(peer_idx)].echoed);
+  // Announces are per peer: each peer keeps seeing the announce until IT
+  // has echoed the id (or a reintegration snapshot carried the connection).
+  const bool announce_needed = !(pi < rc.gp.size() && rc.gp[pi].echoed);
   if (role_ == Role::kPrimary && announce_needed && rc.conn != nullptr) {
     rec.announce = true;
     rec.established = true;
@@ -214,43 +206,24 @@ HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
 void StTcpEndpoint::send_heartbeat(bool include_serial) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
   if (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant) return;
-  if (group_mode()) {
-    send_group_heartbeat(include_serial);
-    return;
-  }
-
-  HeartbeatMsg msg = make_hb_header();
-  msg.records.reserve(conns_.size());
-  for (auto& [id, rc] : conns_) msg.records.push_back(make_record(id, *rc));
-  std::size_t total = 0;
-  for (const auto& r : msg.records) total += r.wire_size();
-  emit_heartbeat(msg, total, cfg_.peer_ip, include_serial ? serial_ : nullptr,
-                 udp_rr_next_id_, serial_rr_next_id_);
-  ++stats_.hb_sent;
-}
-
-void StTcpEndpoint::send_group_heartbeat(bool include_serial) {
-  // One copy per member, each with ITS view of the announces and ITS
-  // rotation cursors: a record's window position for member A must not
-  // advance because a copy went to member B (a shared cursor would starve
-  // every record at fan-out > 1 under budget pressure).
-  for (GroupPeer& p : peers_) {
-    const int pi = static_cast<int>(&p - peers_.data());
+  // One copy per peer, each with ITS view of the announces and ITS rotation
+  // cursors: a record's window position for peer A must not advance because
+  // a copy went to peer B (a shared cursor would starve every record at
+  // fan-out > 1 under budget pressure).
+  for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
+    Peer& p = peers_[pi];
     HeartbeatMsg msg = make_hb_header();
     msg.records.reserve(conns_.size());
     for (auto& [id, rc] : conns_) msg.records.push_back(make_record(id, *rc, pi));
     std::size_t total = 0;
     for (const auto& r : msg.records) total += r.wire_size();
-    net::SerialPort* sp = include_serial && p.has_serial ? serial_ : nullptr;
-    emit_heartbeat(msg, total, p.ip, sp, p.udp_rr_next_id, p.serial_rr_next_id);
+    emit_heartbeat(msg, total, p, include_serial && p.has_serial ? serial_ : nullptr);
   }
   ++stats_.hb_sent;
 }
 
 void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_bytes,
-                                   net::Ipv4Addr dst, net::SerialPort* serial,
-                                   std::uint16_t& udp_cursor,
-                                   std::uint16_t& serial_cursor) {
+                                   Peer& p, net::SerialPort* serial) {
   // An IPv4 datagram caps at 65,535 bytes; with every record carrying an
   // announce (35 B) that is ~1,870 connections. Past it the 16-bit
   // total_length wraps silently and the peer drops the frame on UDP
@@ -281,13 +254,13 @@ void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_by
     HeartbeatMsg umsg = msg;
     umsg.records.clear();
     umsg.records.reserve(msg.records.size());
-    const std::size_t start = start_index(udp_cursor);
+    const std::size_t start = start_index(p.udp_rr_next_id);
     std::size_t used = 0;
     for (std::size_t k = 0; k < msg.records.size(); ++k) {
       const std::size_t i = (start + k) % msg.records.size();
       const HbRecord& r = msg.records[i];
       if (used + r.wire_size() > kUdpRecordBudget) {
-        udp_cursor = r.repl_id;
+        p.udp_rr_next_id = r.repl_id;
         break;
       }
       used += r.wire_size();
@@ -295,7 +268,7 @@ void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_by
     }
     wire_msg = umsg.serialize();
   }
-  host_.udp_send(cfg_.my_ip, cfg_.hb_port, dst, cfg_.hb_port, wire_msg);
+  host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, wire_msg);
   if (serial != nullptr) {
     const std::size_t cap = cfg_.serial_max_records;
     if (cap == 0 || msg.records.size() <= cap) {
@@ -308,13 +281,11 @@ void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_by
       // ceil(n/cap) periods while the channel-liveness beat stays on time.
       HeartbeatMsg smsg = msg;
       smsg.records.clear();
-      const std::size_t start = start_index(serial_cursor);
+      const std::size_t start = start_index(p.serial_rr_next_id);
       for (std::size_t k = 0; k < cap; ++k) {
         smsg.records.push_back(msg.records[(start + k) % msg.records.size()]);
       }
-      serial_cursor =
-          static_cast<std::uint16_t>(
-              msg.records[(start + cap) % msg.records.size()].repl_id);
+      p.serial_rr_next_id = msg.records[(start + cap) % msg.records.size()].repl_id;
       serial->send(smsg.serialize());
     }
   }
@@ -323,22 +294,12 @@ void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_by
 void StTcpEndpoint::send_event_heartbeat(std::uint16_t id) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
   if (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant) return;
-  if (group_mode()) {
-    for (GroupPeer& p : peers_) {
-      const int pi = static_cast<int>(&p - peers_.data());
-      HeartbeatMsg msg = make_hb_header();
-      if (const ReplConn* rc = by_id(id)) {
-        msg.records.push_back(make_record(id, *rc, pi));
-      }
-      host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, msg.serialize());
-    }
-    ++stats_.hb_sent;
-    return;
+  for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
+    HeartbeatMsg msg = make_hb_header();
+    if (const ReplConn* rc = by_id(id)) msg.records.push_back(make_record(id, *rc, pi));
+    host_.udp_send(cfg_.my_ip, cfg_.hb_port, peers_[pi].ip, cfg_.hb_port,
+                   msg.serialize());
   }
-  HeartbeatMsg msg = make_hb_header();
-  if (const ReplConn* rc = by_id(id)) msg.records.push_back(make_record(id, *rc));
-  host_.udp_send(cfg_.my_ip, cfg_.hb_port, cfg_.peer_ip, cfg_.hb_port,
-                 msg.serialize());
   ++stats_.hb_sent;
 }
 
@@ -347,6 +308,9 @@ void StTcpEndpoint::send_event_heartbeat(std::uint16_t id) {
 // ---------------------------------------------------------------------------
 
 void StTcpEndpoint::set_decision_log(DecisionLog* log) {
+  // Pair-scoped: a group has no per-follower decision acks yet, so a group
+  // endpoint leaves the log unattached (ROADMAP item 4).
+  if (group_mode()) return;
   decision_log_ = log;
   if (log != nullptr) {
     // The application flushed a batch of choices: put them on the wire now.
@@ -357,16 +321,17 @@ void StTcpEndpoint::set_decision_log(DecisionLog* log) {
 }
 
 void StTcpEndpoint::send_decision_heartbeat() {
-  if (!host_.alive() || decision_log_ == nullptr || group_mode()) return;
+  if (!host_.alive() || decision_log_ == nullptr) return;
   if (!replicating_or_reintegrating()) return;
   // A records-free header still carries the decision block — the cheap
   // event-style beat for both directions (primary: fresh records; backup:
   // a fresh cumulative ack the primary's output gate is waiting on). Rides
   // the IP channel only, like other event heartbeats: the serial line is
   // too slow for per-request traffic.
-  HeartbeatMsg msg = make_hb_header();
-  host_.udp_send(cfg_.my_ip, cfg_.hb_port, cfg_.peer_ip, cfg_.hb_port,
-                 msg.serialize());
+  for (const Peer& p : peers_) {
+    HeartbeatMsg msg = make_hb_header();
+    host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, msg.serialize());
+  }
   ++stats_.hb_sent;
   ++stats_.decision_hb_sent;
 }
@@ -420,35 +385,43 @@ void StTcpEndpoint::on_hb_datagram(net::BytesView payload, bool via_serial) {
 }
 
 void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
-  if (group_mode()) {
-    on_group_heartbeat(msg, via_serial);
-    return;
-  }
-  // Rejoin solicitations are handled BEFORE the role-reflection guard: a
-  // former backup that survived a takeover still calls itself backup, and so
-  // does the rejoiner — identical roles must not drop the request. A
+  // A group beat names its sender; a pair beat carries no member block and
+  // comes from the pair's one peer.
+  Peer* p = msg.group_valid ? peer_by_member(msg.member)
+                            : (peers_.size() == 1 ? &peers_.front() : nullptr);
+  if (p == nullptr) return;  // our own reflection, or not a roster member
+  const std::size_t pi = static_cast<std::size_t>(p - peers_.data());
+
+  // Rejoin solicitations are handled BEFORE the pair's role-reflection guard:
+  // a former backup that survived a takeover still calls itself backup, and
+  // so does the rejoiner — identical roles must not drop the request. The
+  // leader serves them while replicating; a survivor that fell out of
+  // replication (taken over, non-FT, last one standing) serves them too. A
   // replicating backup ignores it (the detector promotes us first; the
   // requesting peer is by definition not heartbeating normally).
   if (msg.rejoin_request &&
       (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant ||
        mode_ == Mode::kReintegrating ||
-       (mode_ == Mode::kReplicating && role_ == Role::kPrimary))) {
-    reintegrator_->on_rejoin_request(msg.rejoin_epoch);
+       (mode_ == Mode::kReplicating && leads(my_member())))) {
+    reintegrator_->on_rejoin_request(msg.rejoin_epoch, p->member);
   }
-  if (msg.role == role_) return;  // our own reflection; should not happen
+  // A pair's peer always holds the other role: a same-role beat is our own
+  // reflection (should not happen) or that rejoin solicitation.
+  if (!msg.group_valid && msg.role == role_) return;
+
   if (via_serial) {
     if (m_hb_gap_serial_us_ != nullptr) {
       m_hb_gap_serial_us_->record(
-          static_cast<std::uint64_t>((world_.now() - last_rx_serial_).us()));
+          static_cast<std::uint64_t>((world_.now() - p->last_rx_serial).us()));
     }
-    last_rx_serial_ = world_.now();
+    p->last_rx_serial = world_.now();
     ++stats_.hb_received_serial;
   } else {
     if (m_hb_gap_ip_us_ != nullptr) {
       m_hb_gap_ip_us_->record(
-          static_cast<std::uint64_t>((world_.now() - last_rx_ip_).us()));
+          static_cast<std::uint64_t>((world_.now() - p->last_rx_ip).us()));
     }
-    last_rx_ip_ = world_.now();
+    p->last_rx_ip = world_.now();
     ++stats_.hb_received_ip;
   }
   if (timeline_ != nullptr) timeline_->heartbeat_seen(world_.now());
@@ -457,23 +430,48 @@ void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
   // rewind newer arbitration input (ping streaks, rejoin handshakes). A
   // small backward sequence jump is a stale copy; a large one is a rebooted
   // peer restarting its sequence and is accepted as a fresh stream.
-  const auto seq_delta =
-      static_cast<std::int32_t>(msg.hb_seq - last_peer_hb_seq_);
-  if (seen_peer_hb_ && seq_delta < 0 && seq_delta > -4096) {
+  const auto seq_delta = static_cast<std::int32_t>(msg.hb_seq - p->last_hb_seq);
+  if (p->seen_hb && seq_delta < 0 && seq_delta > -4096) {
     ++stats_.hb_stale;
     return;
   }
-  seen_peer_hb_ = true;
-  last_peer_hb_seq_ = msg.hb_seq;
-  if (msg.rejoin_ready) reintegrator_->on_rejoin_ready(msg.rejoin_epoch);
+  p->seen_hb = true;
+  p->last_hb_seq = msg.hb_seq;
+
+  // Conviction revert: we convicted this member, yet here it is — alive and
+  // claiming leadership with a view at least as new as ours. The conviction
+  // was wrong (a grey channel, not a dead host); reinstate it before its
+  // queued STONITH can ever fire.
+  if (awaiting_leader_ && !view_.contains(msg.member) &&
+      !msg.view_order.empty() && msg.view_order.front() == msg.member &&
+      msg.view_epoch >= view_.epoch) {
+    view_.order.insert(view_.order.begin(), msg.member);
+    stonith_pending_.erase(
+        std::remove(stonith_pending_.begin(), stonith_pending_.end(), msg.member),
+        stonith_pending_.end());
+    awaiting_leader_ = false;
+    ballot_.reset();
+    promote_timer_.cancel();
+    world_.trace().record(host_.name(), "conviction_reverted", p->name);
+  }
+
+  maybe_adopt_view(msg.view_epoch, msg.view_order);  // may fence us into rejoin
+
+  if (msg.rejoin_ready &&
+      (mode_ == Mode::kReintegrating ||
+       (mode_ == Mode::kReplicating && leads(my_member())))) {
+    reintegrator_->on_rejoin_ready(msg.rejoin_epoch, p->member);
+  }
   if (!replicating_or_reintegrating()) return;
 
   if (msg.ping_valid) {
-    peer_ping_fail_streak_ = msg.ping_ok ? 0 : peer_ping_fail_streak_ + 1;
+    p->ping_fail_streak = msg.ping_ok ? 0 : p->ping_fail_streak + 1;
   }
   // A suspicion raised mid-reintegration must not convict the peer the
   // instant replication resumes; only assimilate it in steady state.
-  if (msg.app_suspect && mode_ == Mode::kReplicating) peer_app_suspect_ = true;
+  if (msg.app_suspect && mode_ == Mode::kReplicating && view_.contains(p->member)) {
+    p->app_suspect = true;
+  }
 
   // A rejoiner that has not yet applied the snapshot cannot interpret
   // records (it has no connections, and an announce would cold-start a
@@ -484,14 +482,18 @@ void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
   process_decisions(msg);
   sync_decision_log();
 
+  // Records count only on the leader<->backup axis: a group backup hears
+  // another backup's heartbeats for liveness and promotion, not for
+  // replication. (A pair has only that axis.)
+  if (!leads(my_member()) && !leads(p->member) && mode_ != Mode::kRejoining) return;
   for (const HbRecord& rec : msg.records) {
     // A record may have triggered a failover action.
     if (!replicating_or_reintegrating()) break;
-    process_record(rec);
+    process_record(rec, pi);
   }
 }
 
-void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
+void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t pi) {
   ReplConn* rc = by_id(rec.repl_id);
   bool matched_by_id = rc != nullptr;
   if (rc == nullptr) {
@@ -522,22 +524,16 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
     world_.trace().record(host_.name(), "announce_confirmed", rc->tuple.str());
   }
 
-  // Group mode: keep the per-member mirror the record's sender owns. The
-  // shared p_* fields below become the max across members (unwrap_counter
-  // ignores regressions), which is what the backup-side detectors want; the
-  // per-member values feed hold release and FIN agreement on the leader.
-  ReplConn::PeerProgress* g = nullptr;
-  if (group_mode() && peer_idx >= 0) {
-    ensure_group_progress(*rc);
-    g = &rc->gp[static_cast<std::size_t>(peer_idx)];
-    g->valid = true;
-    if (matched_by_id) g->echoed = true;
-    g->received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
-                                 g->received);
-    g->fin = g->fin || rec.fin_generated;
-    g->rst = g->rst || rec.rst_generated;
-    g->closed = g->closed || rec.closed;
-  }
+  // Keep the mirror the record's sender owns; the shared p_* fields below
+  // become the max across peers.
+  ensure_peer_progress(*rc);
+  ReplConn::PeerProgress& g = rc->gp[pi];
+  g.valid = true;
+  if (matched_by_id) g.echoed = true;
+  g.received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received), g.received);
+  g.fin = g.fin || rec.fin_generated;
+  g.rst = g.rst || rec.rst_generated;
+  g.closed = g.closed || rec.closed;
 
   // Unwrap the 32-bit wire counters against the previous values.
   rc->p_received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
@@ -558,56 +554,41 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
   rc->progress.observe(rc->p_received + rc->p_acked + rc->p_written + rc->p_read,
                        world_.now());
 
-  // Primary: the backup has confirmed receipt through p_received — release
-  // the hold buffer below that point. Group leader: only below the MINIMUM
-  // confirmed across every live member; a member without a record yet pins
-  // the buffer entirely (its replica may still need every held byte).
+  // Primary: the peers have confirmed receipt — release the hold buffer
+  // below the MINIMUM confirmed across every watched peer; a peer without a
+  // record yet pins the buffer entirely (its replica may still need every
+  // held byte). With no watched peer (a pair's rejoiner mid-snapshot), the
+  // record's sender is the only confirmation there is.
   if (role_ == Role::kPrimary) {
-    std::uint64_t release = rc->p_received;
-    if (g != nullptr) {
-      std::size_t live = 0;
-      bool all_valid = true;
-      std::uint64_t min_rx = rc->p_received;
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (!view_.contains(peers_[i].member)) continue;
-        ++live;
-        if (!rc->gp[i].valid) {
-          all_valid = false;
-          break;
-        }
-        min_rx = std::min(min_rx, rc->gp[i].received);
-      }
-      release = live == 0 ? rc->p_received : (all_valid ? min_rx : 0);
+    std::size_t live = 0;
+    bool all_valid = true;
+    bool all_closed = true;
+    std::uint64_t min_rx = rc->p_received;
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      if (!view_.contains(peers_[i].member)) continue;
+      ++live;
+      const ReplConn::PeerProgress& m = rc->gp[i];
+      if (!m.valid) all_valid = false;
+      if (!(m.valid && m.closed)) all_closed = false;
+      if (m.valid) min_rx = std::min(min_rx, m.received);
     }
+    const std::uint64_t release = live == 0 ? rc->p_received : (all_valid ? min_rx : 0);
     const std::size_t before = rc->hold.size();
     rc->hold.release_to(release);
     note_hold_change(before, rc->hold.size());
 
-    // A group leader's "peer closed" means EVERY live member closed its
-    // replica — GC must not reap the final-counter record while a slower
-    // member still reconciles against it.
-    if (g != nullptr) {
-      bool all_closed = true;
-      std::size_t live = 0;
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (!view_.contains(peers_[i].member)) continue;
-        ++live;
-        if (!(rc->gp[i].valid && rc->gp[i].closed)) {
-          all_closed = false;
-          break;
-        }
-      }
-      if (live > 0) rc->p_closed = all_closed;
-    }
+    // "Peer closed" means EVERY watched peer closed its replica — GC must
+    // not reap the final-counter record while a slower peer still
+    // reconciles against it.
+    if (live > 0) rc->p_closed = all_closed;
   }
 
-  // FIN arbitration: the peer generated a FIN/RST. A group leader holding a
-  // withheld FIN settles only on full agreement (every live member FINed);
-  // a lone member's FIN with no local counterpart still arms the
+  // FIN arbitration: the peer generated a FIN/RST. A primary holding a
+  // withheld FIN settles only on full agreement (every watched peer FINed);
+  // a lone peer's FIN with no local counterpart still arms the
   // disagreement timer below via on_peer_fin_notice.
   if (rc->p_fin || rc->p_rst) {
-    const bool group_leader = g != nullptr && role_ == Role::kPrimary;
-    if (!group_leader || !rc->fin_withheld || group_fins_agree(*rc)) {
+    if (role_ != Role::kPrimary || !rc->fin_withheld || fins_agree(*rc)) {
       on_peer_fin_notice(*rc);
     }
   }
@@ -635,15 +616,11 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
       rc->ever_served && now - rc->last_served_at < cfg_.hb_period * 3;
   // No lag conviction while a reintegration is in flight: the rejoiner is
   // still catching up by design. Trackers are reset when FT resumes.
-  // Channel liveness is per-member in group mode: the endpoint-level stamps
-  // mix every member's beats, so a single member's dead NIC would vanish in
-  // the aggregate.
-  const bool peer_ip_ok = peer_idx < 0
-                              ? ip_channel_alive()
-                              : peer_ip_alive(peers_[static_cast<std::size_t>(peer_idx)]);
-  const bool peer_serial_ok =
-      peer_idx < 0 ? serial_channel_alive()
-                   : peer_serial_alive(peers_[static_cast<std::size_t>(peer_idx)]);
+  // Channel liveness is the sender's own: another peer's beats must not
+  // mask this peer's dead NIC.
+  Peer& sender = peers_[pi];
+  const bool peer_ip_ok = peer_ip_alive(sender);
+  const bool peer_serial_ok = peer_serial_alive(sender);
   const bool detection_eligible = mode_ == Mode::kReplicating &&
                                   rc->conn != nullptr && !rc->local_closed &&
                                   !(local_closing && peer_closing) &&
@@ -660,13 +637,12 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
       m_app_lag_bytes_->set(static_cast<std::int64_t>(lag));
     }
     if (v_read.failed) {
-      convict_from_record(peer_idx, sim::cat("app read lag: ", v_read.reason),
-                          "app_failure_detected");
+      convict(sender, sim::cat("app read lag: ", v_read.reason), "app_failure_detected");
       return;
     }
     if (v_written.failed) {
-      convict_from_record(peer_idx, sim::cat("app write lag: ", v_written.reason),
-                          "app_failure_detected");
+      convict(sender, sim::cat("app write lag: ", v_written.reason),
+              "app_failure_detected");
       return;
     }
   }
@@ -679,10 +655,10 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
     const auto v_rx = rc->lag_received.update(rc->received(), rc->p_received, now);
     const auto v_ack = rc->lag_acked.update(rc->acked(), rc->p_acked, now);
     if (v_rx.failed || v_ack.failed) {
-      convict_from_record(peer_idx,
-                          sim::cat("NIC failure (client-byte comparison): ",
-                                   v_rx.failed ? v_rx.reason : v_ack.reason),
-                          "nic_failure_detected");
+      convict(sender,
+              sim::cat("NIC failure (client-byte comparison): ",
+                       v_rx.failed ? v_rx.reason : v_ack.reason),
+              "nic_failure_detected");
       return;
     }
   }
@@ -692,93 +668,155 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
 }
 
 void StTcpEndpoint::detector_tick() {
-  if (group_mode()) {
-    group_detector_tick();
-    return;
+  if (!host_.alive()) return;
+  // A group leader keeps watching its live followers while it serves a
+  // rejoiner's snapshot (the rejoiner is outside the view until commit).
+  if (mode_ != Mode::kReplicating && mode_ != Mode::kReintegrating) return;
+  if (mode_ == Mode::kReplicating) gc_closed_conns();
+
+  for (Peer& p : peers_) {
+    if (!view_.contains(p.member)) continue;
+    // Table 1 row 1: heartbeat failure on every link => the peer crashed.
+    // Without a shared RS-232 cable the IP channel is the only channel —
+    // peer_serial_alive() is constantly false there, so "both links dead"
+    // collapses to IP silence as intended.
+    if (!peer_ip_alive(p) && !peer_serial_alive(p)) {
+      world_.trace().record(host_.name(), "hb_both_links_dead", worded("", p.name));
+      convict(p,
+              worded("heartbeat failure on both links",
+                     sim::cat("heartbeat failure on all channels to ", p.name)),
+              "peer_dead");
+      return;  // one conviction per tick; the next period re-evaluates
+    }
+    if (p.app_suspect) {
+      convict(p,
+              worded("watchdog reported peer application failure",
+                     sim::cat("watchdog reported application failure on ", p.name)),
+              "watchdog_failure");
+      return;
+    }
   }
-  if (!active()) return;
-  gc_closed_conns();
 
-  const bool ip_alive = ip_channel_alive();
-  const bool serial_alive = serial_channel_alive();
-
-  if (!ip_alive && !serial_alive) {
-    // Table 1 row 1: HB failure on both links => peer crashed.
-    world_.trace().record(host_.name(), "hb_both_links_dead");
-    peer_failed("heartbeat failure on both links", "peer_dead");
-    return;
-  }
-
-  if (!ip_alive && serial_alive) {
-    // Table 1 row 4 territory: local network failure somewhere. Start (or
-    // continue) gateway-ping arbitration; conviction happens here or in
-    // process_record via the byte-count comparison.
+  // Table 1 row 4 territory: a watched peer is IP-silent while its serial
+  // beat still arrives — a local network failure somewhere. Start (or
+  // continue) gateway-ping arbitration; conviction happens here or in
+  // process_record via the byte-count comparison.
+  const auto in_nic_window = [this](const Peer& p) {
+    return view_.contains(p.member) && !peer_ip_alive(p) && peer_serial_alive(p);
+  };
+  if (std::any_of(peers_.begin(), peers_.end(), in_nic_window)) {
     if (!ping_loop_active_) {
+      // Every window counts only its own failures: a report that straddled
+      // the previous window's close must not shorten this one.
+      for (Peer& p : peers_) p.ping_fail_streak = 0;
       ping_loop_active_ = true;
       world_.trace().record(host_.name(), "nic_arbitration_start");
       update_ping_loop();
     }
-    evaluate_nic_arbitration();
-  } else if (ping_loop_active_) {
+    for (Peer& p : peers_) {
+      if (in_nic_window(p) && my_ping_valid_ && my_ping_ok_ &&
+          p.ping_fail_streak >= cfg_.ping_fail_threshold) {
+        convict(p,
+                sim::cat("gateway ping arbitration: ", worded("peer", p.name),
+                         " failed ", p.ping_fail_streak, " consecutive pings"),
+                "nic_failure_detected");
+        return;
+      }
+    }
+  } else if (ping_loop_active_ && !ballot_.active) {
+    // The window closed: stop pinging and forget every streak, so the next
+    // flap needs ping_fail_threshold fresh failures. (A promotion candidate
+    // keeps the loop running — its win is gated on it.)
     ping_loop_active_ = false;
     my_ping_valid_ = false;
-    peer_ping_fail_streak_ = 0;
+    for (Peer& p : peers_) p.ping_fail_streak = 0;
     ping_timer_.cancel();
   }
 
-  if (peer_app_suspect_) {
-    peer_failed("watchdog reported peer application failure", "watchdog_failure");
-    return;
-  }
+  if (mode_ != Mode::kReplicating) return;
 
-  // Grey-failure conviction: progress-counter stagnation (lag.h
-  // ProgressWatch). Only meaningful while heartbeats still arrive — silence
-  // is the classic detector's jurisdiction — and only evaluated by the
-  // backup: a stalled PRIMARY freezes both sides' counters at the same
-  // value, so the relative lag trackers above never trip, while a stalled
-  // backup is already caught by the primary's write-lag tracker. Gating the
-  // absolute criterion to one role also means a grey host can never convict
-  // its healthy peer with it (the healthy primary's counters freeze only
-  // when the client stops acknowledging — which the demand test requires).
-  if (role_ == Role::kBackup && ip_alive) {
-    const sim::SimTime now = world_.now();
+  if (leads(my_member())) {
     for (auto& [id, rc] : conns_) {
-      if (!rc->progress.enabled()) break;  // same config for every conn
-      if (rc->conn == nullptr || rc->local_closed || !rc->peer_valid) continue;
-      if (rc->p_fin || rc->p_rst || rc->p_closed) continue;
-      if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
-      if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
-      // Demand: this replica holds bytes the client has not acknowledged —
-      // if the primary were healthy, SOME counter would be moving.
-      const bool demand = rc->written() > rc->acked();
-      const auto v = rc->progress.check(demand, now);
-      if (v.failed) {
-        if (timeline_ != nullptr) {
-          timeline_->mark(obs::Milestone::kProgressStall, now);
+      ensure_peer_progress(*rc);
+      if (rc->conn != nullptr && !rc->local_closed) {
+        // A connection a peer never started replicating within the grace
+        // period means the peer application is not accepting (e.g. it
+        // crashed between connections). The baseline restarts when the peer
+        // (re)joined the tracking, not just when the connection opened.
+        for (std::size_t i = 0; i < peers_.size(); ++i) {
+          if (!view_.contains(peers_[i].member)) continue;
+          const ReplConn::PeerProgress& g = rc->gp[i];
+          const sim::SimTime base =
+              g.since < rc->registered_at ? rc->registered_at : g.since;
+          if (!g.valid && world_.now() - base > cfg_.replica_setup_grace) {
+            convict(peers_[i],
+                    sim::cat(worded("peer", sim::cat("member ", peers_[i].name)),
+                             " never replicated connection ", rc->tuple.str()),
+                    "app_failure_detected");
+            return;
+          }
         }
-        peer_failed(sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
-                    "progress_stall_detected");
-        return;
+      }
+      // Deferred hold-buffer overflow (set from the rx tap). The buffer is
+      // pinned by the slowest watched peer: convict it.
+      if (rc->hold.overflowed()) {
+        Peer* slow = nullptr;
+        std::uint64_t slow_rx = 0;
+        for (std::size_t i = 0; i < peers_.size(); ++i) {
+          if (!view_.contains(peers_[i].member)) continue;
+          const std::uint64_t rx = rc->gp[i].valid ? rc->gp[i].received : 0;
+          if (slow == nullptr || rx < slow_rx) {
+            slow = &peers_[i];
+            slow_rx = rx;
+          }
+        }
+        if (slow != nullptr) {
+          convict(*slow,
+                  sim::cat("hold buffer overflow: ",
+                           worded("backup", "slowest member"), " cannot catch up"),
+                  "hold_overflow");
+          return;
+        }
+      }
+    }
+  } else {
+    // Grey-failure conviction: progress-counter stagnation against the
+    // leader (lag.h ProgressWatch). Only meaningful while its heartbeats
+    // still arrive over IP — silence is the classic detector's jurisdiction
+    // — and only evaluated by backups: a stalled LEADER freezes both sides'
+    // counters at the same value, so the relative lag trackers never trip,
+    // while a stalled backup is already caught by the leader's write-lag
+    // tracker. Gating the absolute criterion to one role also means a grey
+    // host can never convict its healthy leader with it (the healthy
+    // leader's counters freeze only when the client stops acknowledging —
+    // which the demand test requires).
+    const auto lp = std::find_if(peers_.begin(), peers_.end(),
+                                 [this](const Peer& p) { return leads(p.member); });
+    if (lp != peers_.end() && peer_ip_alive(*lp)) {
+      const sim::SimTime now = world_.now();
+      for (auto& [id, rc] : conns_) {
+        if (!rc->progress.enabled()) break;  // same config for every conn
+        if (rc->conn == nullptr || rc->local_closed || !rc->peer_valid) continue;
+        if (rc->p_fin || rc->p_rst || rc->p_closed) continue;
+        if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
+        if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
+        // Demand: this replica holds bytes the client has not acknowledged —
+        // if the leader were healthy, SOME counter would be moving.
+        const bool demand = rc->written() > rc->acked();
+        const auto v = rc->progress.check(demand, now);
+        if (v.failed) {
+          if (timeline_ != nullptr) {
+            timeline_->mark(obs::Milestone::kProgressStall, now);
+          }
+          convict(*lp, sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
+                  "progress_stall_detected");
+          return;
+        }
       }
     }
   }
 
-  // A connection the peer never started replicating within the grace period
-  // means the peer application is not accepting (e.g. it crashed between
-  // connections).
-  for (auto& [id, rc] : conns_) {
-    if (!rc->peer_valid && rc->conn != nullptr && !rc->local_closed &&
-        world_.now() - rc->registered_at > cfg_.replica_setup_grace) {
-      peer_failed(sim::cat("peer never replicated connection ", rc->tuple.str()),
-                  "app_failure_detected");
-      return;
-    }
-    // Deferred hold-buffer overflow (set from the rx tap).
-    if (rc->hold.overflowed()) {
-      peer_failed("hold buffer overflow: backup cannot catch up", "hold_overflow");
-      return;
-    }
-  }
+  if (awaiting_leader_) evaluate_promotion();
 }
 
 // ---------------------------------------------------------------------------
@@ -845,7 +883,7 @@ void StTcpEndpoint::register_primary_conn(tcp::TcpConnection& conn) {
   rc->registered_at = world_.now();
   conns_.emplace(id, std::move(rc));
   id_by_tuple_[conn.tuple()] = id;
-  if (group_mode()) ensure_group_progress(*conns_[id]);
+  ensure_peer_progress(*conns_[id]);
 
   install_primary_seams(conn, id);
 
@@ -1011,12 +1049,12 @@ bool StTcpEndpoint::close_gate(std::uint16_t id, bool is_rst) {
   // received a FIN from the client."
   if (rc->conn->peer_half_closed()) return true;
 
-  // Agreement: the peer generated one too => normal closure. A group leader
-  // needs EVERY live member to have produced the FIN/RST — one healthy
-  // member's silence keeps the arbitration open.
-  const bool agreed = group_mode() && role_ == Role::kPrimary
-                          ? group_fins_agree(*rc)
-                          : (rc->p_fin || rc->p_rst);
+  // Agreement: the peer generated one too => normal closure. A primary
+  // needs EVERY watched peer to have produced the FIN/RST — one healthy
+  // member's silence keeps the arbitration open. (A backup hears only the
+  // leader, whose notice is the shared p_fin/p_rst.)
+  const bool agreed =
+      role_ == Role::kPrimary ? fins_agree(*rc) : (rc->p_fin || rc->p_rst);
   if (agreed) {
     ++stats_.fin_agreed;
     world_.trace().record(host_.name(), "fin_agreed", rc->tuple.str());
@@ -1074,21 +1112,17 @@ void StTcpEndpoint::on_peer_fin_notice(ReplConn& rc) {
       if (r == nullptr || r->conn == nullptr) return;
       if (r->conn->fin_generated() || r->conn->rst_generated()) return;  // agreed since
       if (role_ == Role::kPrimary) {
-        if (group_mode()) {
-          // Convict the member whose lone FIN/RST started the disagreement.
-          for (std::size_t i = 0; i < peers_.size(); ++i) {
-            if (!view_.contains(peers_[i].member)) continue;
-            if (i < r->gp.size() && (r->gp[i].fin || r->gp[i].rst)) {
-              member_failed(i,
-                            "member generated FIN/RST with no local counterpart",
-                            "fin_disagreement");
-              return;
-            }
-          }
-          return;
-        }
-        peer_failed("backup generated FIN/RST with no local counterpart",
+        // Convict the peer whose lone FIN/RST started the disagreement.
+        for (std::size_t i = 0; i < peers_.size(); ++i) {
+          if (!view_.contains(peers_[i].member)) continue;
+          if (i < r->gp.size() && (r->gp[i].fin || r->gp[i].rst)) {
+            convict(peers_[i],
+                    sim::cat(worded("backup", "member"),
+                             " generated FIN/RST with no local counterpart"),
                     "fin_disagreement");
+            return;
+          }
+        }
       } else {
         world_.trace().record(host_.name(), "fin_disagreement_expired",
                               r->tuple.str());
@@ -1114,15 +1148,6 @@ void StTcpEndpoint::update_ping_loop() {
   ping_timer_.arm(cfg_.ping_interval, [this] { update_ping_loop(); });
 }
 
-void StTcpEndpoint::evaluate_nic_arbitration() {
-  if (my_ping_valid_ && my_ping_ok_ &&
-      peer_ping_fail_streak_ >= cfg_.ping_fail_threshold) {
-    peer_failed(sim::cat("gateway ping arbitration: peer failed ",
-                         peer_ping_fail_streak_, " consecutive pings"),
-                "nic_failure_detected");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Missed-byte recovery (§4.3 temporary failures)
 // ---------------------------------------------------------------------------
@@ -1131,7 +1156,7 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
   if (rc.conn == nullptr) return;
   // Only the leader holds the bytes; a fenced-out or leaderless view has no
   // one to ask (the promotion settles first).
-  const net::Ipv4Addr dst = group_mode() ? group_leader_ip() : cfg_.peer_ip;
+  const net::Ipv4Addr dst = leader_ip();
   if (dst.is_zero()) return;
   const std::uint64_t mine = rc.conn->bytes_received();
   if (rc.p_received <= mine) return;
@@ -1155,7 +1180,7 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
 
 void StTcpEndpoint::on_control_datagram(net::Ipv4Addr src, net::BytesView payload) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
-  if (src == cfg_.peer_ip || peer_index_by_ip(src) >= 0) {
+  if (peer_index_by_ip(src) >= 0) {
     // Snapshot-transfer datagrams (reintegration) are routed before
     // ControlMsg::parse, which only understands the recovery messages.
     if (!payload.empty() &&
@@ -1169,6 +1194,12 @@ void StTcpEndpoint::on_control_datagram(net::Ipv4Addr src, net::BytesView payloa
       ++stats_.control_malformed;
       return;
     }
+    // Promotion and views (types 8-10) are group-only: a pair never sends
+    // them and ignores them.
+    const bool group_type = msg->type == ControlType::kPromoteRequest ||
+                            msg->type == ControlType::kPromoteAck ||
+                            msg->type == ControlType::kViewAnnounce;
+    if (group_type && !group_mode()) return;
     switch (msg->type) {
       case ControlType::kMissedBytesRequest:
         serve_missed(msg->request, src);
@@ -1263,35 +1294,11 @@ void StTcpEndpoint::apply_missed(const MissedBytesReply& rep) {
 // Failure reactions
 // ---------------------------------------------------------------------------
 
-void StTcpEndpoint::peer_failed(const std::string& reason, const char* trace_event) {
-  if (!active()) return;
-  if (timeline_ != nullptr) {
-    timeline_->mark(obs::Milestone::kChannelDead, world_.now());
-    timeline_->set_conviction(trace_event, app_lag_peak_bytes_);
-  }
-  if (auto* reg = world_.metrics()) {
-    // One counter per conviction criterion: the grey bench sums these to
-    // prove convictions came from progress counters, not heartbeat silence.
-    reg->counter("sttcp." + host_.name() + ".conviction." + trace_event).inc();
-  }
-  world_.trace().record(host_.name(), trace_event, reason);
-  // Uniform marker (detail = the criterion event): the grey invariant check
-  // counts convictions without enumerating every criterion name.
-  world_.trace().record(host_.name(), "peer_convicted", trace_event);
-  log_.warn("peer declared failed: ", reason);
-  if (role_ == Role::kBackup) {
-    takeover(reason);
-  } else {
-    stonith_peer();
-    go_non_ft(reason);
-  }
-}
-
 void StTcpEndpoint::takeover(const std::string& reason) {
   ++stats_.takeovers;
   mode_ = Mode::kTakenOver;
   // Power the primary down BEFORE assuming the connection — no dual-active.
-  stonith_peer();
+  flush_stonith_pending();
   stack_.set_replica_mode(false);
   // Promote the decision log BEFORE unsuppressing: the app's promote hook
   // drains the replayed backlog, and any response it releases must see the
@@ -1371,20 +1378,12 @@ void StTcpEndpoint::go_non_ft(const std::string& reason) {
   log_.warn("running NON-FAULT-TOLERANT: ", reason);
 }
 
-void StTcpEndpoint::stonith_peer() {
-  if (timeline_ != nullptr) timeline_->mark(obs::Milestone::kStonith, world_.now());
-  world_.trace().record(host_.name(), "stonith", cfg_.peer_name);
-  if (!power_.power_off(cfg_.peer_name)) {
-    log_.warn("STONITH of ", cfg_.peer_name, " failed (power controller)");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // 1+N groups (group.h, docs/GROUPS.md)
 // ---------------------------------------------------------------------------
 
-StTcpEndpoint::GroupPeer* StTcpEndpoint::peer_by_member(std::uint8_t m) {
-  for (GroupPeer& p : peers_) {
+StTcpEndpoint::Peer* StTcpEndpoint::peer_by_member(std::uint8_t m) {
+  for (Peer& p : peers_) {
     if (p.member == m) return &p;
   }
   return nullptr;
@@ -1397,25 +1396,45 @@ int StTcpEndpoint::peer_index_by_ip(net::Ipv4Addr ip) const {
   return -1;
 }
 
-bool StTcpEndpoint::peer_ip_alive(const GroupPeer& p) const {
+bool StTcpEndpoint::peer_ip_alive(const Peer& p) const {
   const sim::Duration deadline =
       cfg_.hb_period * cfg_.hb_miss_threshold + cfg_.hb_period / 2;
   return world_.now() - p.last_rx_ip <= deadline;
 }
 
-bool StTcpEndpoint::peer_serial_alive(const GroupPeer& p) const {
+bool StTcpEndpoint::peer_serial_alive(const Peer& p) const {
   if (!p.has_serial) return false;
   const sim::Duration deadline =
       cfg_.hb_period * cfg_.hb_miss_threshold + cfg_.hb_period / 2;
   return world_.now() - p.last_rx_serial <= deadline;
 }
 
-void StTcpEndpoint::ensure_group_progress(ReplConn& rc) {
+void StTcpEndpoint::reset_peer(Peer& p) {
+  p.last_rx_ip = world_.now();
+  p.last_rx_serial = world_.now();
+  p.seen_hb = false;
+  p.app_suspect = false;
+  p.ping_fail_streak = 0;
+}
+
+void StTcpEndpoint::ensure_peer_progress(ReplConn& rc) {
   while (rc.gp.size() < peers_.size()) {
     ReplConn::PeerProgress g;
-    g.since = world_.now();
+    g.since = rc.registered_at;
     rc.gp.push_back(g);
   }
+}
+
+StTcpEndpoint::ReplConn::PeerProgress& StTcpEndpoint::progress_of(ReplConn& rc,
+                                                                 const Peer& p) {
+  ensure_peer_progress(rc);
+  return rc.gp[static_cast<std::size_t>(&p - peers_.data())];
+}
+
+void StTcpEndpoint::restart_peer_progress(ReplConn& rc, std::size_t pi) {
+  ensure_peer_progress(rc);
+  rc.gp[pi] = ReplConn::PeerProgress{};
+  rc.gp[pi].since = world_.now();
 }
 
 void StTcpEndpoint::update_group_gauges() {
@@ -1423,274 +1442,69 @@ void StTcpEndpoint::update_group_gauges() {
   if (m_epoch_ != nullptr) m_epoch_->set(static_cast<std::int64_t>(view_.epoch));
 }
 
-net::Ipv4Addr StTcpEndpoint::group_leader_ip() const {
-  if (view_.order.empty() || view_.leader() == my_member()) return net::Ipv4Addr();
-  return cfg_.group[view_.leader()].ip;
+net::Ipv4Addr StTcpEndpoint::leader_ip() const {
+  for (const Peer& p : peers_) {
+    if (leads(p.member)) return p.ip;
+  }
+  return net::Ipv4Addr();
 }
 
-bool StTcpEndpoint::group_fins_agree(const ReplConn& rc) const {
-  std::size_t live = 0;
+bool StTcpEndpoint::fins_agree(const ReplConn& rc) const {
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     if (!view_.contains(peers_[i].member)) continue;
-    ++live;
     if (i >= rc.gp.size()) return false;
     if (!rc.gp[i].valid || !(rc.gp[i].fin || rc.gp[i].rst)) return false;
   }
-  return live > 0;
+  return true;
 }
 
-void StTcpEndpoint::on_group_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
-  if (!msg.group_valid || msg.member == my_member()) return;
-  GroupPeer* p = peer_by_member(msg.member);
-  if (p == nullptr) return;
-  const int pi = static_cast<int>(p - peers_.data());
-
-  // Rejoin solicitations: the group leader serves them while replicating; a
-  // survivor that fell out of replication (last one standing) serves them
-  // like the classic pair.
-  if (msg.rejoin_request &&
-      (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant ||
-       mode_ == Mode::kReintegrating ||
-       (mode_ == Mode::kReplicating && view_.is_leader(my_member())))) {
-    reintegrator_->on_rejoin_request(msg.rejoin_epoch, msg.member);
-  }
-
-  if (via_serial) {
-    if (m_hb_gap_serial_us_ != nullptr) {
-      m_hb_gap_serial_us_->record(
-          static_cast<std::uint64_t>((world_.now() - p->last_rx_serial).us()));
-    }
-    p->last_rx_serial = world_.now();
-    last_rx_serial_ = world_.now();
-    ++stats_.hb_received_serial;
-  } else {
-    if (m_hb_gap_ip_us_ != nullptr) {
-      m_hb_gap_ip_us_->record(
-          static_cast<std::uint64_t>((world_.now() - p->last_rx_ip).us()));
-    }
-    p->last_rx_ip = world_.now();
-    last_rx_ip_ = world_.now();
-    ++stats_.hb_received_ip;
-  }
-  if (timeline_ != nullptr) timeline_->heartbeat_seen(world_.now());
-
-  // Per-peer bounded-reorder guard (see the pair path in on_heartbeat).
-  const auto seq_delta = static_cast<std::int32_t>(msg.hb_seq - p->last_hb_seq);
-  if (p->seen_hb && seq_delta < 0 && seq_delta > -4096) {
-    ++stats_.hb_stale;
-    return;
-  }
-  p->seen_hb = true;
-  p->last_hb_seq = msg.hb_seq;
-
-  // Conviction revert: we convicted this member, yet here it is — alive and
-  // claiming leadership with a view at least as new as ours. The conviction
-  // was wrong (a grey channel, not a dead host); reinstate it before its
-  // queued STONITH can ever fire.
-  if (awaiting_leader_ && !view_.contains(msg.member) &&
-      !msg.view_order.empty() && msg.view_order.front() == msg.member &&
-      msg.view_epoch >= view_.epoch) {
-    view_.order.insert(view_.order.begin(), msg.member);
-    stonith_pending_.erase(
-        std::remove(stonith_pending_.begin(), stonith_pending_.end(), msg.member),
-        stonith_pending_.end());
-    awaiting_leader_ = false;
-    ballot_.reset();
-    promote_timer_.cancel();
-    world_.trace().record(host_.name(), "conviction_reverted", p->name);
-  }
-
-  maybe_adopt_view(msg.view_epoch, msg.view_order);  // may fence us into rejoin
-
-  if (msg.rejoin_ready &&
-      (mode_ == Mode::kReintegrating ||
-       (mode_ == Mode::kReplicating && view_.is_leader(my_member())))) {
-    reintegrator_->on_rejoin_ready(msg.rejoin_epoch, msg.member);
-  }
-  if (!replicating_or_reintegrating()) return;
-
-  if (msg.ping_valid) {
-    p->ping_fail_streak = msg.ping_ok ? 0 : p->ping_fail_streak + 1;
-  }
-  if (msg.app_suspect && mode_ == Mode::kReplicating && view_.contains(msg.member)) {
-    p->app_suspect = true;
-  }
-
-  if (mode_ == Mode::kRejoining && !reintegrator_->snapshot_applied()) return;
-
-  // Records count only on the leader<->backup axis: a backup hears another
-  // backup's heartbeats for liveness and promotion, not for replication.
-  const bool process_records = view_.is_leader(my_member()) ||
-                               view_.is_leader(msg.member) ||
-                               mode_ == Mode::kRejoining;
-  if (!process_records) return;
-  for (const HbRecord& rec : msg.records) {
-    if (!replicating_or_reintegrating()) break;
-    process_record(rec, pi);
-  }
-}
-
-void StTcpEndpoint::group_detector_tick() {
-  if (!host_.alive()) return;
+void StTcpEndpoint::convict(Peer& p, const std::string& reason,
+                            const char* trace_event) {
+  // A pair's rejoiner is outside the view until its commit, so only a group
+  // leader convicts while it serves a snapshot.
   if (mode_ != Mode::kReplicating && mode_ != Mode::kReintegrating) return;
-  if (mode_ == Mode::kReplicating) gc_closed_conns();
-
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    GroupPeer& p = peers_[i];
-    if (!view_.contains(p.member)) continue;
-    // For a pairing without a shared RS-232 cable the IP channel is the only
-    // channel — peer_serial_alive() is constantly false there, so the
-    // classic "both links dead" collapses to IP silence as intended.
-    if (!peer_ip_alive(p) && !peer_serial_alive(p)) {
-      world_.trace().record(host_.name(), "hb_both_links_dead", p.name);
-      member_failed(i, sim::cat("heartbeat failure on all channels to ", p.name),
-                    "peer_dead");
-      return;  // one conviction per tick; the next period re-evaluates
-    }
-    if (p.app_suspect) {
-      member_failed(i, sim::cat("watchdog reported application failure on ", p.name),
-                    "watchdog_failure");
-      return;
-    }
-  }
-
-  // Gateway-ping arbitration window: a live member is IP-silent while its
-  // serial beat still arrives (Table 1 row 4, lifted to the group).
-  bool nic_window = false;
-  for (const GroupPeer& p : peers_) {
-    if (!view_.contains(p.member)) continue;
-    if (!peer_ip_alive(p) && peer_serial_alive(p)) {
-      nic_window = true;
-      break;
-    }
-  }
-  if (nic_window) {
-    if (!ping_loop_active_) {
-      ping_loop_active_ = true;
-      world_.trace().record(host_.name(), "nic_arbitration_start");
-      update_ping_loop();
-    }
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      GroupPeer& p = peers_[i];
-      if (!view_.contains(p.member)) continue;
-      if (!peer_ip_alive(p) && peer_serial_alive(p) && my_ping_valid_ &&
-          my_ping_ok_ && p.ping_fail_streak >= cfg_.ping_fail_threshold) {
-        member_failed(i,
-                      sim::cat("gateway ping arbitration: ", p.name, " failed ",
-                               p.ping_fail_streak, " consecutive pings"),
-                      "nic_failure_detected");
-        return;
-      }
-    }
-  } else if (ping_loop_active_ && !ballot_.active) {
-    // Candidates keep the loop running — their win is gated on it.
-    ping_loop_active_ = false;
-    my_ping_valid_ = false;
-    ping_timer_.cancel();
-  }
-
-  if (mode_ != Mode::kReplicating) return;
-  const bool leader = view_.is_leader(my_member());
-
-  if (leader) {
-    for (auto& [id, rc] : conns_) {
-      if (rc->conn == nullptr || rc->local_closed) continue;
-      ensure_group_progress(*rc);
-      // Never-replicated grace, per member: the baseline restarts when the
-      // member (re)joined the tracking, not just when the connection opened.
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (!view_.contains(peers_[i].member)) continue;
-        const auto& g = rc->gp[i];
-        const sim::SimTime base =
-            g.since < rc->registered_at ? rc->registered_at : g.since;
-        if (!g.valid && world_.now() - base > cfg_.replica_setup_grace) {
-          member_failed(i,
-                        sim::cat("member ", peers_[i].name,
-                                 " never replicated connection ", rc->tuple.str()),
-                        "app_failure_detected");
-          return;
-        }
-      }
-      if (rc->hold.overflowed()) {
-        // The buffer is pinned by the slowest live member: convict it.
-        int slow = -1;
-        std::uint64_t slow_rx = 0;
-        for (std::size_t i = 0; i < peers_.size(); ++i) {
-          if (!view_.contains(peers_[i].member)) continue;
-          const std::uint64_t rx = rc->gp[i].valid ? rc->gp[i].received : 0;
-          if (slow < 0 || rx < slow_rx) {
-            slow = static_cast<int>(i);
-            slow_rx = rx;
-          }
-        }
-        if (slow >= 0) {
-          member_failed(static_cast<std::size_t>(slow),
-                        "hold buffer overflow: slowest member cannot catch up",
-                        "hold_overflow");
-          return;
-        }
-      }
-    }
-  } else {
-    // Backup: grey-failure progress stall against the leader (the same
-    // criterion and gating as the pair path in detector_tick).
-    const sim::SimTime now = world_.now();
-    for (auto& [id, rc] : conns_) {
-      if (!rc->progress.enabled()) break;  // same config for every conn
-      if (rc->conn == nullptr || rc->local_closed || !rc->peer_valid) continue;
-      if (rc->p_fin || rc->p_rst || rc->p_closed) continue;
-      if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
-      if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
-      const bool demand = rc->written() > rc->acked();
-      const auto v = rc->progress.check(demand, now);
-      if (v.failed) {
-        if (timeline_ != nullptr) {
-          timeline_->mark(obs::Milestone::kProgressStall, now);
-        }
-        GroupPeer* lp = peer_by_member(view_.leader());
-        if (lp != nullptr) {
-          member_failed(static_cast<std::size_t>(lp - peers_.data()),
-                        sim::cat("progress stall on ", rc->tuple.str(), ": ",
-                                 v.reason),
-                        "progress_stall_detected");
-        }
-        return;
-      }
-    }
-  }
-
-  if (awaiting_leader_ && mode_ == Mode::kReplicating) evaluate_promotion();
-}
-
-void StTcpEndpoint::convict_from_record(int peer_idx, const std::string& reason,
-                                        const char* trace_event) {
-  if (group_mode() && peer_idx >= 0) {
-    member_failed(static_cast<std::size_t>(peer_idx), reason, trace_event);
-  } else {
-    peer_failed(reason, trace_event);
-  }
-}
-
-void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reason,
-                                  const char* trace_event) {
-  if (mode_ != Mode::kReplicating && mode_ != Mode::kReintegrating) return;
-  if (peer_idx >= peers_.size()) return;
-  GroupPeer& p = peers_[peer_idx];
   if (!view_.contains(p.member)) return;
+  // A group names the convicted member in the stamp; a pair has one peer.
+  const bool group = group_mode();
 
   if (timeline_ != nullptr) {
     timeline_->mark(obs::Milestone::kChannelDead, world_.now());
-    timeline_->set_conviction(trace_event, app_lag_peak_bytes_, p.name);
+    timeline_->set_conviction(trace_event, app_lag_peak_bytes_,
+                              group ? p.name : std::string());
   }
   if (auto* reg = world_.metrics()) {
+    // One counter per conviction criterion: the grey bench sums these to
+    // prove convictions came from progress counters, not heartbeat silence.
     const std::string prefix = "sttcp." + host_.name();
     reg->counter(prefix + ".conviction." + trace_event).inc();
-    reg->counter(prefix + ".convicted_member." + p.name).inc();
+    if (group) reg->counter(prefix + ".convicted_member." + p.name).inc();
   }
   world_.trace().record(host_.name(), trace_event, reason);
+  // Uniform marker (detail = the criterion event): the grey invariant check
+  // counts convictions without enumerating every criterion name.
   world_.trace().record(host_.name(), "peer_convicted", trace_event);
-  world_.trace().record(host_.name(), "member_convicted", p.name);
-  log_.warn("member ", p.name, " declared failed: ", reason);
+  if (group) {
+    world_.trace().record(host_.name(), "member_convicted", p.name);
+    log_.warn("member ", p.name, " declared failed: ", reason);
+  } else {
+    log_.warn("peer declared failed: ", reason);
+  }
+  if (std::find(stonith_pending_.begin(), stonith_pending_.end(), p.member) ==
+      stonith_pending_.end()) {
+    stonith_pending_.push_back(p.member);
+  }
+
+  if (!group) {
+    // The pair's reaction: the backup takes over, the primary continues
+    // alone (non-fault-tolerant). Either way the peer is powered off first.
+    if (role_ == Role::kBackup) {
+      takeover(reason);
+    } else {
+      flush_stonith_pending();
+      go_non_ft(reason);
+    }
+    return;
+  }
 
   // "Leader" here means the ESTABLISHED leader, not a front-of-view member
   // whose promotion is still unresolved: a candidate that convicts its last
@@ -1699,10 +1513,6 @@ void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reaso
   const bool i_was_leader = view_.is_leader(my_member()) && !awaiting_leader_;
   const bool victim_was_leader = view_.is_leader(p.member);
   view_.remove(p.member);
-  if (std::find(stonith_pending_.begin(), stonith_pending_.end(), p.member) ==
-      stonith_pending_.end()) {
-    stonith_pending_.push_back(p.member);
-  }
 
   if (i_was_leader) {
     // The leader convicts a backup: STONITH and fence it out immediately —
@@ -1713,12 +1523,8 @@ void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reaso
     ++stats_.view_changes;
     announce_view();
     update_group_gauges();
-    for (auto& [id, rc] : conns_) {
-      if (peer_idx < rc->gp.size()) {
-        rc->gp[peer_idx] = ReplConn::PeerProgress{};
-        rc->gp[peer_idx].since = world_.now();
-      }
-    }
+    const auto pi = static_cast<std::size_t>(&p - peers_.data());
+    for (auto& [id, rc] : conns_) restart_peer_progress(*rc, pi);
     if (view_.order.size() <= 1 && mode_ == Mode::kReplicating) {
       go_non_ft(reason);
     }
@@ -1736,7 +1542,7 @@ void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reaso
 }
 
 void StTcpEndpoint::evaluate_promotion() {
-  if (!group_mode() || mode_ != Mode::kReplicating || !awaiting_leader_) return;
+  if (mode_ != Mode::kReplicating || !awaiting_leader_) return;
   if (view_.order.empty()) return;
   if (view_.is_leader(my_member())) {
     become_candidate();
@@ -1761,7 +1567,7 @@ void StTcpEndpoint::on_defer_expired() {
     return;
   }
   const std::uint8_t cand = view_.leader();
-  GroupPeer* p = peer_by_member(cand);
+  Peer* p = peer_by_member(cand);
   if (p != nullptr && (peer_ip_alive(*p) || peer_serial_alive(*p))) {
     // The candidate is alive but has not won yet (its own quorum may still
     // be settling). NEVER convict a live candidate — re-arm and keep waiting.
@@ -1769,9 +1575,8 @@ void StTcpEndpoint::on_defer_expired() {
     return;
   }
   if (p != nullptr) {
-    member_failed(static_cast<std::size_t>(p - peers_.data()),
-                  sim::cat("promotion candidate ", p->name, " silent past defer"),
-                  "promote_defer_expired");
+    convict(*p, sim::cat("promotion candidate ", p->name, " silent past defer"),
+            "promote_defer_expired");
   }
 }
 
@@ -1804,7 +1609,7 @@ void StTcpEndpoint::become_candidate() {
   pr.candidate = my_member();
   for (const std::uint8_t m : ballot_.voters) {
     if (ballot_.granted_by(m)) continue;
-    GroupPeer* p = peer_by_member(m);
+    Peer* p = peer_by_member(m);
     if (p == nullptr) continue;
     host_.udp_send(cfg_.my_ip, cfg_.control_port, p->ip, cfg_.control_port,
                    pr.serialize());
@@ -1874,7 +1679,7 @@ void StTcpEndpoint::win_promotion() {
     // relative to OURS now), and primary-side seams on every live replica.
     for (auto& [id, rc] : conns_) {
       rc->gp.clear();
-      ensure_group_progress(*rc);
+      for (std::size_t pi = 0; pi < peers_.size(); ++pi) restart_peer_progress(*rc, pi);
       rc->lag_read.reset();
       rc->lag_written.reset();
       rc->lag_received.reset();
@@ -1900,7 +1705,7 @@ void StTcpEndpoint::win_promotion() {
 }
 
 void StTcpEndpoint::on_promote_request(net::Ipv4Addr src, const PromoteRequest& pr) {
-  if (!group_mode() || mode_ != Mode::kReplicating) return;
+  if (mode_ != Mode::kReplicating) return;
   PromoteAck ack;
   ack.epoch = pr.epoch;
   ack.candidate = pr.candidate;
@@ -1939,7 +1744,7 @@ void StTcpEndpoint::on_promote_request(net::Ipv4Addr src, const PromoteRequest& 
 }
 
 void StTcpEndpoint::on_promote_ack(const PromoteAck& ack) {
-  if (!group_mode() || mode_ != Mode::kReplicating) return;
+  if (mode_ != Mode::kReplicating) return;
   if (!ballot_.active || ack.candidate != my_member() ||
       ack.epoch != ballot_.epoch) {
     return;
@@ -1965,7 +1770,7 @@ void StTcpEndpoint::announce_view() {
   va.order = view_.order;
   // Every configured member hears it, including ones fenced out of the view:
   // a mis-convicted survivor must learn its fate quickly (and rejoin).
-  for (const GroupPeer& p : peers_) {
+  for (const Peer& p : peers_) {
     host_.udp_send(cfg_.my_ip, cfg_.control_port, p.ip, cfg_.control_port,
                    va.serialize());
   }
@@ -1988,7 +1793,7 @@ void StTcpEndpoint::flush_stonith_pending() {
 
 void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
                                      const std::vector<std::uint8_t>& order) {
-  if (!group_mode() || order.empty()) return;
+  if (order.empty()) return;
   if (static_cast<std::int32_t>(epoch - view_.epoch) <= 0) return;
   view_.epoch = epoch;
   view_.order = order;
@@ -2024,22 +1829,13 @@ void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
 }
 
 void StTcpEndpoint::group_commit_rejoin(std::uint8_t member) {
-  view_.append_lowest(member);
   ++view_.epoch;
   ++stats_.view_changes;
-  GroupPeer* p = peer_by_member(member);
+  Peer* p = peer_by_member(member);
   if (p != nullptr) {
     const std::size_t pi = static_cast<std::size_t>(p - peers_.data());
-    p->last_rx_ip = world_.now();
-    p->last_rx_serial = world_.now();
-    p->seen_hb = false;
-    p->app_suspect = false;
-    p->ping_fail_streak = 0;
-    for (auto& [id, rc] : conns_) {
-      ensure_group_progress(*rc);
-      rc->gp[pi] = ReplConn::PeerProgress{};
-      rc->gp[pi].since = world_.now();
-    }
+    reset_peer(*p);
+    for (auto& [id, rc] : conns_) restart_peer_progress(*rc, pi);
   }
   announce_view();
   update_group_gauges();

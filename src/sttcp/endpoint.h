@@ -1,7 +1,11 @@
 // StTcpEndpoint: the per-server ST-TCP engine (the paper's primary
 // contribution).
 //
-// One endpoint runs on the primary and one on the backup. Each:
+// One endpoint runs on every member of the replication roster
+// (StTcpConfig::group). A pair is a roster of two: one primary, one backup.
+// Every other member is a peer in one per-peer table, so the pair and the
+// 1+N group (docs/GROUPS.md) share the heartbeat, receive and detector
+// paths. Each endpoint:
 //  * exchanges heartbeats every hb_period on TWO channels — UDP over the IP
 //    link and the RS-232 serial link (§3) — carrying the per-connection
 //    progress counters, FIN/RST notices, connection announcements and
@@ -115,18 +119,20 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void report_local_app_suspect() { local_app_suspect_ = true; }
 
   // --- 1+N groups (docs/GROUPS.md) -------------------------------------------
-  /// True when cfg.group names a replication group; false = classic pair
-  /// mode, whose behaviour is preserved bit-for-bit.
-  bool group_mode() const { return !cfg_.group.empty(); }
-  /// Current group view (rank-ordered member list + epoch).
+  /// True when the roster has three or more members. A pair (two members)
+  /// runs on the same peer table but keeps the paper's wire format: no view
+  /// block in heartbeats, no control types 8-10.
+  bool group_mode() const { return cfg_.group.size() > 2; }
+  /// Current view (rank-ordered member list + epoch). A pair's view only
+  /// tracks which member is watched; its leader is whoever holds the
+  /// primary role.
   const GroupView& view() const { return view_; }
   /// This member's rank in its current view (0 = leader; -1 = fenced out).
   int promotion_rank() const {
-    return group_mode() ? view_.rank_of(my_member()) : (role_ == Role::kPrimary ? 0 : 1);
+    if (!group_mode()) return leads(my_member()) ? 0 : 1;
+    return view_.rank_of(my_member());
   }
-  bool is_group_leader() const {
-    return group_mode() && view_.is_leader(my_member());
-  }
+  bool is_group_leader() const { return group_mode() && leads(my_member()); }
 
   // --- reintegration (beyond the paper) --------------------------------------
   /// The application's checkpoint: serialized by the survivor into the
@@ -146,7 +152,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// unacked records and cumulative ack on every heartbeat (the 0x40 header
   /// block), acks promptly when ingest advances, promotes the log at
   /// takeover, and flips it standalone whenever the pair loses its peer.
-  /// Pair-scoped: group (1+N) endpoints ignore the log.
+  /// Pair-scoped: a group (1+N) endpoint does not attach the log.
   void set_decision_log(DecisionLog* log);
   DecisionLog* decision_log() const { return decision_log_; }
   /// Event-style decision-only heartbeat (IP channel, no connection
@@ -168,7 +174,9 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     HoldBuffer hold;  // primary only
     bool announce_confirmed = false;
 
-    // Peer state from heartbeat records (unwrapped to 64 bits).
+    // Peer state from heartbeat records (unwrapped to 64 bits). With more
+    // than one peer these are the maximum across peers (unwrap_counter
+    // ignores regressions) — what the backup-side detectors want.
     bool peer_valid = false;
     std::uint64_t p_received = 0;
     std::uint64_t p_acked = 0;
@@ -210,10 +218,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
     sim::SimTime registered_at;
 
-    // Group mode, leader side: per-member progress mirror, indexed like
-    // peers_. The shared p_* fields keep the most recent record's values
-    // (sufficient for the backup side and for lag detection); hold release
-    // and FIN agreement need the per-member minimum, which lives here.
+    // Per-peer progress mirror, indexed like peers_. Hold release, FIN
+    // agreement, announces and the never-replicated grace are per peer on
+    // the leader: a buffer is released only below the minimum confirmed
+    // across the watched peers.
     struct PeerProgress {
       bool valid = false;   // a record matched: the member's replica exists
       bool echoed = false;  // matched by OUR id: stop announcing to this member
@@ -244,6 +252,32 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     bool rst() const { return conn ? conn->rst_generated() : f_rst; }
   };
 
+  // --- per-peer table --------------------------------------------------------
+  /// Liveness/arbitration state for one OTHER roster member. A pair has
+  /// exactly one.
+  struct Peer {
+    std::uint8_t member = 0;
+    net::Ipv4Addr ip;
+    std::string name;
+    bool has_serial = false;  // shares the RS-232 cable with us (members 0/1)
+    sim::SimTime last_rx_ip;
+    sim::SimTime last_rx_serial;
+    // Bounded-reorder guard over the peer's heartbeat sequence (see
+    // on_heartbeat). A large backward jump is a rebooted peer, not staleness.
+    std::uint32_t last_hb_seq = 0;
+    bool seen_hb = false;
+    bool app_suspect = false;
+    int ping_fail_streak = 0;
+    // Rotating-window cursors (serial record cap and UDP byte budget — the
+    // IPv4 64 KB datagram limit). Cursors hold the next connection id to
+    // send, not a vector position: ids survive the churn of connections
+    // opening and closing between beats, so no record can be starved by
+    // recomposition. Each peer's window advances only with copies sent to
+    // IT, so a record cannot be starved on one channel by traffic to another.
+    std::uint16_t serial_rr_next_id = 0;
+    std::uint16_t udp_rr_next_id = 0;
+  };
+
   // Heartbeat path. Periodic beats go out on BOTH channels; event-triggered
   // beats (connection announce, FIN notice) go out on the IP channel only —
   // a full heartbeat costs milliseconds of serial wire time, and a burst of
@@ -254,25 +288,24 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   // The serial copy of the periodic beat can additionally be capped to
   // cfg_.serial_max_records records, rotated round-robin across periods
   // (the 115.2 kbps line cannot carry thousands of records per period).
+  /// One copy per peer, each with that peer's view of the announces and
+  /// its own rotation cursors.
   void send_heartbeat(bool include_serial = true);
   void send_event_heartbeat(std::uint16_t id);
   HeartbeatMsg make_hb_header();
-  /// peer_idx >= 0: group mode — the announce decision is per-member (taken
-  /// from rc.gp[peer_idx].echoed instead of rc.announce_confirmed).
-  HbRecord make_record(std::uint16_t id, const ReplConn& rc, int peer_idx = -1) const;
+  /// The announce decision is per peer: `pi` keeps seeing the announce until
+  /// it has echoed the id (rc.gp[pi].echoed).
+  HbRecord make_record(std::uint16_t id, const ReplConn& rc, std::size_t pi) const;
   void on_hb_datagram(net::BytesView payload, bool via_serial);
   void on_heartbeat(const HeartbeatMsg& msg, bool via_serial);
-  /// peer_idx >= 0: group mode, the peers_ index the record arrived from.
-  void process_record(const HbRecord& rec, int peer_idx = -1);
+  /// `pi`: the peers_ index the record arrived from.
+  void process_record(const HbRecord& rec, std::size_t pi);
   void detector_tick();
-  /// Shared tail of send_heartbeat: emit the (possibly budget-rotated) UDP
-  /// copy to `dst` and, when `serial` is non-null, the capped serial copy.
-  /// The rotation cursors are the CALLER's — per peer in group mode, the
-  /// endpoint-level pair cursors otherwise — so no peer's window is advanced
-  /// by a copy sent to a different peer.
-  void emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_bytes,
-                      net::Ipv4Addr dst, net::SerialPort* serial,
-                      std::uint16_t& udp_cursor, std::uint16_t& serial_cursor);
+  /// Emit the (possibly budget-rotated) UDP copy to `p` and, when `serial`
+  /// is non-null, the capped serial copy. The rotation cursors are the
+  /// peer's own, so no peer's window is advanced by a copy sent to another.
+  void emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_bytes, Peer& p,
+                      net::SerialPort* serial);
 
   // Registration. Replica ids wrap within their range (primary [1, 0x8000),
   // inferred [0x8000, 0xffff]) and skip ids still tracked — a long churn run
@@ -298,7 +331,6 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
   // NIC arbitration.
   void update_ping_loop();
-  void evaluate_nic_arbitration();
 
   // Recovery.
   void maybe_request_missed(ReplConn& rc);
@@ -310,55 +342,45 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void apply_missed(const MissedBytesReply& rep);
 
   // Failure reactions.
-  void peer_failed(const std::string& reason, const char* trace_event);
   void takeover(const std::string& reason);
   void go_non_ft(const std::string& reason);
-  void stonith_peer();
 
-  // --- 1+N group machinery (group.h, docs/GROUPS.md) -------------------------
-  /// Liveness/arbitration state for one OTHER group member. Pair mode keeps
-  /// this vector empty and uses the endpoint-level fields instead.
-  struct GroupPeer {
-    std::uint8_t member = 0;
-    net::Ipv4Addr ip;
-    std::string name;
-    bool has_serial = false;  // shares the RS-232 cable with us (members 0/1)
-    sim::SimTime last_rx_ip;
-    sim::SimTime last_rx_serial;
-    std::uint32_t last_hb_seq = 0;
-    bool seen_hb = false;
-    bool app_suspect = false;
-    int ping_fail_streak = 0;
-    // Per-peer rotating-window cursors (serial record cap and UDP byte
-    // budget): each member's window advances only with copies sent to IT, so
-    // a record cannot be starved on one channel by traffic to another.
-    std::uint16_t serial_rr_next_id = 0;
-    std::uint16_t udp_rr_next_id = 0;
-  };
-
-  std::uint8_t my_member() const { return static_cast<std::uint8_t>(cfg_.my_member); }
-  GroupPeer* peer_by_member(std::uint8_t m);
+  // --- per-peer helpers -----------------------------------------------------
+  std::uint8_t my_member() const { return my_member_; }
+  /// Who leads: in a group, the front of the view; in a pair, whichever
+  /// member holds the primary role (the pair swaps roles at reintegration
+  /// without a view change, and a backup keeps its role across a takeover).
+  bool leads(std::uint8_t m) const {
+    if (group_mode()) return view_.is_leader(m);
+    return (m == my_member()) == (role_ == Role::kPrimary);
+  }
+  Peer* peer_by_member(std::uint8_t m);
   int peer_index_by_ip(net::Ipv4Addr ip) const;
-  bool peer_ip_alive(const GroupPeer& p) const;
-  bool peer_serial_alive(const GroupPeer& p) const;
-  /// Lazily size rc.gp to peers_ and stamp fresh `since` baselines.
-  void ensure_group_progress(ReplConn& rc);
-  /// Group fan-out of the periodic / event heartbeat.
-  void send_group_heartbeat(bool include_serial);
-  void on_group_heartbeat(const HeartbeatMsg& msg, bool via_serial);
-  void group_detector_tick();
+  bool peer_ip_alive(const Peer& p) const;
+  bool peer_serial_alive(const Peer& p) const;
+  /// Fresh liveness and arbitration state: the peer's heartbeats start the
+  /// clock over (boot, rejoin, readmission).
+  void reset_peer(Peer& p);
+  /// Lazily size rc.gp to peers_. New entries take the connection's
+  /// registration time as their setup-grace baseline.
+  void ensure_peer_progress(ReplConn& rc);
+  /// Peer `p`'s mirror of `rc` (sized on demand).
+  ReplConn::PeerProgress& progress_of(ReplConn& rc, const Peer& p);
+  /// Restart peer `pi`'s mirror of `rc`: its setup grace starts now.
+  void restart_peer_progress(ReplConn& rc, std::size_t pi);
   /// Adopt a strictly newer view (from a heartbeat or a ViewAnnounce). A
   /// view that excludes this member is a fence: re-enter via rejoin.
   void maybe_adopt_view(std::uint32_t epoch, const std::vector<std::uint8_t>& order);
-  /// Record-driven conviction dispatch: pair mode -> peer_failed, group
-  /// mode -> member_failed on the record's sender.
-  void convict_from_record(int peer_idx, const std::string& reason,
-                           const char* trace_event);
-  /// Convict one group member: remove from the view, queue its STONITH, and
-  /// either (leader) fence + announce immediately or (backup) start the
-  /// ranked-promotion protocol.
-  void member_failed(std::size_t peer_idx, const std::string& reason,
-                     const char* trace_event);
+  /// Convict one watched peer: stamp the conviction (timeline, counters,
+  /// trace), queue its STONITH, and react — a pair takes over or goes
+  /// non-fault-tolerant; a group removes the member from the view and
+  /// either (leader) fences + announces or (backup) starts ranked promotion.
+  void convict(Peer& p, const std::string& reason, const char* trace_event);
+  /// Conviction wording: a pair's reasons name no member (it has one peer,
+  /// and its trace dumps are pinned), a group's name the member.
+  std::string worded(std::string pair, std::string group) const {
+    return group_mode() ? std::move(group) : std::move(pair);
+  }
   /// Ranked promotion: called after any view change while leaderless.
   void evaluate_promotion();
   void on_defer_expired();
@@ -373,13 +395,15 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// STONITH every member convicted since the last flush — always BEFORE
   /// unsuppressing any replica (the dual-active guard).
   void flush_stonith_pending();
-  /// Reintegration commit on the leader: re-admit `member` at the lowest
-  /// rank, bump the epoch and announce.
+  /// Reintegration commit on a group leader (the rejoiner is already back in
+  /// the view): bump the epoch, restart its mirrors and announce.
   void group_commit_rejoin(std::uint8_t member);
-  /// FIN/close agreement across every live member's mirror of `rc`.
-  bool group_fins_agree(const ReplConn& rc) const;
+  /// FIN/close agreement across every watched peer's mirror of `rc`
+  /// (vacuously true with none).
+  bool fins_agree(const ReplConn& rc) const;
   void update_group_gauges();
-  net::Ipv4Addr group_leader_ip() const;
+  /// The leader's address; zero when we lead or nobody does.
+  net::Ipv4Addr leader_ip() const;
 
   ReplConn* by_id(std::uint16_t id);
   ReplConn* by_tuple(const tcp::FourTuple& t);
@@ -415,16 +439,9 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   Mode mode_ = Mode::kReplicating;
   sim::PeriodicTimer hb_timer_;
   std::uint32_t hb_seq_ = 0;
-
-  // Channel liveness.
-  sim::SimTime last_rx_ip_;
-  sim::SimTime last_rx_serial_;
   bool started_ = false;
-
-  // Bounded-reorder guard over the peer's heartbeat sequence (see
-  // on_heartbeat). A large backward jump is a rebooted peer, not staleness.
-  std::uint32_t last_peer_hb_seq_ = 0;
-  bool seen_peer_hb_ = false;
+  /// This endpoint's index in cfg_.group (the entry whose ip is my_ip).
+  std::uint8_t my_member_ = 0;
 
   std::size_t hold_peak_bytes_ = 0;
   // Running total across all hold buffers; adjusted at every mutation site
@@ -433,17 +450,12 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   std::uint64_t hold_total_bytes_ = 0;
   void note_hold_change(std::size_t before, std::size_t after);
   void recompute_hold_total();
-  // Round-robin cursors for the truncated record windows (serial record cap
-  // and UDP byte budget — the IPv4 64 KB datagram limit; see
-  // send_heartbeat). Cursors hold the next connection id to send, not a
-  // vector position: ids survive the churn of connections opening and
-  // closing between beats, so no record can be starved by recomposition.
-  std::uint16_t serial_rr_next_id_ = 0;
-  std::uint16_t udp_rr_next_id_ = 0;
 
-  // Group mode state (empty / idle in pair mode).
-  std::vector<GroupPeer> peers_;  // every OTHER configured member
+  std::vector<Peer> peers_;  // every OTHER roster member
+  // A member outside the view is not watched: convicted (group), or being
+  // reintegrated (until its commit).
   GroupView view_;
+  // Group promotion state (idle in a pair).
   PromotionBallot ballot_;
   sim::OneShotTimer promote_timer_;
   /// Convicted members awaiting STONITH (flushed before any unsuppress).
@@ -464,8 +476,6 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   bool ping_loop_active_ = false;
   bool my_ping_valid_ = false;
   bool my_ping_ok_ = false;
-  int peer_ping_fail_streak_ = 0;
-  bool peer_app_suspect_ = false;
   bool local_app_suspect_ = false;
 
   std::map<std::uint16_t, std::unique_ptr<ReplConn>> conns_;

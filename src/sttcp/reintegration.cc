@@ -27,9 +27,9 @@ bool Reintegrator::rejoin_ready_flag() const {
 }
 
 void Reintegrator::send_control(const net::Bytes& payload) {
-  // Pair mode: the one peer. Group mode: the member whose rejoin we serve.
-  const net::Ipv4Addr dst =
-      rejoin_ip_.value() != 0 ? rejoin_ip_ : ep_.cfg_.peer_ip;
+  // To the member whose rejoin we serve.
+  if (rejoin_member_ < 0) return;
+  const net::Ipv4Addr dst = ep_.cfg_.group[static_cast<std::size_t>(rejoin_member_)].ip;
   ep_.host_.udp_send(ep_.cfg_.my_ip, ep_.cfg_.control_port, dst,
                      ep_.cfg_.control_port, payload);
 }
@@ -45,45 +45,29 @@ void Reintegrator::enter_rejoin() {
   // in the same microsecond cannot collide.
   const std::uint64_t boot_us =
       static_cast<std::uint64_t>((ep_.world_.now() - sim::SimTime()).us());
-  if (ep_.group_mode()) {
-    // Any subset of a group can reboot in the same microsecond; salt with
-    // the member index instead of the (two-valued) role.
-    epoch_ = static_cast<std::uint32_t>(
-                 boot_us * 8 + static_cast<std::uint64_t>(ep_.my_member())) |
-             1u << 31;
-  } else {
-    epoch_ = static_cast<std::uint32_t>(
-                 boot_us * 2 + (ep_.role_ == Role::kPrimary ? 1 : 0)) |
-             1u << 31;  // never zero, disjoint from the default
-  }
+  // The epoch travels in heartbeats, so a pair salts with its two-valued
+  // role (its wire bytes are pinned); any subset of a group can reboot in
+  // the same microsecond, so a group salts with the member index.
+  const std::uint64_t salted =
+      ep_.group_mode() ? boot_us * 8 + ep_.my_member()
+                       : boot_us * 2 + (ep_.role_ == Role::kPrimary ? 1 : 0);
+  epoch_ = static_cast<std::uint32_t>(salted) | 1u << 31;  // never zero
 
   ep_.mode_ = StTcpEndpoint::Mode::kRejoining;
   ep_.role_ = Role::kBackup;
   ep_.conns_.clear();
   ep_.id_by_tuple_.clear();
   ep_.local_app_suspect_ = false;
-  ep_.peer_app_suspect_ = false;
   ep_.ping_loop_active_ = false;
   ep_.my_ping_valid_ = false;
   ep_.my_ping_ok_ = false;
-  ep_.peer_ping_fail_streak_ = 0;
-  ep_.last_rx_ip_ = ep_.world_.now();
-  ep_.last_rx_serial_ = ep_.world_.now();
-  if (ep_.group_mode()) {
-    // A crashed member's promotion/arbitration state died with it.
-    ep_.awaiting_leader_ = false;
-    ep_.ballot_.reset();
-    ep_.promote_timer_.cancel();
-    ep_.stonith_pending_.clear();
-    ep_.have_granted_ = false;
-    for (auto& p : ep_.peers_) {
-      p.last_rx_ip = ep_.world_.now();
-      p.last_rx_serial = ep_.world_.now();
-      p.seen_hb = false;
-      p.app_suspect = false;
-      p.ping_fail_streak = 0;
-    }
-  }
+  // A crashed member's promotion/arbitration state died with it.
+  ep_.awaiting_leader_ = false;
+  ep_.ballot_.reset();
+  ep_.promote_timer_.cancel();
+  ep_.stonith_pending_.clear();
+  ep_.have_granted_ = false;
+  for (auto& p : ep_.peers_) ep_.reset_peer(p);
   applied_ = false;
   rx_active_ = false;
   rx_app_.clear();
@@ -265,8 +249,11 @@ void Reintegrator::on_commit(net::ByteReader& r) {
   ep_.mode_ = StTcpEndpoint::Mode::kReplicating;
   ep_.sync_decision_log();
   ++ep_.stats_.rejoins;
-  ep_.last_rx_ip_ = ep_.world_.now();
-  ep_.last_rx_serial_ = ep_.world_.now();
+  // Replication resumes: every peer's liveness window starts now.
+  for (auto& p : ep_.peers_) {
+    p.last_rx_ip = ep_.world_.now();
+    p.last_rx_serial = ep_.world_.now();
+  }
   if (ep_.timeline_ != nullptr) {
     ep_.timeline_->mark(obs::Milestone::kReintegrationComplete, ep_.world_.now());
   }
@@ -284,7 +271,7 @@ void Reintegrator::on_rejoin_request(std::uint32_t epoch, int member) {
   if (m == Mode::kRejoining || m == Mode::kDead) return;
   if (have_committed_ && epoch == committed_epoch_) return;  // stale retry
   if (m == Mode::kReintegrating && epoch == epoch_) return;  // in progress
-  if (m == Mode::kReintegrating && ep_.group_mode() && member != rejoin_member_) {
+  if (m == Mode::kReintegrating && member != rejoin_member_) {
     return;  // one rejoiner at a time; the other keeps soliciting
   }
   if (m == Mode::kReplicating && ep_.role_ != Role::kPrimary) {
@@ -296,8 +283,6 @@ void Reintegrator::on_rejoin_request(std::uint32_t epoch, int member) {
   epoch_ = epoch;
   attempts_ = 0;
   rejoin_member_ = member;
-  rejoin_ip_ = member >= 0 ? ep_.cfg_.group[static_cast<std::size_t>(member)].ip
-                           : net::Ipv4Addr();
   begin_reintegration();
 }
 
@@ -326,12 +311,13 @@ void Reintegrator::begin_reintegration() {
       return;
     }
 
-    // Fresh peer-liveness and arbitration state: the rejoiner's heartbeats
-    // start the clock over.
-    ep_.last_rx_ip_ = ep_.world_.now();
-    ep_.last_rx_serial_ = ep_.world_.now();
-    ep_.peer_app_suspect_ = false;
-    ep_.peer_ping_fail_streak_ = 0;
+    // The rejoiner is outside the view (unwatched) until its commit, with
+    // fresh liveness and arbitration state: its heartbeats start the clock
+    // over.
+    const auto member = static_cast<std::uint8_t>(rejoin_member_);
+    ep_.view_.remove(member);
+    StTcpEndpoint::Peer* peer = ep_.peer_by_member(member);
+    if (peer != nullptr) ep_.reset_peer(*peer);
     ep_.ping_loop_active_ = false;
     ep_.my_ping_valid_ = false;
     ep_.ping_timer_.cancel();
@@ -371,6 +357,7 @@ void Reintegrator::begin_reintegration() {
       rc->lag_received.reset();
       rc->lag_acked.reset();
       rc->peer_valid = false;
+      if (peer != nullptr) ep_.progress_of(*rc, *peer).valid = false;
       if (rc->conn != nullptr) ep_.install_primary_seams(*rc->conn, id);
     }
     ep_.recompute_hold_total();
@@ -410,11 +397,14 @@ void Reintegrator::capture_and_send_snapshot() {
     net::Bytes tx, rx;
   };
   std::vector<Item> items;
+  const StTcpEndpoint::Peer& rejoiner =
+      *ep_.peer_by_member(static_cast<std::uint8_t>(rejoin_member_));
   for (auto& [id, rc] : ep_.conns_) {
     // The snapshot IS the announcement: suppress heartbeat announces for
     // everything present at capture time (including skipped dying
     // connections — the rejoiner must not cold-start replicas for them).
     rc->announce_confirmed = true;
+    ep_.progress_of(*rc, rejoiner).echoed = true;
     tcp::TcpConnection* c = rc->conn;
     if (c == nullptr || !c->is_open() || c->fin_generated() ||
         c->rst_generated()) {
@@ -440,6 +430,8 @@ void Reintegrator::capture_and_send_snapshot() {
     rc->p_written = it.written;
     rc->p_read = it.read;
     rc->peer_valid = true;
+    ep_.progress_of(*rc, rejoiner).valid = true;
+    ep_.progress_of(*rc, rejoiner).received = it.received;
     items.push_back(std::move(it));
   }
 
@@ -540,8 +532,7 @@ void Reintegrator::arm_retry() {
 void Reintegrator::abandon() {
   ep_.world_.trace().record(ep_.host_.name(), "reintegration_abandoned");
   rejoin_member_ = -1;
-  rejoin_ip_ = net::Ipv4Addr();
-  if (ep_.group_mode() && ep_.view_.order.size() > 1) {
+  if (ep_.view_.order.size() > 1) {
     // Other backups still replicate from us: drop back to group leadership
     // instead of running unprotected. A fresh rejoin_request restarts.
     ep_.log_.warn("reintegration abandoned after ", attempts_,
@@ -561,7 +552,7 @@ void Reintegrator::abandon() {
 
 void Reintegrator::on_rejoin_ready(std::uint32_t epoch, int member) {
   using Mode = StTcpEndpoint::Mode;
-  if (ep_.group_mode() && member != rejoin_member_) return;
+  if (member != rejoin_member_) return;
   if (ep_.mode_ == Mode::kReintegrating && epoch == epoch_) {
     retry_timer_.cancel();
     ep_.mode_ = Mode::kReplicating;
@@ -584,11 +575,11 @@ void Reintegrator::on_rejoin_ready(std::uint32_t epoch, int member) {
     ep_.world_.trace().record(ep_.host_.name(), "reintegration_complete");
     ep_.log_.info("reintegration complete (epoch ", epoch, "): FT restored");
     send_commit(epoch);
-    if (ep_.group_mode() && member >= 0) {
-      // Admit the rejoiner at the lowest promotion rank and announce the
-      // widened view to every member.
-      ep_.group_commit_rejoin(static_cast<std::uint8_t>(member));
-    }
+    // Readmit the rejoiner at the lowest rank: it is watched again. A group
+    // also bumps the epoch and announces the widened view to every member
+    // (a pair's view never goes on the wire).
+    ep_.view_.append_lowest(static_cast<std::uint8_t>(member));
+    if (ep_.group_mode()) ep_.group_commit_rejoin(static_cast<std::uint8_t>(member));
     return;
   }
   if (have_committed_ && epoch == committed_epoch_) {

@@ -58,12 +58,11 @@ class Reintegrator {
   bool snapshot_applied() const { return applied_; }
 
   // --- survivor side ---------------------------------------------------------
-  /// A peer heartbeat carried rejoin_request. Group mode passes the sender's
-  /// member index (the snapshot targets ITS address; one rejoiner at a time);
-  /// pair mode leaves it at -1 and the peer address is used.
-  void on_rejoin_request(std::uint32_t epoch, int member = -1);
+  /// A peer heartbeat carried rejoin_request from roster member `member`
+  /// (the snapshot targets ITS address; one rejoiner at a time).
+  void on_rejoin_request(std::uint32_t epoch, int member);
   /// A peer heartbeat carried rejoin_ready.
-  void on_rejoin_ready(std::uint32_t epoch, int member = -1);
+  void on_rejoin_ready(std::uint32_t epoch, int member);
 
   /// Control-channel datagrams with type >= kSnapshotBegin land here.
   void on_control(net::BytesView payload);
@@ -92,10 +91,8 @@ class Reintegrator {
   std::uint32_t committed_epoch_ = 0;  // survivor: last completed epoch
   bool have_committed_ = false;
   int attempts_ = 0;                   // survivor: snapshots sent this epoch
-  // Group mode, survivor side: which member the snapshot flows to (and its
-  // address). -1 / zero in pair mode — send_control falls back to peer_ip.
+  // Survivor side: which roster member the snapshot flows to (-1: none).
   int rejoin_member_ = -1;
-  net::Ipv4Addr rejoin_ip_;
 
   // Rejoiner: partial snapshot, applied atomically at SnapshotEnd.
   struct SnapConn {

@@ -32,12 +32,15 @@ struct RunRecord {
   bool operator==(const RunRecord&) const = default;
 };
 
-// One fixed-seed failover run: replicated download, primary crashes
-// mid-flight, backup takes over, client keeps reading.
-RunRecord failover_run(std::uint64_t seed) {
+// One fixed-seed download with `plan` injected: `extra_backups` = 0 is the
+// classic pair, 1 a 1+2 group. Every member serves the same file.
+RunRecord download_run(std::uint64_t seed, int extra_backups,
+                       const harness::FaultPlan& plan) {
   harness::TopologyConfig cfg;
   cfg.seed = seed;
-  const auto topo = harness::make_figure2(std::move(cfg));
+  harness::CellConfig cell_cfg;
+  cell_cfg.extra_backups = extra_backups;
+  const auto topo = harness::make_figure2(std::move(cfg), cell_cfg);
   harness::Cell& cell = topo->cell();
   harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
   // Seeded loss makes the run exercise retransmission and makes distinct
@@ -55,7 +58,11 @@ RunRecord failover_run(std::uint64_t seed) {
 
   const std::uint64_t size = 2'000'000;
   app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
-  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+  std::vector<std::unique_ptr<app::FileServer>> b_apps;
+  for (int b = 0; b < cell.backup_count(); ++b) {
+    b_apps.push_back(std::make_unique<app::FileServer>(cell.backup_stack(b),
+                                                       cell.service_port(), size));
+  }
 
   tcp::TcpConnection* conn = nullptr;
   tcp::TcpConnection::Callbacks cb;
@@ -67,12 +74,39 @@ RunRecord failover_run(std::uint64_t seed) {
   conn = &client_host.stack->connect(client_host.ip, cell.connect_addr(),
                                      std::move(cb));
 
-  inject(*topo, harness::Fault::Crash(harness::Node::kPrimary)
-                .at(sim::Duration::millis(400)));
+  inject(*topo, plan);
   topo->run_for(sim::Duration::seconds(60));
 
   out.trace = topo->world().trace().dump();
   return out;
+}
+
+// One fixed-seed failover run: replicated download, primary crashes
+// mid-flight, backup takes over, client keeps reading.
+RunRecord failover_run(std::uint64_t seed) {
+  harness::FaultPlan plan;
+  plan.add(harness::Fault::Crash(harness::Node::kPrimary)
+               .at(sim::Duration::millis(400)));
+  return download_run(seed, /*extra_backups=*/0, plan);
+}
+
+// The same download on a 1+2 group, with the leader and the rank-1 backup
+// crashing at the same instant (a FaultPlan::MultiFailure schedule).
+constexpr std::uint64_t kGroupSeed = 1;
+RunRecord group_double_failure_run() {
+  return download_run(kGroupSeed, /*extra_backups=*/1,
+                      harness::FaultPlan::MultiFailure(kGroupSeed, 2));
+}
+
+std::uint64_t fnv1a(net::BytesView bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 1099511628211ull;
+  return h;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  return fnv1a(net::BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
+                              s.size()));
 }
 
 TEST(DeterminismTest, FixedSeedFailoverIsBitIdentical) {
@@ -90,6 +124,34 @@ TEST(DeterminismTest, FixedSeedFailoverIsBitIdentical) {
   // Compare sizes first so a mismatch doesn't dump two full traces.
   ASSERT_EQ(a.trace.size(), b.trace.size());
   EXPECT_EQ(a.trace, b.trace);
+}
+
+// Pinned across commits, not just across two runs of one build: these
+// constants were recorded before the pair moved onto the group's peer
+// table, and a refactor that changes anything a pair (or a group) puts on
+// the wire, traces, or delivers to the client fails here. A deliberate
+// behaviour change must re-record them and say why.
+TEST(DeterminismTest, PairFailoverMatchesPinnedDigests) {
+  const RunRecord r = failover_run(42);
+  ASSERT_EQ(r.client_bytes.size(), 2'000'000u);
+  EXPECT_EQ(fnv1a(r.trace), 0x291d42eb24ecaa3full) << r.trace;
+  EXPECT_EQ(r.frames, 5030u);
+  EXPECT_EQ(r.frame_hash, 0x06b10c7f11c0bd18ull);
+  EXPECT_EQ(fnv1a(r.client_bytes), 0xb048991cbdc6c625ull);
+}
+
+TEST(DeterminismTest, GroupDoubleFailureMatchesPinnedDigests) {
+  // The schedule is the leader + rank-1 family: backup2 must win.
+  const harness::FaultPlan plan = harness::FaultPlan::MultiFailure(kGroupSeed, 2);
+  ASSERT_NE(plan.str().find("crash:primary"), std::string::npos) << plan.str();
+  ASSERT_NE(plan.str().find("crash:backup @"), std::string::npos) << plan.str();
+  const RunRecord r = group_double_failure_run();
+  ASSERT_EQ(r.client_bytes.size(), 2'000'000u);
+  ASSERT_NE(r.trace.find("promoted"), std::string::npos);
+  EXPECT_EQ(fnv1a(r.trace), 0x20a2f5681d888ba2ull) << r.trace;
+  EXPECT_EQ(r.frames, 5011u);
+  EXPECT_EQ(r.frame_hash, 0x00cf639e7b41bc53ull);
+  EXPECT_EQ(fnv1a(r.client_bytes), 0xb048991cbdc6c625ull);
 }
 
 TEST(DeterminismTest, DifferentSeedsDiverge) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "harness/fault.h"
 #include "tests/integration/download_rig.h"
@@ -184,6 +186,56 @@ TEST(NicFailureTest, HoldBufferOverflowForcesNonFt) {
   // The upload itself kept running through the primary.
   EXPECT_FALSE(upload_failed);
   EXPECT_GT(sent, 10'000'000u);
+}
+
+// A NIC flap that heals before conviction must not leave a stale ping-fail
+// streak behind. At N=3 the rank-1 backup shares the serial cable with the
+// leader, so its NIC failure opens the leader's gateway-ping window; the
+// first flap heals after failed pings were reported, and the second flap
+// must again need ping_fail_threshold FRESH failures before the leader
+// convicts. A ping interval that is not a multiple of the heartbeat period
+// lets the flap heal with failed reports still counted.
+TEST(NicFailureTest, GroupNicFlapNeedsFreshPingFailures) {
+  TopologyConfig cfg;
+  cfg.seed = 5;
+  cfg.sttcp.ping_interval = sim::Duration::millis(350);
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  const sttcp::StTcpConfig& sc = topo->config().sttcp;
+  const sim::Duration first = sim::Duration::millis(500);
+  const sim::Duration heal = sim::Duration::millis(1780);
+  const sim::Duration second = sim::Duration::millis(4000);
+  inject(*topo, Fault::NicFailure(Node::kBackup).at(first));
+  inject(*topo, Fault::NicRestore(Node::kBackup).at(heal));
+  inject(*topo, Fault::NicFailure(Node::kBackup).at(second));
+  topo->run_for(sim::Duration::seconds(8));
+
+  const auto& tr = topo->world().trace();
+  // The backup pinged (and failed) in both windows, and only the second
+  // flap was convicted.
+  std::vector<sim::SimTime> backup_windows;
+  std::optional<sim::SimTime> convicted;
+  for (const sim::TraceEntry& e : tr.entries()) {
+    if (e.component == "backup" && e.event == "nic_arbitration_start") {
+      backup_windows.push_back(e.at);
+    }
+    if (e.component == "primary" && e.event == "nic_failure_detected" && !convicted) {
+      convicted = e.at;
+    }
+  }
+  ASSERT_EQ(backup_windows.size(), 2u) << tr.dump();
+  ASSERT_TRUE(convicted.has_value()) << tr.dump();
+  const sim::SimTime t0 = sim::SimTime() + second;
+  EXPECT_GT(*convicted, t0) << tr.dump();
+  // The backup's first failed ping lands ping_timeout after its window
+  // opened; the leader counts one failure per heartbeat from then on.
+  const sim::Duration fresh =
+      sc.ping_timeout + sc.hb_period * (sc.ping_fail_threshold - 1);
+  const sim::Duration waited = *convicted - backup_windows[1];
+  EXPECT_GE(waited, fresh) << "convicted " << waited.str() << " after the window "
+                           << "opened; " << fresh.str() << " needed\n"
+                           << tr.dump();
 }
 
 }  // namespace

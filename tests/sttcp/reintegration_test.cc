@@ -15,6 +15,8 @@
 #include "app/server.h"
 #include "harness/fault.h"
 #include "harness/topology.h"
+#include "net/headers.h"
+#include "sttcp/messages.h"
 
 namespace sttcp::harness {
 namespace {
@@ -248,6 +250,119 @@ TEST(GroupReintegrationTest, SecondFailureDuringSnapshotStillMasked) {
   // backup2 made it back in (possibly after snapshot retries).
   EXPECT_EQ(tr.count("backup2", "rejoin_complete"), 1u) << tr.dump();
   EXPECT_EQ(cell.backup_endpoint(1)->mode(), Mode::kReplicating);
+}
+
+// Server-to-server datagrams seen at the switch, parsed with the protocol's
+// own codecs (docs/GROUPS.md §1: the group wire is a strict superset of the
+// pair's).
+struct WireCensus {
+  std::uint64_t heartbeats = 0;
+  std::uint64_t group_heartbeats = 0;  // group_valid: the view block
+  std::uint64_t control = 0;
+  std::uint64_t group_control = 0;  // types 8-10: promotion and views
+  std::uint64_t unparsed = 0;
+};
+
+void tap_wire(Topology& topo, WireCensus& census) {
+  const sttcp::StTcpConfig& sc = topo.config().sttcp;
+  topo.ethernet_switch().set_frame_tap([&census, hb = sc.hb_port,
+                                        ctl = sc.control_port](
+                                           sim::SimTime, const net::Frame& f) {
+    const net::ParsedFrame p = net::parse_frame(f.view());
+    if (!p.ip || p.ip->protocol != net::kIpProtoUdp) return;
+    net::ByteReader r(p.l4);
+    const net::UdpHeader udp = net::UdpHeader::read(r);
+    const net::BytesView payload = p.l4.subspan(net::UdpHeader::kSize);
+    if (udp.dst_port == hb) {
+      const auto msg = sttcp::HeartbeatMsg::parse(payload);
+      if (!msg) {
+        ++census.unparsed;
+        return;
+      }
+      ++census.heartbeats;
+      if (msg->group_valid) ++census.group_heartbeats;
+    } else if (udp.dst_port == ctl) {
+      ++census.control;
+      // Snapshot datagrams (types 3-7) have their own codec
+      // (reintegration.cc); every other type must parse.
+      const std::uint8_t type = payload.empty() ? 0 : payload[0];
+      if (type >= static_cast<std::uint8_t>(sttcp::ControlType::kSnapshotBegin) &&
+          type <= static_cast<std::uint8_t>(sttcp::ControlType::kRejoinCommit)) {
+        return;
+      }
+      const auto msg = sttcp::ControlMsg::parse(payload);
+      if (!msg) {
+        ++census.unparsed;
+        return;
+      }
+      if (msg->type == sttcp::ControlType::kPromoteRequest ||
+          msg->type == sttcp::ControlType::kPromoteAck ||
+          msg->type == sttcp::ControlType::kViewAnnounce) {
+        ++census.group_control;
+      }
+    }
+  });
+}
+
+// A pair is a two-member roster on the group's peer table, but its wire
+// stays the paper's: through a takeover, a reintegration and a second
+// takeover, no heartbeat carries the view block and no control datagram is
+// a promotion or view type.
+TEST(WireSplitTest, PairNeverSendsGroupWire) {
+  TopologyConfig cfg;
+  cfg.seed = 2;
+  const auto topo = make_figure2(std::move(cfg));
+  WireCensus census;
+  tap_wire(*topo, census);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  const std::uint64_t size = 40'000'000;
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+  wire_checkpoints(cell, p_app, b_app);
+  app::DownloadClient::Options opt;
+  opt.expected_bytes = size;
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
+  client.start();
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(800)));
+  inject(*topo, Fault::PowerOn(Node::kPrimary).at(sim::Duration::seconds(2)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::seconds(5)));
+  topo->run_for(sim::Duration::seconds(60));
+
+  const auto& tr = topo->world().trace();
+  ASSERT_EQ(tr.count("backup", "takeover"), 1u) << tr.dump();
+  ASSERT_EQ(tr.count("primary", "rejoin_complete"), 1u) << tr.dump();
+  ASSERT_EQ(tr.count("primary", "takeover"), 1u) << tr.dump();
+  EXPECT_TRUE(client.complete());
+  EXPECT_GT(census.heartbeats, 20u);
+  EXPECT_GT(census.control, 0u);  // the snapshot and its commit
+  EXPECT_EQ(census.unparsed, 0u);
+  EXPECT_EQ(census.group_heartbeats, 0u);
+  EXPECT_EQ(census.group_control, 0u);
+}
+
+// The same tap on a 1+2 group losing its leader and rank-1 backup at once:
+// the view block rides every heartbeat and the survivor's promotion shows
+// up as control types 8-10.
+TEST(WireSplitTest, GroupDoubleFailureSendsGroupWire) {
+  TopologyConfig cfg;
+  cfg.seed = 11;
+  CellConfig cell_cfg;
+  cell_cfg.extra_backups = 1;
+  const auto topo = make_figure2(std::move(cfg), cell_cfg);
+  WireCensus census;
+  tap_wire(*topo, census);
+  inject(*topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(400)));
+  inject(*topo, Fault::Crash(Node::kBackup).at(sim::Duration::millis(400)));
+  topo->run_for(sim::Duration::seconds(5));
+
+  ASSERT_EQ(topo->world().trace().count("backup2", "promoted"), 1u)
+      << topo->world().trace().dump();
+  EXPECT_GT(census.heartbeats, 10u);
+  EXPECT_EQ(census.unparsed, 0u);
+  EXPECT_EQ(census.group_heartbeats, census.heartbeats);
+  EXPECT_GT(census.group_control, 0u);
 }
 
 TEST(ReintegrationTest, PowerOnIsNoOpOnLiveHost) {
