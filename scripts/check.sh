@@ -86,10 +86,13 @@ for arg in "$@"; do
       cmake -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSTTCP_SANITIZE=ON >/dev/null
       cmake --build build-asan -j "$JOBS"
       # Impairment engine (COW corruption, reorder hold queue) is included:
-      # it is the newest pointer-heavy code. The chaos fuzzer runs a reduced
-      # seed budget under ASan — each seed is ~5x slower instrumented.
+      # it is the newest pointer-heavy code. So is the engine core (sim_*:
+      # inline callbacks, owner-cleared timers, the intrusive wheel, and the
+      # allocation-budget binary, whose counts are checked only uninstrumented).
+      # The chaos fuzzer runs a reduced seed budget under ASan — each seed is
+      # ~5x slower instrumented.
       STTCP_CHAOS_SEEDS=12 ctest --test-dir build-asan --output-on-failure \
-        -j "$JOBS" -R 'sttcp|obs|chaos|impairment'
+        -j "$JOBS" -R 'sim_|sttcp|obs|chaos|impairment'
       ;;
     --tsan)
       cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSTTCP_SANITIZE=thread >/dev/null
@@ -109,7 +112,7 @@ for arg in "$@"; do
       # Quick sanity pass over the hot-path microbenchmarks; the committed
       # numbers in BENCH_micro.json use --benchmark_min_time=0.2.
       ./build-release/bench/bench_micro \
-        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_Pattern' \
+        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_OneShotTimerRearm|BM_SendBufferAppendSliceAck|BM_Pattern' \
         --benchmark_min_time=0.05
       ;;
     --chaos)

@@ -13,18 +13,23 @@ namespace sttcp::net {
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
 
-/// Appends big-endian fields to a Bytes buffer.
+/// Writes big-endian fields into a Bytes buffer at a cursor: by default at
+/// its end (appending), or from a given offset, overwriting what is there
+/// (header room reserved in front of a payload). Writes past the end grow
+/// the buffer.
 class ByteWriter {
  public:
-  explicit ByteWriter(Bytes& out) : out_(out) {}
+  explicit ByteWriter(Bytes& out) : out_(out), pos_(out.size()) {}
+  ByteWriter(Bytes& out, std::size_t at) : out_(out), pos_(at) {}
 
   /// Pre-size the buffer for `n` more bytes (one allocation up front).
-  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
+  void reserve(std::size_t n) { out_.reserve(pos_ + n); }
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *put(1) = v; }
   void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = put(2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
   void u32(std::uint32_t v) {
     u16(static_cast<std::uint16_t>(v >> 16));
@@ -34,9 +39,17 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(v >> 32));
     u32(static_cast<std::uint32_t>(v));
   }
-  void bytes(BytesView b) { out_.insert(out_.end(), b.begin(), b.end()); }
+  void bytes(BytesView b) {
+    if (pos_ == out_.size()) {  // appending: one pass, no zero-fill
+      out_.insert(out_.end(), b.begin(), b.end());
+      pos_ += b.size();
+    } else if (!b.empty()) {
+      std::memcpy(put(b.size()), b.data(), b.size());
+    }
+  }
 
-  std::size_t size() const { return out_.size(); }
+  /// Absolute offset of the cursor.
+  std::size_t size() const { return pos_; }
   /// Patch a previously-written 16-bit field at absolute offset `at`.
   void patch_u16(std::size_t at, std::uint16_t v) {
     out_.at(at) = static_cast<std::uint8_t>(v >> 8);
@@ -44,7 +57,15 @@ class ByteWriter {
   }
 
  private:
+  std::uint8_t* put(std::size_t n) {
+    if (pos_ + n > out_.size()) out_.resize(pos_ + n);
+    std::uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
   Bytes& out_;
+  std::size_t pos_;
 };
 
 /// Consumes big-endian fields from a view. Throws std::out_of_range on

@@ -124,32 +124,41 @@ std::optional<IcmpEcho> IcmpEcho::parse(BytesView data) {
   return e;
 }
 
+void write_ip_headers(Bytes& frame, MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
+                      Ipv4Addr ip_dst, std::uint8_t protocol) {
+  ByteWriter w(frame, 0);
+  EthernetHeader{eth_dst, eth_src, kEtherTypeIpv4}.write(w);
+  Ipv4Header ih;
+  ih.protocol = protocol;
+  ih.src = ip_src;
+  ih.dst = ip_dst;
+  ih.write(w, frame.size() - kIpFrameHeaderSize);
+}
+
 Bytes build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
                       Ipv4Addr ip_dst, std::uint16_t src_port, std::uint16_t dst_port,
                       BytesView payload) {
-  // Serialize the UDP segment first so the pseudo-header checksum can cover it.
-  Bytes seg;
-  ByteWriter sw(seg);
-  UdpHeader uh{src_port, dst_port, 0, 0};
-  uh.write(sw, payload.size());
-  sw.bytes(payload);
-  sw.patch_u16(6, transport_checksum(ip_src, ip_dst, kIpProtoUdp, seg));
-  return build_ip_frame(eth_dst, eth_src, ip_src, ip_dst, kIpProtoUdp, seg);
+  constexpr std::size_t kL4 = kIpFrameHeaderSize;
+  Bytes out;
+  out.reserve(kL4 + UdpHeader::kSize + payload.size());
+  out.resize(kL4);  // header room, filled last
+  ByteWriter w(out);
+  UdpHeader{src_port, dst_port, 0, 0}.write(w, payload.size());
+  w.bytes(payload);
+  // The pseudo-header checksum covers the whole UDP segment.
+  w.patch_u16(kL4 + 6, transport_checksum(ip_src, ip_dst, kIpProtoUdp,
+                                          BytesView(out).subspan(kL4)));
+  write_ip_headers(out, eth_dst, eth_src, ip_src, ip_dst, kIpProtoUdp);
+  return out;
 }
 
 Bytes build_ip_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
                      Ipv4Addr ip_dst, std::uint8_t protocol, BytesView l4) {
   Bytes out;
-  out.reserve(EthernetHeader::kSize + Ipv4Header::kSize + l4.size());
-  ByteWriter w(out);
-  EthernetHeader eh{eth_dst, eth_src, kEtherTypeIpv4};
-  eh.write(w);
-  Ipv4Header ih;
-  ih.protocol = protocol;
-  ih.src = ip_src;
-  ih.dst = ip_dst;
-  ih.write(w, l4.size());
-  w.bytes(l4);
+  out.reserve(kIpFrameHeaderSize + l4.size());
+  out.resize(kIpFrameHeaderSize);
+  out.insert(out.end(), l4.begin(), l4.end());
+  write_ip_headers(out, eth_dst, eth_src, ip_src, ip_dst, protocol);
   return out;
 }
 

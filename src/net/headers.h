@@ -71,7 +71,17 @@ struct IcmpEcho {
   static std::optional<IcmpEcho> parse(BytesView data);
 };
 
-/// Assembled Ethernet/IPv4/UDP datagram ready for the wire.
+/// Ethernet + IPv4 header bytes in front of every L4 segment in a frame.
+inline constexpr std::size_t kIpFrameHeaderSize = EthernetHeader::kSize + Ipv4Header::kSize;
+
+/// Fill the first kIpFrameHeaderSize bytes of `frame` — header room left in
+/// front of an L4 segment — with the Ethernet and IPv4 headers for that
+/// segment (everything past the room).
+void write_ip_headers(Bytes& frame, MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
+                      Ipv4Addr ip_dst, std::uint8_t protocol);
+
+/// Assembled Ethernet/IPv4/UDP datagram ready for the wire, built in one
+/// buffer sized once.
 Bytes build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
                       Ipv4Addr ip_dst, std::uint16_t src_port, std::uint16_t dst_port,
                       BytesView payload);

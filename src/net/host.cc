@@ -65,22 +65,33 @@ void Host::power_on() {
 }
 
 bool Host::send_ip(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, BytesView l4) {
+  Bytes frame;
+  frame.reserve(kIpFrameHeaderSize + l4.size());
+  frame.resize(kIpFrameHeaderSize);
+  frame.insert(frame.end(), l4.begin(), l4.end());
+  return send_ip_frame(src, dst, protocol, std::move(frame));
+}
+
+bool Host::send_ip_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
+                         Bytes frame) {
   if (!alive_ || nics_.empty()) return false;
-  auto a = arp_.find(dst);
-  MacAddr dst_mac;
-  if (a != arp_.end()) {
-    dst_mac = a->second;
-  } else if (has_gateway_) {
-    dst_mac = gateway_mac_;
-  } else {
-    ++stats_.arp_misses;
+  const MacAddr* dst_mac = next_hop(dst);
+  if (dst_mac == nullptr) {
     log_.warn("no ARP entry for ", dst.str());
     return false;
   }
   Nic& out = *nics_.front();
-  Bytes frame = build_ip_frame(dst_mac, out.mac(), src, dst, protocol, l4);
+  write_ip_headers(frame, *dst_mac, out.mac(), src, dst, protocol);
   ++stats_.packets_out;
   return out.send(std::move(frame));
+}
+
+const MacAddr* Host::next_hop(Ipv4Addr dst) {
+  auto a = arp_.find(dst);
+  if (a != arp_.end()) return &a->second;
+  if (has_gateway_) return &gateway_mac_;
+  ++stats_.arp_misses;
+  return nullptr;
 }
 
 void Host::udp_bind(std::uint16_t port, UdpHandler handler) {
@@ -92,19 +103,11 @@ void Host::udp_unbind(std::uint16_t port) { udp_handlers_.erase(port); }
 bool Host::udp_send(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
                     std::uint16_t dst_port, BytesView payload) {
   if (!alive_ || nics_.empty()) return false;
-  auto a = arp_.find(dst);
-  MacAddr dst_mac;
-  if (a != arp_.end()) {
-    dst_mac = a->second;
-  } else if (has_gateway_) {
-    dst_mac = gateway_mac_;
-  } else {
-    ++stats_.arp_misses;
-    return false;
-  }
+  const MacAddr* dst_mac = next_hop(dst);
+  if (dst_mac == nullptr) return false;
   Nic& out = *nics_.front();
   Bytes frame =
-      build_udp_frame(dst_mac, out.mac(), src, dst, src_port, dst_port, payload);
+      build_udp_frame(*dst_mac, out.mac(), src, dst, src_port, dst_port, payload);
   ++stats_.packets_out;
   return out.send(std::move(frame));
 }

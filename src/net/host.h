@@ -108,6 +108,10 @@ class Host {
   /// Route + ARP + frame + transmit an IP packet. Returns false if the host
   /// is down, has no usable NIC, or lacks an ARP entry for dst.
   bool send_ip(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, BytesView l4);
+  /// send_ip for a frame the caller built in one buffer: the L4 segment
+  /// already sits behind kIpFrameHeaderSize bytes of header room, which
+  /// this fills in before transmitting.
+  bool send_ip_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, Bytes frame);
 
   // --- UDP ----------------------------------------------------------------
   void udp_bind(std::uint16_t port, UdpHandler handler);
@@ -141,6 +145,9 @@ class Host {
   void process_frame(const Frame& frame);
   void handle_icmp(const Ipv4Header& ip, BytesView l4);
   void handle_udp(const Ipv4Header& ip, BytesView l4);
+  /// Destination MAC for `dst` (ARP entry, else the gateway); nullptr, and
+  /// one more ARP miss counted, when there is neither.
+  const MacAddr* next_hop(Ipv4Addr dst);
 
   sim::World& world_;
   std::string name_;

@@ -45,15 +45,21 @@ void ClockDomain::clear() {
   profile_ = LagProfile::none();
   // Drop every pending deferred callback: clear() models a power transition
   // (crash / fresh boot), after which the stalled host's queued work is gone.
+  // An owning timer keeps its (now stale) handle; cancelling it is a no-op.
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    Slot& s = slots_[slot];
-    if (s.inner == 0) continue;
-    loop_.cancel(s.inner);
-    s.inner = 0;
-    s.cb = nullptr;
-    if (++s.gen == 0) s.gen = 1;
-    free_slots_.push_back(slot);
+    if (slots_[slot].inner == 0) continue;
+    loop_.cancel(slots_[slot].inner);
+    retire(slot);
   }
+}
+
+void ClockDomain::retire(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.inner = 0;
+  s.owner = nullptr;
+  s.cb = nullptr;
+  if (++s.gen == 0) s.gen = 1;
+  free_slots_.push_back(slot);
 }
 
 bool ClockDomain::lagged() const {
@@ -63,13 +69,13 @@ bool ClockDomain::lagged() const {
   return now() < anchor_ + cycle * static_cast<std::int64_t>(profile_.cycles);
 }
 
-TimerId ClockDomain::schedule_at(SimTime t, EventLoop::Callback cb) {
+TimerId ClockDomain::schedule_at(SimTime t, EventLoop::Callback cb, TimerId* owner) {
   if (t < now()) t = now();
-  if (release(t) <= t) return loop_.schedule_at(t, std::move(cb));
-  return defer(t, std::move(cb));
+  if (release(t) <= t) return loop_.schedule_at(t, std::move(cb), owner);
+  return defer(t, std::move(cb), owner);
 }
 
-TimerId ClockDomain::defer(SimTime want, EventLoop::Callback cb) {
+TimerId ClockDomain::defer(SimTime want, EventLoop::Callback cb, TimerId* owner) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -80,6 +86,7 @@ TimerId ClockDomain::defer(SimTime want, EventLoop::Callback cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
+  s.owner = owner;
   const std::uint32_t gen = s.gen;
   s.inner = loop_.schedule_at(release(want),
                               [this, slot, gen] { surface(slot, gen); });
@@ -99,10 +106,8 @@ void ClockDomain::surface(std::uint32_t slot, std::uint32_t gen) {
   }
   // Retire the slot before running so the callback can re-arm through us.
   EventLoop::Callback cb = std::move(s.cb);
-  s.cb = nullptr;
-  s.inner = 0;
-  if (++s.gen == 0) s.gen = 1;
-  free_slots_.push_back(slot);
+  if (s.owner != nullptr) *s.owner = 0;
+  retire(slot);
   cb();
 }
 
@@ -111,12 +116,8 @@ bool ClockDomain::cancel(TimerId id) {
   const auto slot = static_cast<std::uint32_t>((id >> 32) & 0x7fffffff);
   const auto gen = static_cast<std::uint32_t>(id);
   if (slot >= slots_.size() || slots_[slot].gen != gen || gen == 0) return false;
-  Slot& s = slots_[slot];
-  loop_.cancel(s.inner);
-  s.inner = 0;
-  s.cb = nullptr;
-  if (++s.gen == 0) s.gen = 1;
-  free_slots_.push_back(slot);
+  loop_.cancel(slots_[slot].inner);
+  retire(slot);
   return true;
 }
 

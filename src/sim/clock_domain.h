@@ -87,8 +87,10 @@ class ClockDomain {
   /// Schedule through the domain. Healthy: forwarded verbatim to the loop
   /// (loop TimerId returned). Lagged: the callback surfaces at release(t),
   /// re-checking the then-current profile, and the returned TimerId has bit
-  /// 63 set so cancel() can route it back here.
-  TimerId schedule_at(SimTime t, EventLoop::Callback cb);
+  /// 63 set so cancel() can route it back here. `owner` is zeroed just
+  /// before `cb` runs (EventLoop::schedule_at) — for a deferred callback
+  /// when it finally runs, not at each re-check hop.
+  TimerId schedule_at(SimTime t, EventLoop::Callback cb, TimerId* owner = nullptr);
   TimerId schedule_after(Duration d, EventLoop::Callback cb) {
     return schedule_at(now() + (d.is_negative() ? Duration::zero() : d), std::move(cb));
   }
@@ -109,10 +111,13 @@ class ClockDomain {
   struct Slot {
     std::uint32_t gen = 1;
     TimerId inner = 0;  // current loop event carrying this slot's callback
+    TimerId* owner = nullptr;
     EventLoop::Callback cb;
   };
 
-  TimerId defer(SimTime want, EventLoop::Callback cb);
+  TimerId defer(SimTime want, EventLoop::Callback cb, TimerId* owner);
+  /// Drop a pending slot's callback and recycle the slot.
+  void retire(std::uint32_t slot);
   void surface(std::uint32_t slot, std::uint32_t gen);
 
   EventLoop& loop_;

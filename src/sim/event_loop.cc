@@ -9,33 +9,49 @@
 
 namespace sttcp::sim {
 
-TimerId EventLoop::schedule_at(SimTime t, Callback cb) {
+TimerId EventLoop::schedule_at(SimTime t, Callback cb, TimerId* owner) {
   if (t < now_) t = now_;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    cbs_[slot] = std::move(cb);
   } else {
-    slot = static_cast<std::uint32_t>(gens_.size());
-    gens_.push_back(1);  // generation 0 is never issued, so no TimerId is 0
-    meta_.emplace_back();
-    cbs_.push_back(std::move(cb));
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  const std::uint32_t gen = gens_[slot];
-  const std::uint64_t seq = next_seq_++;
-  meta_[slot] = SlotMeta{t, seq, gen};
-  wheel_.push(WheelEntry{t, seq, slot, gen});
-  ++live_;
-  return (static_cast<TimerId>(slot) << 32) | gen;
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.owner = owner;
+  wheel_.push(slot, t, next_seq_++);
+  return (static_cast<TimerId>(slot) << 32) | s.gen;
+}
+
+std::uint32_t EventLoop::live_slot(TimerId id) const {
+  const auto slot = static_cast<std::uint32_t>(id >> 32);
+  const auto gen = static_cast<std::uint32_t>(id);
+  // A slot's generation moves on the moment its event leaves the wheel, so
+  // a matching generation means the event is still queued.
+  if (slot >= slots_.size() || slots_[slot].gen != gen) return kNoSlot;
+  return slot;
+}
+
+EventLoop::Callback EventLoop::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  if (s.owner != nullptr) {
+    *s.owner = 0;
+    s.owner = nullptr;
+  }
+  if (++s.gen == 0) s.gen = 1;
+  free_slots_.push_back(slot);
+  return std::move(s.cb);
 }
 
 std::vector<EventLoop::ReadyEvent> EventLoop::ready_events(SimTime horizon) const {
   std::vector<ReadyEvent> out;
-  for (std::uint32_t slot = 0; slot < gens_.size(); ++slot) {
-    const SlotMeta& m = meta_[slot];
-    if (m.gen == 0 || m.gen != gens_[slot] || m.at > horizon) continue;
-    out.push_back(ReadyEvent{(static_cast<TimerId>(slot) << 32) | m.gen, m.at, m.seq});
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (!wheel_.contains(slot) || wheel_.at(slot) > horizon) continue;
+    out.push_back(ReadyEvent{(static_cast<TimerId>(slot) << 32) | slots_[slot].gen,
+                             wheel_.at(slot), wheel_.seq(slot)});
   }
   std::sort(out.begin(), out.end(), [](const ReadyEvent& a, const ReadyEvent& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -45,88 +61,45 @@ std::vector<EventLoop::ReadyEvent> EventLoop::ready_events(SimTime horizon) cons
 }
 
 SimTime EventLoop::next_event_at() {
-  drop_stale_top();
-  return wheel_.empty() ? SimTime::never() : wheel_.peek_min().at;
+  return wheel_.empty() ? SimTime::never() : wheel_.at(wheel_.peek_min());
 }
 
 bool EventLoop::run_event(TimerId id) {
-  const auto slot = static_cast<std::uint32_t>(id >> 32);
-  const auto gen = static_cast<std::uint32_t>(id);
-  if (slot >= gens_.size() || gens_[slot] != gen || gen == 0) return false;
-  // Consume like cancel(): bump the generation so the wheel entry is
-  // recognised as stale when it surfaces (which also recycles the slot).
-  const Callback cb = std::move(cbs_[slot]);
-  if (++gens_[slot] == 0) gens_[slot] = 1;
-  --live_;
-  if (meta_[slot].at > now_) now_ = meta_[slot].at;
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) return false;
+  wheel_.remove(slot);
+  if (wheel_.at(slot) > now_) now_ = wheel_.at(slot);
+  Callback cb = release(slot);
   ++executed_;
   cb();
   return true;
 }
 
 bool EventLoop::cancel(TimerId id) {
-  const auto slot = static_cast<std::uint32_t>(id >> 32);
-  const auto gen = static_cast<std::uint32_t>(id);
-  if (slot >= gens_.size() || gens_[slot] != gen || gen == 0) return false;
-  // Invalidate: the wheel entry (still bucketed) no longer matches and will
-  // be discarded when it surfaces; the slot is recycled at that point.
-  if (++gens_[slot] == 0) gens_[slot] = 1;
-  --live_;
-  // Bound the dead-entry backlog: when stale entries dominate the wheel,
-  // sweep them out instead of waiting for each to surface.
-  if (wheel_.size() >= 64 && wheel_.size() > 2 * (live_ + 32)) compact();
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) return false;
+  wheel_.remove(slot);
+  // The cancelled captures die here, after the loop's bookkeeping is
+  // consistent (a capture's destructor may itself schedule or cancel).
+  Callback dead = release(slot);
   return true;
 }
 
-void EventLoop::compact() {
-  wheel_.sweep(
-      [this](const WheelEntry& e) { return gens_[e.slot] != e.gen; },
-      [this](const WheelEntry& e) {
-        cbs_[e.slot] = nullptr;  // destroy the cancelled callback's captures
-        free_slots_.push_back(e.slot);
-      });
-}
-
-WheelEntry EventLoop::pop_top() {
-  const WheelEntry e = wheel_.pop_min();
-  // The slot's only wheel entry is gone: retire the generation (so the
-  // original TimerId can no longer cancel anything) and free the slot.
-  if (gens_[e.slot] == e.gen) {
-    if (++gens_[e.slot] == 0) gens_[e.slot] = 1;
-  }
-  free_slots_.push_back(e.slot);
-  return e;
-}
-
-void EventLoop::drop_stale_top() {
-  while (!wheel_.empty()) {
-    const WheelEntry& top = wheel_.peek_min();
-    if (gens_[top.slot] == top.gen) break;
-    const WheelEntry e = pop_top();
-    cbs_[e.slot] = nullptr;  // destroy the cancelled callback's captures now
-  }
-}
-
 bool EventLoop::step() {
-  while (!wheel_.empty()) {
-    const WheelEntry& top = wheel_.peek_min();
-    const bool was_live = gens_[top.slot] == top.gen;
-    const WheelEntry e = pop_top();
-    // Take the callback out before running it: it may reuse the freed slot.
-    const Callback cb = std::move(cbs_[e.slot]);
-    if (!was_live) continue;  // cancelled: discard silently
-    --live_;
-    now_ = e.at;
-    ++executed_;
-    if (budget_ != 0 && executed_ > budget_) {
-      std::fprintf(stderr, "EventLoop: event budget (%llu) exceeded at t=%s\n",
-                   static_cast<unsigned long long>(budget_), now_.str().c_str());
-      std::abort();
-    }
-    cb();
-    return true;
+  if (wheel_.empty()) return false;
+  const std::uint32_t slot = wheel_.pop_min();
+  now_ = wheel_.at(slot);
+  // Take the callback out before running it: it may reuse the freed slot,
+  // and scheduling may grow (and so move) the slot table.
+  Callback cb = release(slot);
+  ++executed_;
+  if (budget_ != 0 && executed_ > budget_) {
+    std::fprintf(stderr, "EventLoop: event budget (%llu) exceeded at t=%s\n",
+                 static_cast<unsigned long long>(budget_), now_.str().c_str());
+    std::abort();
   }
-  return false;
+  cb();
+  return true;
 }
 
 std::uint64_t EventLoop::run() {
@@ -139,11 +112,9 @@ std::uint64_t EventLoop::run() {
 std::uint64_t EventLoop::run_until(SimTime t) {
   stopped_ = false;
   std::uint64_t n = 0;
-  while (!stopped_) {
-    // Skip over cancelled entries to find the true next timestamp.
-    drop_stale_top();
-    if (wheel_.empty() || wheel_.peek_min().at > t) break;
-    if (step()) ++n;
+  while (!stopped_ && !wheel_.empty() && wheel_.at(wheel_.peek_min()) <= t) {
+    step();
+    ++n;
   }
   if (now_ < t) now_ = t;
   return n;
@@ -152,10 +123,9 @@ std::uint64_t EventLoop::run_until(SimTime t) {
 std::uint64_t EventLoop::run_before(SimTime t) {
   stopped_ = false;
   std::uint64_t n = 0;
-  while (!stopped_) {
-    drop_stale_top();
-    if (wheel_.empty() || wheel_.peek_min().at >= t) break;
-    if (step()) ++n;
+  while (!stopped_ && !wheel_.empty() && wheel_.at(wheel_.peek_min()) < t) {
+    step();
+    ++n;
   }
   if (now_ < t) now_ = t;
   return n;
@@ -171,13 +141,10 @@ void OneShotTimer::arm(Duration d, EventLoop::Callback cb) {
 void OneShotTimer::arm_at(SimTime t, EventLoop::Callback cb) {
   cancel();
   deadline_ = t;
-  // Clear id_ before invoking so the callback can re-arm this same timer.
-  auto wrapped = [this, cb = std::move(cb)]() {
-    id_ = 0;
-    cb();
-  };
-  id_ = domain_ ? domain_->schedule_at(t, std::move(wrapped))
-                : loop_.schedule_at(t, std::move(wrapped));
+  // id_ is the event's owner handle: the loop (or, for a deferred event,
+  // the domain) zeroes it just before cb runs, so cb may re-arm this timer.
+  id_ = domain_ ? domain_->schedule_at(t, std::move(cb), &id_)
+                : loop_.schedule_at(t, std::move(cb), &id_);
 }
 
 void OneShotTimer::cancel() {
@@ -222,7 +189,12 @@ TimerId PeriodicTimer::schedule_next() {
 void PeriodicTimer::fire() {
   // Reschedule first: cb_ may call stop(), which must cancel the next shot.
   id_ = schedule_next();
-  cb_();
+  // Run a moved-out copy: cb may stop() or start() this timer, which
+  // replaces cb_ and would otherwise destroy the callable mid-call.
+  EventLoop::Callback cb = std::move(cb_);
+  cb();
+  // Put it back unless stop() ran (id_ == 0) or start() installed a new one.
+  if (id_ != 0 && !cb_) cb_ = std::move(cb);
 }
 
 }  // namespace sttcp::sim

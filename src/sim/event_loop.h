@@ -5,15 +5,22 @@
 // executes them in strict timestamp order, breaking ties by scheduling order
 // so that a given scenario is bit-for-bit reproducible.
 //
+// The steady-state event path does not allocate. A pending event is one
+// slot in the loop's slot table: its callback lives inline in the slot (an
+// InlineCallback, up to 48 bytes of captures), and the timing wheel queues
+// the slot index through per-slot links (sim/timer_wheel.h). Freed slots are
+// recycled, so once the table has grown to the peak number of pending events
+// scheduling, firing and cancelling touch no allocator.
+//
 // The loop is strictly single-threaded; no synchronization is needed or
 // provided.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/time.h"
 #include "sim/timer_wheel.h"
 
@@ -28,7 +35,7 @@ using TimerId = std::uint64_t;
 
 class EventLoop {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
@@ -39,7 +46,11 @@ class EventLoop {
 
   /// Schedule `cb` to run at absolute time `t`. Times in the past run at the
   /// current time (immediately after already-queued events for `now()`).
-  TimerId schedule_at(SimTime t, Callback cb);
+  /// A non-null `owner` is the handle the caller keeps for this event (a
+  /// timer's id): the loop sets it to 0 just before `cb` runs, so the
+  /// callback sees its timer disarmed and may re-arm it. The owner must
+  /// outlive the event or cancel it first.
+  TimerId schedule_at(SimTime t, Callback cb, TimerId* owner = nullptr);
 
   /// Schedule `cb` to run `d` after the current time.
   TimerId schedule_after(Duration d, Callback cb) {
@@ -72,7 +83,7 @@ class EventLoop {
   void stop() { stopped_ = true; }
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return wheel_.size(); }
 
   /// Total events executed since construction (diagnostics / runaway guard).
   std::uint64_t events_executed() const { return executed_; }
@@ -85,7 +96,7 @@ class EventLoop {
   // The exhaustive schedule explorer (src/harness/explore.h) needs to see
   // the loop's ready set and force a chosen event to run out of timestamp
   // order, modeling bounded delivery/scheduling delay. Normal runs never
-  // call these; they add two stores per schedule_at and nothing else.
+  // call these, and they cost normal runs nothing.
 
   /// One pending event as the explorer sees it.
   struct ReadyEvent {
@@ -110,43 +121,30 @@ class EventLoop {
   bool run_event(TimerId id);
 
  private:
-  // Pending events live in a hierarchical timing wheel (sim/timer_wheel.h)
-  // as small POD entries; the callback lives in a slot-indexed side vector.
-  // Arm and cancel are O(1): cancel() bumps the slot's generation so the
-  // wheel entry is recognized as stale and discarded when it surfaces. A
-  // slot is returned to the free list only when its entry leaves the wheel,
-  // so at most one wheel entry ever references a slot. The wheel pops in
-  // strict (at, seq) order — the same total order the old binary heap used,
-  // so scenarios are bit-identical across the swap.
-
-  /// Pop the earliest wheel entry and release its slot; returns the entry.
-  WheelEntry pop_top();
-  /// Discard stale (cancelled) entries at the front of the wheel.
-  void drop_stale_top();
-  /// Remove every stale entry from the wheel in one pass. Lazy cancellation
-  /// leaves one dead entry per cancel until it surfaces; workloads that
-  /// re-arm timers constantly (an RTO re-armed on every ACK across thousands
-  /// of churning connections) would otherwise grow the wheel far past the
-  /// live event count. Sweeping cannot change execution order: (at, seq) is
-  /// a total order, so pop order is independent of bucket contents.
-  void compact();
-
-  /// Side metadata for the explorer hooks: what (at, seq) a slot's pending
-  /// entry carries, valid only while `gen` matches the slot's live
-  /// generation (cancel/pop bump the generation, invalidating this lazily).
-  struct SlotMeta {
-    SimTime at;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 0;  // 0 never matches a live generation
+  // A pending event is a queued slot: the wheel holds its (at, seq) key and
+  // links, slots_ its callback, owner handle and generation. Cancelling
+  // unlinks the slot from the wheel and frees it at once, so every queued
+  // slot is live and the wheel's size is the pending count. The wheel pops
+  // in strict (at, seq) order, the same total order a binary heap gives.
+  struct Slot {
+    Callback cb;
+    TimerId* owner = nullptr;  // cleared when the event fires
+    std::uint32_t gen = 1;     // generation 0 is never issued: no TimerId is 0
   };
+
+  /// Slot index of a pending event's TimerId, or kNoSlot when stale.
+  std::uint32_t live_slot(TimerId id) const;
+  /// Retire a slot that just left the wheel: bump its generation (so the
+  /// old TimerId is stale), clear its owner's handle, return it to the free
+  /// list and hand back its callback.
+  Callback release(std::uint32_t slot);
+
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   SimTime now_;
   TimerWheel wheel_;
-  std::vector<std::uint32_t> gens_;  // slot -> current live generation
-  std::vector<SlotMeta> meta_;       // slot -> pending (at, seq) snapshot
-  std::vector<Callback> cbs_;        // slot -> pending callback
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t budget_ = 0;
@@ -156,7 +154,10 @@ class EventLoop {
 /// A restartable one-shot timer bound to an EventLoop. Convenience wrapper
 /// used by protocol state machines for retransmission / heartbeat / delay
 /// timers: re-arming implicitly cancels the previous shot, and destruction
-/// cancels any pending shot (no callbacks into destroyed objects).
+/// cancels any pending shot (no callbacks into destroyed objects). The
+/// caller's callback is scheduled as is, with the timer's id_ as the event's
+/// owner handle (a timer never moves, so the address is stable): arming
+/// costs no wrapper and no allocation.
 class ClockDomain;  // sim/clock_domain.h — per-host grey-failure skew
 
 class OneShotTimer {
@@ -186,7 +187,9 @@ class OneShotTimer {
   SimTime deadline_;
 };
 
-/// A periodic timer: fires every `period` until stopped or destroyed.
+/// A periodic timer: fires every `period` until stopped or destroyed. The
+/// callback may stop or restart its own timer: fire() runs a moved-out copy
+/// and puts it back unless the callback stopped or restarted the timer.
 class PeriodicTimer {
  public:
   explicit PeriodicTimer(EventLoop& loop) : loop_(loop) {}

@@ -6,20 +6,24 @@
 
 namespace sttcp::sim {
 
-TimerWheel::TimerWheel() = default;
+TimerWheel::TimerWheel() { std::fill(std::begin(heads_), std::end(heads_), kNil); }
 
-void TimerWheel::push(WheelEntry e) {
+void TimerWheel::push(std::uint32_t slot, SimTime at, std::uint64_t seq) {
+  if (slot >= nodes_.size()) nodes_.resize(std::size_t{slot} + 1);
+  Node& n = nodes_[slot];
+  n.at = at;
+  n.seq = seq;
   ++size_;
-  place(std::move(e));
+  place(slot);
 }
 
-void TimerWheel::place(WheelEntry e) {
-  const std::int64_t tick = tick_of(e.at);
+void TimerWheel::place(std::uint32_t slot) {
+  Node& n = nodes_[slot];
+  const std::int64_t tick = tick_of(n.at);
   if (tick <= cursor_) {
     // Current granule (or the sub-granule remainder of it): ordered by the
     // explicit (at, seq) heap.
-    due_.push_back(std::move(e));
-    std::push_heap(due_.begin(), due_.end(), DueOrder{});
+    due_push(slot);
     return;
   }
   // Level = the highest 6-bit group where tick and cursor differ. All higher
@@ -30,10 +34,35 @@ void TimerWheel::place(WheelEntry e) {
   const std::uint64_t diff =
       static_cast<std::uint64_t>(tick) ^ static_cast<std::uint64_t>(cursor_);
   const int level = (63 - std::countl_zero(diff)) / kLevelBits;
-  const auto index = static_cast<int>(
+  const auto index = static_cast<std::uint32_t>(
       (static_cast<std::uint64_t>(tick) >> (kLevelBits * level)) & kSlotMask);
-  levels_[level][index].push_back(std::move(e));
+  const std::uint32_t bucket = static_cast<std::uint32_t>(level) * kSlotsPerLevel + index;
+  const std::uint32_t head = heads_[bucket];
+  n.where = bucket;
+  n.prev = kNil;
+  n.next = head;
+  if (head != kNil) nodes_[head].prev = slot;
+  heads_[bucket] = slot;
   occupancy_[level] |= std::uint64_t{1} << index;
+}
+
+void TimerWheel::remove(std::uint32_t slot) {
+  Node& n = nodes_[slot];
+  if (n.where == kDue) {
+    due_erase(n.pos);
+  } else {
+    if (n.prev != kNil) {
+      nodes_[n.prev].next = n.next;
+    } else {
+      heads_[n.where] = n.next;
+      if (n.next == kNil) {
+        occupancy_[n.where / kSlotsPerLevel] &= ~(std::uint64_t{1} << (n.where & kSlotMask));
+      }
+    }
+    if (n.next != kNil) nodes_[n.next].prev = n.prev;
+  }
+  n.where = kIdle;
+  --size_;
 }
 
 std::int64_t TimerWheel::slot_floor_tick(int level, int index) const {
@@ -68,63 +97,75 @@ void TimerWheel::fill_due() {
       }
     }
     if (best_level < 0) return;  // nothing anywhere (size_ == 0)
-    std::vector<WheelEntry>& bucket = levels_[best_level][best_index];
+    const std::uint32_t bucket =
+        static_cast<std::uint32_t>(best_level) * kSlotsPerLevel +
+        static_cast<std::uint32_t>(best_index);
+    std::uint32_t slot = heads_[bucket];
+    heads_[bucket] = kNil;
     occupancy_[best_level] &= ~(std::uint64_t{1} << best_index);
     cursor_ = best_tick;
-    if (best_level == 0) {
-      // One granule of entries: order them by (at, seq).
-      due_.swap(bucket);
-      std::make_heap(due_.begin(), due_.end(), DueOrder{});
-    } else {
-      // Cascade: redistribute into strictly lower levels.
-      std::vector<WheelEntry> moved;
-      moved.swap(bucket);
-      for (WheelEntry& e : moved) place(std::move(e));
+    // A level-0 bucket is one granule: every entry lands in the due heap.
+    // A higher bucket cascades into strictly lower levels.
+    while (slot != kNil) {
+      const std::uint32_t next = nodes_[slot].next;
+      place(slot);
+      slot = next;
     }
   }
 }
 
-const WheelEntry& TimerWheel::peek_min() {
+std::uint32_t TimerWheel::peek_min() {
   fill_due();
   return due_.front();
 }
 
-WheelEntry TimerWheel::pop_min() {
+std::uint32_t TimerWheel::pop_min() {
   fill_due();
-  std::pop_heap(due_.begin(), due_.end(), DueOrder{});
-  WheelEntry e = std::move(due_.back());
-  due_.pop_back();
+  const std::uint32_t slot = due_.front();
+  due_erase(0);
+  nodes_[slot].where = kIdle;
   --size_;
-  return e;
+  return slot;
 }
 
-void TimerWheel::sweep(const std::function<bool(const WheelEntry&)>& stale,
-                       const std::function<void(const WheelEntry&)>& reclaim) {
-  const auto filter = [&](std::vector<WheelEntry>& v, bool heap) {
-    std::size_t kept = 0;
-    for (WheelEntry& e : v) {
-      if (stale(e)) {
-        reclaim(e);
-        --size_;
-      } else {
-        v[kept++] = std::move(e);
-      }
-    }
-    const bool changed = kept != v.size();
-    v.resize(kept);
-    if (heap && changed) std::make_heap(v.begin(), v.end(), DueOrder{});
-  };
-  filter(due_, /*heap=*/true);
-  for (int level = 0; level < kLevels; ++level) {
-    if (occupancy_[level] == 0) continue;
-    for (std::uint64_t occ = occupancy_[level]; occ != 0; occ &= occ - 1) {
-      const int index = std::countr_zero(occ);
-      filter(levels_[level][index], /*heap=*/false);
-      if (levels_[level][index].empty()) {
-        occupancy_[level] &= ~(std::uint64_t{1} << index);
-      }
-    }
+void TimerWheel::due_push(std::uint32_t slot) {
+  nodes_[slot].where = kDue;
+  due_.push_back(slot);
+  sift_up(static_cast<std::uint32_t>(due_.size() - 1));
+}
+
+void TimerWheel::due_erase(std::uint32_t pos) {
+  const std::uint32_t last = due_.back();
+  due_.pop_back();
+  if (pos == due_.size()) return;
+  due_set(pos, last);
+  sift_up(pos);
+  sift_down(nodes_[last].pos);
+}
+
+void TimerWheel::sift_up(std::uint32_t pos) {
+  const std::uint32_t slot = due_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!before(slot, due_[parent])) break;
+    due_set(pos, due_[parent]);
+    pos = parent;
   }
+  due_set(pos, slot);
+}
+
+void TimerWheel::sift_down(std::uint32_t pos) {
+  const std::uint32_t slot = due_[pos];
+  const auto n = static_cast<std::uint32_t>(due_.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(due_[child + 1], due_[child])) ++child;
+    if (!before(due_[child], slot)) break;
+    due_set(pos, due_[child]);
+    pos = child;
+  }
+  due_set(pos, slot);
 }
 
 }  // namespace sttcp::sim

@@ -3,10 +3,9 @@
 // The capacity workloads arm, cancel, and re-arm timers at enormous rates —
 // every ACK re-arms an RTO, every delivered segment may touch a delayed-ACK
 // or persist timer, and 10k+ churning connections keep 10k+ timers armed at
-// once. A binary heap pays O(log n) per arm and a periodic O(n) sweep to
-// shed lazily-cancelled entries; the wheel makes arm O(1) (a bucket append)
-// and cancel O(1) (the EventLoop's generation bump), while preserving the
-// loop's total execution order exactly.
+// once. The wheel makes arm O(1) (a list push) and cancel O(1) (a list
+// unlink; O(log k) inside the current granule), while preserving the loop's
+// total execution order exactly.
 //
 // Structure (a classic hashed hierarchical wheel, Varghese & Lauck style):
 //
@@ -25,30 +24,23 @@
 //     each entry cascades at most (levels-1) times over its lifetime;
 //   * entries within the current granule are ordered by an explicit little
 //     (at, seq) heap ("due heap", at most a granule's worth of events), which
-//     is what keeps execution order bit-identical to the old global heap:
+//     is what keeps execution order bit-identical to a global binary heap:
 //     (at, seq) is a total order, so pop order is independent of bucketing.
 //
-// The wheel stores entries by value and knows nothing about cancellation:
-// the EventLoop's slot/generation table decides staleness when an entry
-// surfaces (pop) or when the loop asks for a sweep (compaction).
+// The wheel is intrusive: it queues the owning EventLoop's slot indices and
+// keeps one node per slot (key, doubly linked bucket links, due-heap
+// position). A bucket is just a head index, so arming, cascading and
+// cancelling never allocate; the node table grows only when the loop's slot
+// table does, and its size is the peak number of simultaneously pending
+// events.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace sttcp::sim {
-
-/// One scheduled event as the wheel sees it: when, the FIFO tie-break, and
-/// the owning EventLoop's callback-slot coordinates.
-struct WheelEntry {
-  SimTime at;
-  std::uint64_t seq = 0;   // tie-break: FIFO among equal timestamps
-  std::uint32_t slot = 0;  // EventLoop callback slot
-  std::uint32_t gen = 0;   // generation the slot had when scheduled
-};
 
 class TimerWheel {
  public:
@@ -56,27 +48,31 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  /// Insert an entry. `e.at` must be >= the `at` of the most recently popped
-  /// entry's granule (the EventLoop clamps past times to now(), which
-  /// guarantees this).
-  void push(WheelEntry e);
+  /// Queue `slot` (which must not be queued) under the key (at, seq).
+  /// `at` must be >= the granule of the most recently popped entry (the
+  /// EventLoop clamps past times to now(), which guarantees this).
+  void push(std::uint32_t slot, SimTime at, std::uint64_t seq);
 
+  /// Unlink a queued slot (cancellation or out-of-order execution).
+  void remove(std::uint32_t slot);
+
+  bool contains(std::uint32_t slot) const {
+    return slot < nodes_.size() && nodes_[slot].where != kIdle;
+  }
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// The earliest entry in (at, seq) order, stale or not. May cascade
-  /// internally (amortized O(1)); the reference is valid until the next
-  /// mutating call. Precondition: !empty().
-  const WheelEntry& peek_min();
+  /// The queued slot earliest in (at, seq) order. May cascade internally
+  /// (amortized O(1)). Precondition: !empty().
+  std::uint32_t peek_min();
 
-  /// Remove and return the earliest entry in (at, seq) order.
-  WheelEntry pop_min();
+  /// Remove and return the queued slot earliest in (at, seq) order.
+  std::uint32_t pop_min();
 
-  /// Remove every entry for which `stale` returns true, invoking `reclaim`
-  /// on each removed entry (the EventLoop frees the callback slot there).
-  /// O(total entries); called only when stale entries dominate.
-  void sweep(const std::function<bool(const WheelEntry&)>& stale,
-             const std::function<void(const WheelEntry&)>& reclaim);
+  /// Key of a slot, valid while it is queued and after it is popped, until
+  /// the slot is pushed again.
+  SimTime at(std::uint32_t slot) const { return nodes_[slot].at; }
+  std::uint64_t seq(std::uint32_t slot) const { return nodes_[slot].seq; }
 
  private:
   static constexpr int kGranuleBits = 10;  // 1.024 us granules
@@ -84,30 +80,54 @@ class TimerWheel {
   static constexpr int kLevels = 9;        // 9*6 = 54 bits: all of sim time
   static constexpr std::uint64_t kSlotsPerLevel = std::uint64_t{1} << kLevelBits;
   static constexpr std::uint64_t kSlotMask = kSlotsPerLevel - 1;
+  static constexpr std::uint32_t kBuckets = kLevels * kSlotsPerLevel;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  // Node::where values beyond the bucket numbers.
+  static constexpr std::uint32_t kDue = kBuckets;
+  static constexpr std::uint32_t kIdle = kBuckets + 1;
+
+  struct Node {
+    SimTime at;
+    std::uint64_t seq = 0;          // tie-break: FIFO among equal timestamps
+    std::uint32_t next = kNil;      // bucket list links
+    std::uint32_t prev = kNil;
+    std::uint32_t pos = 0;          // index in due_ while where == kDue
+    std::uint32_t where = kIdle;    // bucket number, kDue, or kIdle
+  };
 
   static std::int64_t tick_of(SimTime t) { return t.ns() >> kGranuleBits; }
 
-  /// Bucket an entry relative to cursor_: due heap (current granule or
-  /// earlier) or a wheel slot picked by the XOR level rule.
-  void place(WheelEntry e);
+  /// Queue a node relative to cursor_: due heap (current granule or
+  /// earlier) or a wheel bucket picked by the XOR level rule.
+  void place(std::uint32_t slot);
   /// Make the due heap non-empty by advancing the cursor to the earliest
-  /// occupied granule, cascading higher-level slots as needed.
+  /// occupied granule, cascading higher-level buckets as needed.
   void fill_due();
   /// Earliest possibly-occupied absolute tick covered by `level`'s slot at
   /// `index`, given the cursor (handles the level frame wrapping).
   std::int64_t slot_floor_tick(int level, int index) const;
 
-  struct DueOrder {
-    bool operator()(const WheelEntry& a, const WheelEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;  // min-heap via std::*_heap
-      return a.seq > b.seq;
-    }
-  };
+  // Due heap: a binary min-heap of slots keyed by (at, seq) that records
+  // each member's position, so a cancelled member leaves in O(log k).
+  bool before(std::uint32_t a, std::uint32_t b) const {
+    const Node& x = nodes_[a];
+    const Node& y = nodes_[b];
+    return x.at != y.at ? x.at < y.at : x.seq < y.seq;
+  }
+  void due_set(std::uint32_t pos, std::uint32_t slot) {
+    due_[pos] = slot;
+    nodes_[slot].pos = pos;
+  }
+  void due_push(std::uint32_t slot);
+  void due_erase(std::uint32_t pos);
+  void sift_up(std::uint32_t pos);
+  void sift_down(std::uint32_t pos);
 
-  std::vector<WheelEntry> due_;  // (at, seq) min-heap: current granule
-  std::vector<WheelEntry> levels_[kLevels][kSlotsPerLevel];
-  std::uint64_t occupancy_[kLevels] = {};  // bit s set = slot s non-empty
-  std::int64_t cursor_ = 0;      // granule the due heap corresponds to
+  std::vector<Node> nodes_;           // slot -> node
+  std::vector<std::uint32_t> due_;    // (at, seq) min-heap: current granule
+  std::uint32_t heads_[kBuckets];     // bucket -> first slot, or kNil
+  std::uint64_t occupancy_[kLevels] = {};  // bit s set = bucket non-empty
+  std::int64_t cursor_ = 0;           // granule the due heap corresponds to
   std::size_t size_ = 0;
 };
 

@@ -29,8 +29,14 @@ const char* to_string(Role r) {
 }
 
 net::Bytes HeartbeatMsg::serialize() const {
+  // Exact wire size, so the message is written into one allocation.
+  std::size_t size = 11;
+  if (rejoin_request || rejoin_ready) size += 4;
+  if (group_valid) size += 6 + view_order.size();
+  if (decisions_valid) size += 10 + decisions.size() * 17;
+  for (const HbRecord& r : records) size += r.wire_size();
   net::Bytes out;
-  out.reserve(11 + records.size() * 19);
+  out.reserve(size);
   net::ByteWriter w(out);
   w.u8(kHbMagic);
   // Internet checksum over the whole message (field zeroed while summing),

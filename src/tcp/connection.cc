@@ -283,16 +283,19 @@ bool TcpConnection::try_emit_fin_or_rst() {
 
 void TcpConnection::emit_data_segment(std::uint64_t seq_abs, std::size_t len,
                                       bool retransmit) {
+  // The payload is read in place: the stack copies it from the send buffer
+  // straight into the frame.
+  const auto payload = send_buf_.spans(send_payload_offset(seq_abs), len);
+  const std::size_t n = payload.first.size() + payload.second.size();
+  if (n == 0) {
+    // The bytes were already acknowledged and released (stale retransmit).
+    return;
+  }
   TcpSegment seg;
   seg.seq = wire(seq_abs);
   seg.ack = wire(rcv_nxt_);
   seg.flags.ack = true;
   seg.flags.psh = true;
-  seg.payload = send_buf_.slice(send_payload_offset(seq_abs), len);
-  if (seg.payload.empty()) {
-    // The bytes were already acknowledged and released (stale retransmit).
-    return;
-  }
   if (retransmit) {
     ++stats_.retransmissions;
     if (m_retransmissions_ != nullptr) m_retransmissions_->inc();
@@ -301,14 +304,11 @@ void TcpConnection::emit_data_segment(std::uint64_t seq_abs, std::size_t len,
     // Karn's rule also covers go-back-N rewinds: bytes at or below the
     // high-water mark have been transmitted before and are never sampled.
     rtt_pending_ = true;
-    rtt_seq_ = seq_abs + seg.payload.size() - 1;
+    rtt_seq_ = seq_abs + n - 1;
     rtt_sent_at_ = stack_.world().now();
   }
-  if (seq_abs + seg.payload.size() > highest_sent_) {
-    highest_sent_ = seq_abs + seg.payload.size();
-  }
-  send_segment(std::move(seg), /*counts_payload=*/true,
-               retransmit ? &retrans_memo_ : nullptr);
+  if (seq_abs + n > highest_sent_) highest_sent_ = seq_abs + n;
+  send_segment(seg, payload, retransmit ? &retrans_memo_ : nullptr);
 }
 
 void TcpConnection::emit_control(TcpFlags flags, SeqWire seq_wire) {
@@ -316,7 +316,7 @@ void TcpConnection::emit_control(TcpFlags flags, SeqWire seq_wire) {
   seg.seq = seq_wire;
   seg.flags = flags;
   if (flags.ack) seg.ack = wire(rcv_nxt_);
-  send_segment(std::move(seg), /*counts_payload=*/false);
+  send_segment(seg, {}, nullptr);
 }
 
 void TcpConnection::emit_ack() {
@@ -334,7 +334,8 @@ void TcpConnection::schedule_ack() {
   });
 }
 
-void TcpConnection::send_segment(TcpSegment&& seg, bool counts_payload,
+void TcpConnection::send_segment(TcpSegment& seg,
+                                 std::pair<net::BytesView, net::BytesView> payload,
                                  TcpSegment::ChecksumMemo* memo) {
   seg.src_port = tuple_.local.port;
   seg.dst_port = tuple_.remote.port;
@@ -345,13 +346,13 @@ void TcpConnection::send_segment(TcpSegment&& seg, bool counts_payload,
     ack_pending_ = false;
     ack_flush_timer_.cancel();
   }
-  if (counts_payload) stats_.bytes_sent += seg.payload.size();
+  stats_.bytes_sent += payload.first.size() + payload.second.size();
   if (suppressed_) {
     ++stats_.segments_suppressed;
     return;
   }
   ++stats_.segments_sent;
-  stack_.emit(tuple_, seg, memo);
+  stack_.emit(tuple_, seg, payload, memo);
 }
 
 // ---------------------------------------------------------------------------

@@ -252,8 +252,10 @@ class TcpConnection {
   /// unaffected. The flush runs at the same simulated instant the segments
   /// arrived, so no delayed-ACK timer semantics are introduced.
   void schedule_ack();
-  void send_segment(TcpSegment&& seg, bool counts_payload,
-                    TcpSegment::ChecksumMemo* memo = nullptr);
+  /// Stamp ports/window and transmit `seg` carrying `payload` (spans into
+  /// the send buffer; empty for control segments).
+  void send_segment(TcpSegment& seg, std::pair<net::BytesView, net::BytesView> payload,
+                    TcpSegment::ChecksumMemo* memo);
 
   // Input processing.
   void on_segment_synsent(const TcpSegment& seg);

@@ -82,10 +82,9 @@ std::size_t ReassemblyBuffer::insert(std::uint64_t at, net::BytesView data) {
 
 net::Bytes ReassemblyBuffer::read(std::size_t max) {
   const std::size_t n = std::min(max, ready_.size());
-  net::Bytes out;
-  out.reserve(n);
-  out.insert(out.end(), ready_.begin(), ready_.begin() + n);
-  ready_.erase(ready_.begin(), ready_.begin() + n);
+  net::Bytes out(n);
+  ready_.copy_out(0, out.data(), n);
+  ready_.pop_front(n);
   return out;
 }
 

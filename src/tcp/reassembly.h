@@ -2,21 +2,23 @@
 //
 // Tracks the next expected absolute payload offset, holds out-of-order
 // fragments, and exposes an in-order byte queue to the application. The
-// advertised receive window is derived from the free capacity.
+// advertised receive window is derived from the free capacity. The in-order
+// queue is one contiguous ring (tcp/byte_ring.h), sized to fit and freed
+// whenever the application has read everything.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 
 #include "net/bytes.h"
+#include "tcp/byte_ring.h"
 
 namespace sttcp::tcp {
 
 class ReassemblyBuffer {
  public:
-  explicit ReassemblyBuffer(std::size_t capacity) : capacity_(capacity) {}
+  explicit ReassemblyBuffer(std::size_t capacity) : capacity_(capacity), ready_(capacity) {}
 
   /// Offer payload starting at absolute offset `at`. Bytes outside
   /// [next_expected, next_expected + window) are clipped. Returns the number
@@ -29,7 +31,11 @@ class ReassemblyBuffer {
   /// Copy the in-order readable bytes without consuming them. A connection
   /// snapshot (ST-TCP reintegration) ships these to the rejoining replica so
   /// its buffer matches ours byte for byte.
-  net::Bytes peek() const { return net::Bytes(ready_.begin(), ready_.end()); }
+  net::Bytes peek() const {
+    net::Bytes out(ready_.size());
+    ready_.copy_out(0, out.data(), out.size());
+    return out;
+  }
 
   /// Re-base an empty buffer so the next expected absolute offset is
   /// `offset`: a replica adopted mid-stream starts counting where the
@@ -73,14 +79,14 @@ class ReassemblyBuffer {
  private:
   void deliver(std::uint64_t offset, net::BytesView data) {
     if (deliver_tap_) deliver_tap_(offset, data);
-    ready_.insert(ready_.end(), data.begin(), data.end());
+    ready_.append(data);
   }
 
   std::size_t ooo_bytes() const;
 
   std::size_t capacity_;
   std::uint64_t next_ = 0;                       // next expected absolute offset
-  std::deque<std::uint8_t> ready_;               // in-order, unread bytes
+  ByteRing ready_;                               // in-order, unread bytes
   std::map<std::uint64_t, net::Bytes> ooo_;      // offset -> fragment (disjoint)
   DeliverTap deliver_tap_;
 };

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "net/addr.h"
 #include "net/bytes.h"
@@ -58,6 +59,15 @@ struct TcpSegment {
 
   /// Serialize header+payload with a valid checksum.
   net::Bytes serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip) const;
+
+  /// Append the header and `data` as the payload (two spans, written back
+  /// to back; the `payload` field is not used) to `out`, checksummed over
+  /// the appended bytes. This is how a whole frame is built in one buffer: the caller
+  /// leaves header room in `out` and passes the send queue's bytes in
+  /// place. A non-null `memo` takes the retransmit fast path below.
+  void serialize_into(net::Bytes& out, net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
+                      std::pair<net::BytesView, net::BytesView> data,
+                      ChecksumMemo* memo) const;
 
   /// Serialize with the RFC 1624 retransmit fast path. Produces bytes
   /// identical to the plain overload; `memo` must describe the same payload

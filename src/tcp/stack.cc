@@ -123,12 +123,16 @@ std::size_t TcpStack::memory_bytes() const {
 }
 
 bool TcpStack::emit(const FourTuple& tuple, const TcpSegment& seg,
+                    std::pair<net::BytesView, net::BytesView> payload,
                     TcpSegment::ChecksumMemo* memo) {
   if (!alive()) return false;
-  net::Bytes l4 = memo != nullptr
-                      ? seg.serialize(tuple.local.ip, tuple.remote.ip, *memo)
-                      : seg.serialize(tuple.local.ip, tuple.remote.ip);
-  return host_.send_ip(tuple.local.ip, tuple.remote.ip, net::kIpProtoTcp, l4);
+  net::Bytes frame;
+  frame.reserve(net::kIpFrameHeaderSize + TcpSegment::kHeaderSize +
+                payload.first.size() + payload.second.size());
+  frame.resize(net::kIpFrameHeaderSize);  // filled in by the host
+  seg.serialize_into(frame, tuple.local.ip, tuple.remote.ip, payload, memo);
+  return host_.send_ip_frame(tuple.local.ip, tuple.remote.ip, net::kIpProtoTcp,
+                             std::move(frame));
 }
 
 void TcpStack::on_connection_finished(TcpConnection& conn, CloseReason reason) {
@@ -245,8 +249,7 @@ void TcpStack::send_rst_for(const net::Ipv4Header& ip, const TcpSegment& seg) {
     rst.ack = seg.seq + seg.seq_len();
   }
   ++stats_.rst_sent;
-  net::Bytes l4 = rst.serialize(ip.dst, ip.src);
-  host_.send_ip(ip.dst, ip.src, net::kIpProtoTcp, l4);
+  emit(FourTuple{{ip.dst, seg.dst_port}, {ip.src, seg.src_port}}, rst, {}, nullptr);
 }
 
 void TcpStack::schedule_gc(const FourTuple& tuple) {

@@ -144,12 +144,15 @@ class TcpStack {
     if (accept_isn_fn_) return accept_isn_fn_(t);
     return static_cast<SeqWire>(isn_rng_.next_u64());
   }
-  /// Serialize and hand the segment to the host's IP layer. `memo`, when
-  /// non-null, enables the RFC 1624 retransmit fast path (see
-  /// TcpSegment::ChecksumMemo) — the connection passes its own memo for
-  /// retransmissions and null for first transmissions.
+  /// Build the segment's frame in one buffer — Ethernet/IPv4 header room,
+  /// TCP header, then `payload` copied straight from the send queue — and
+  /// hand it to the host's IP layer. `memo`, when non-null, enables the
+  /// RFC 1624 retransmit fast path (see TcpSegment::ChecksumMemo) — the
+  /// connection passes its own memo for retransmissions and null for first
+  /// transmissions.
   bool emit(const FourTuple& tuple, const TcpSegment& seg,
-            TcpSegment::ChecksumMemo* memo = nullptr);
+            std::pair<net::BytesView, net::BytesView> payload,
+            TcpSegment::ChecksumMemo* memo);
   void on_connection_finished(TcpConnection& conn, CloseReason reason);
 
   const Stats& stats() const { return stats_; }

@@ -1,0 +1,178 @@
+// Allocation budgets for the engine's hot path.
+//
+// This binary replaces the global operator new with a counting one, so a
+// test can assert how many heap allocations a block of code makes. The
+// steady-state event path — scheduling and firing events, re-arming and
+// cancelling timers, cascading through the timing wheel — must make none;
+// a whole replicated download is pinned to a per-MiB budget.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "app/client.h"
+#include "app/server.h"
+#include "harness/topology.h"
+#include "sim/clock_domain.h"
+#include "sim/event_loop.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs the inlined builtin operator new of gtest's test factory with
+// the free() below; both sides are this file's malloc/free, so the
+// mismatch it reports cannot happen.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace sttcp::sim {
+namespace {
+
+/// Counts global operator new calls made while it is alive.
+class AllocationWindow {
+ public:
+  AllocationWindow() : start_(g_allocations.load()) {}
+  std::uint64_t count() const { return g_allocations.load() - start_; }
+
+ private:
+  std::uint64_t start_;
+};
+
+// Sanitizer runtimes may allocate behind the program's back; the budgets
+// are asserted on uninstrumented builds, the code paths still run.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCountsExact = false;
+#else
+constexpr bool kCountsExact = true;
+#endif
+
+#define EXPECT_ALLOCATIONS(window, n)    \
+  do {                                   \
+    if (kCountsExact) {                  \
+      EXPECT_EQ((window).count(), (n));  \
+    }                                    \
+  } while (0)
+
+constexpr int kCycles = 100'000;
+
+/// A 48-byte capture: the size of a link's (this, port, Frame) arrival.
+struct Capture48 {
+  std::uint64_t* sink;
+  std::array<std::uint64_t, 5> pad{};
+};
+
+TEST(AllocBudget, WarmEventLoopScheduleStepAllocatesNothing) {
+  EventLoop loop;
+  std::uint64_t sink = 0;
+  const auto cycle = [&] {
+    const Capture48 c{&sink};
+    auto cb = [c] { *c.sink += c.pad[0] + 1; };
+    static_assert(sizeof(cb) == 48);
+    static_assert(EventLoop::Callback::fits_inline<decltype(cb)>());
+    loop.schedule_after(Duration::micros(1), cb);
+    loop.step();
+  };
+  cycle();  // warm: the slot table and the wheel's node table grow once
+  AllocationWindow w;
+  for (int i = 0; i < kCycles; ++i) cycle();
+  EXPECT_ALLOCATIONS(w, 0u);
+  EXPECT_EQ(sink, static_cast<std::uint64_t>(kCycles) + 1);
+}
+
+TEST(AllocBudget, OneShotTimerRearmCancelAllocatesNothing) {
+  EventLoop loop;
+  ClockDomain domain(loop);  // healthy: a pure passthrough
+  OneShotTimer direct(loop);
+  OneShotTimer via_domain(domain);
+  int fired = 0;
+  const auto cycle = [&](OneShotTimer& t) {
+    t.arm(Duration::millis(200), [&fired] { ++fired; });  // RTO-style re-arm
+    t.arm(Duration::millis(1), [&fired] { ++fired; });
+    t.cancel();
+    t.arm(Duration::micros(1), [&fired] { ++fired; });
+    loop.step();  // fires, clearing the timer's handle
+  };
+  cycle(direct);
+  cycle(via_domain);
+  AllocationWindow w;
+  for (int i = 0; i < kCycles; ++i) {
+    cycle(direct);
+    cycle(via_domain);
+  }
+  EXPECT_ALLOCATIONS(w, 0u);
+  EXPECT_EQ(fired, 2 * (kCycles + 1));
+  EXPECT_FALSE(direct.armed());
+  EXPECT_FALSE(via_domain.armed());
+}
+
+TEST(AllocBudget, WheelCascadesThroughEveryLevelWithoutAllocating) {
+  EventLoop loop;
+  std::uint64_t fired = 0;
+  // One event per wheel level (granule 2^10 ns, 6 bits per level), each
+  // cascading down through every level below it before it fires.
+  const auto round = [&] {
+    for (int level = 0; level < 9; ++level) {
+      const std::int64_t delta = std::int64_t{1} << (10 + 6 * level);
+      loop.schedule_after(Duration::nanos(delta + level), [&fired] { ++fired; });
+    }
+    loop.run();
+  };
+  round();
+  AllocationWindow w;
+  for (int i = 0; i < 10; ++i) round();  // the top level spans ~9 years
+  EXPECT_ALLOCATIONS(w, 0u);
+  EXPECT_EQ(fired, 9u * 11u);
+}
+
+// A fixed-seed ST-TCP pair download: the whole replicated data path (links,
+// switch tap, TCP send/receive, heartbeats) pinned to an allocation budget
+// per delivered MiB. The budget is the measured count plus 10%. What is
+// left is about 7 per data segment: the frame buffer and its shared control
+// block for the data segment and for its ACK, the receiver's parsed
+// payload, its reassembly ring refill and the application's read buffer.
+TEST(AllocBudget, PairDownloadAllocationsPerMiB) {
+  constexpr std::uint64_t kBytes = 4 << 20;
+  harness::TopologyConfig cfg;
+  cfg.seed = 1;
+  const auto topo = harness::make_figure2(cfg);
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer primary(cell.primary_stack(), cell.service_port(), kBytes);
+  app::FileServer backup(cell.backup_stack(), cell.service_port(), kBytes);
+  app::DownloadClient::Options opt;
+  opt.expected_bytes = kBytes;
+  app::DownloadClient client(*client_host.stack, client_host.ip, {cell.connect_addr()},
+                             opt);
+  client.start();
+  topo->run_for(Duration::millis(50));  // handshake, replica setup, first window
+  const std::uint64_t before = client.received();
+  AllocationWindow w;
+  for (int ms = 0; ms < 10'000 && !client.complete(); ++ms) {
+    topo->run_for(Duration::millis(1));
+  }
+  const std::uint64_t allocations = w.count();
+  ASSERT_TRUE(client.complete());
+  const double mib = static_cast<double>(client.received() - before) / (1 << 20);
+  const double per_mib = static_cast<double>(allocations) / mib;
+  RecordProperty("allocations_per_mib", static_cast<int>(per_mib));
+  std::printf("pair download: %.0f allocations per delivered MiB\n", per_mib);
+  constexpr double kMeasuredPerMiB = 5023;
+  if (kCountsExact) {
+    EXPECT_LE(per_mib, kMeasuredPerMiB * 1.10);
+  }
+}
+
+}  // namespace
+}  // namespace sttcp::sim

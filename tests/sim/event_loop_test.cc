@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace sttcp::sim {
@@ -185,6 +188,77 @@ TEST(PeriodicTimerTest, StopFromWithinCallback) {
   loop.run_for(Duration::seconds(1));
   EXPECT_EQ(fired, 2);
   EXPECT_FALSE(t.running());
+}
+
+// A callback that stops its own timer must keep running on live captures:
+// stop() used to destroy the running callable (and its captures) mid-call.
+bool g_capture_destroyed = false;
+
+struct DestroyFlag {
+  bool armed = true;
+  DestroyFlag() = default;
+  DestroyFlag(const DestroyFlag&) = default;
+  DestroyFlag(DestroyFlag&& o) noexcept : armed(o.armed) { o.armed = false; }
+  ~DestroyFlag() {
+    if (armed) g_capture_destroyed = true;
+  }
+};
+
+TEST(PeriodicTimerTest, StopFromWithinCallbackKeepsCapturesAlive) {
+  EventLoop loop;
+  PeriodicTimer t(loop);
+  g_capture_destroyed = false;
+  std::string seen;
+  bool alive_after_stop = false;
+  t.start(Duration::millis(10),
+          [&t, &seen, &alive_after_stop, tag = std::string(64, 'x'), flag = DestroyFlag{}] {
+            t.stop();
+            alive_after_stop = !g_capture_destroyed;
+            seen = tag;  // heap-use-after-free if stop() destroyed the capture
+          });
+  loop.run_for(Duration::seconds(1));
+  EXPECT_TRUE(alive_after_stop);
+  EXPECT_EQ(seen, std::string(64, 'x'));
+  EXPECT_TRUE(g_capture_destroyed);  // released once the shot returned
+  EXPECT_FALSE(t.running());
+}
+
+TEST(PeriodicTimerTest, RestartFromWithinCallbackInstallsTheNewCallback) {
+  EventLoop loop;
+  PeriodicTimer t(loop);
+  int first = 0;
+  int second = 0;
+  t.start(Duration::millis(10), [&] {
+    ++first;
+    t.start(Duration::millis(20), [&] { ++second; });
+  });
+  loop.run_for(Duration::millis(55));  // first at 10, second at 30 and 50
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
+  EXPECT_TRUE(t.running());
+}
+
+TEST(InlineCallbackTest, RunsMoveOnlyAndLargeCapturesAndDestroysThemOnce) {
+  int runs = 0;
+  auto counter = std::make_shared<int>(0);  // use_count tracks live copies
+  {
+    auto owned = std::make_unique<int>(7);
+    InlineCallback small([&runs, p = std::move(owned)] { runs += *p; });
+    std::array<std::uint64_t, 16> big{};
+    big[15] = 1;
+    InlineCallback large([&runs, big, counter] { runs += static_cast<int>(big[15]); });
+    static_assert(!InlineCallback::fits_inline<std::array<std::uint64_t, 16>>());
+    EXPECT_EQ(counter.use_count(), 2);
+    InlineCallback moved = std::move(large);
+    EXPECT_FALSE(large);  // NOLINT(bugprone-use-after-move): moved-from is empty
+    EXPECT_EQ(counter.use_count(), 2);
+    small();
+    moved();
+    small = std::move(moved);  // destroys the old small capture
+    small();
+  }
+  EXPECT_EQ(runs, 9);
+  EXPECT_EQ(counter.use_count(), 1);
 }
 
 }  // namespace

@@ -21,37 +21,46 @@ namespace {
 TEST(TimerWheel, PopsInTimestampSeqOrder) {
   TimerWheel w;
   // Deliberately adversarial spread: same granule, adjacent granules, far
-  // cascades, duplicate timestamps.
+  // cascades, duplicate timestamps. Slot i carries seq i.
   const std::int64_t times[] = {0,    1,       1,      1023,    1024,
                                 4095, 70000,   70000,  1 << 20, 1 << 21,
                                 5,    1 << 28, 999999, 3,       1024};
-  std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
   for (std::int64_t t : times) {
-    w.push(WheelEntry{SimTime::from_ns(t), seq++, 0, 1});
+    w.push(slot, SimTime::from_ns(t), slot);
+    ++slot;
   }
   ASSERT_EQ(w.size(), std::size(times));
   SimTime prev_at = SimTime::zero();
   std::uint64_t prev_seq = 0;
   bool first = true;
   while (!w.empty()) {
-    const WheelEntry e = w.pop_min();
+    const std::uint32_t s = w.pop_min();
+    EXPECT_FALSE(w.contains(s));
     if (!first) {
-      ASSERT_TRUE(e.at > prev_at || (e.at == prev_at && e.seq > prev_seq))
+      ASSERT_TRUE(w.at(s) > prev_at || (w.at(s) == prev_at && w.seq(s) > prev_seq))
           << "out of (at, seq) order";
     }
     first = false;
-    prev_at = e.at;
-    prev_seq = e.seq;
+    prev_at = w.at(s);
+    prev_seq = w.seq(s);
   }
 }
 
 TEST(TimerWheel, RandomizedAgainstSortReference) {
+  struct Ref {
+    SimTime at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
   Rng rng(0x57ee1);
   TimerWheel w;
-  std::vector<WheelEntry> ref;
+  std::vector<Ref> ref;
+  std::vector<std::uint32_t> free_slots;
+  std::uint32_t next_slot = 0;
   std::uint64_t seq = 0;
   // Mixed insert/pop phases so the cursor advances mid-stream, including
-  // far-future entries beyond the wheel horizon.
+  // far-future entries beyond the wheel horizon; popped slots are reused.
   std::int64_t now_ns = 0;
   for (int round = 0; round < 50; ++round) {
     const int inserts = static_cast<int>(rng.below(64)) + 1;
@@ -67,37 +76,64 @@ TEST(TimerWheel, RandomizedAgainstSortReference) {
                   (std::int64_t{1} << 47);
           break;
       }
-      WheelEntry e{SimTime::from_ns(now_ns + delta), seq++, 0, 1};
-      w.push(e);
+      std::uint32_t slot = next_slot;
+      if (!free_slots.empty()) {
+        slot = free_slots.back();
+        free_slots.pop_back();
+      } else {
+        ++next_slot;
+      }
+      const Ref e{SimTime::from_ns(now_ns + delta), seq++, slot};
+      w.push(e.slot, e.at, e.seq);
       ref.push_back(e);
     }
     const int pops = static_cast<int>(rng.below(static_cast<std::uint64_t>(ref.size())));
-    std::sort(ref.begin(), ref.end(), [](const WheelEntry& a, const WheelEntry& b) {
+    std::sort(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
       return a.at != b.at ? a.at < b.at : a.seq < b.seq;
     });
     for (int i = 0; i < pops; ++i) {
-      const WheelEntry got = w.pop_min();
-      ASSERT_EQ(got.at, ref[static_cast<std::size_t>(i)].at);
-      ASSERT_EQ(got.seq, ref[static_cast<std::size_t>(i)].seq);
-      now_ns = got.at.ns();
+      const std::uint32_t got = w.pop_min();
+      ASSERT_EQ(got, ref[static_cast<std::size_t>(i)].slot);
+      ASSERT_EQ(w.at(got), ref[static_cast<std::size_t>(i)].at);
+      ASSERT_EQ(w.seq(got), ref[static_cast<std::size_t>(i)].seq);
+      now_ns = w.at(got).ns();
+      free_slots.push_back(got);
     }
     ref.erase(ref.begin(), ref.begin() + pops);
   }
 }
 
-TEST(TimerWheel, SweepRemovesExactlyStaleEntries) {
+TEST(TimerWheel, RemoveUnlinksExactlyThoseSlots) {
   TimerWheel w;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    w.push(WheelEntry{SimTime::from_ns(static_cast<std::int64_t>(i) * 7777),
-                      i, static_cast<std::uint32_t>(i), 1});
+  // Spread over every level; slot i carries seq i.
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    w.push(i, SimTime::from_ns(std::int64_t{1} << (i % 50)) + Duration::nanos(i), i);
   }
-  std::vector<std::uint32_t> reclaimed;
-  w.sweep([](const WheelEntry& e) { return e.slot % 3 == 0; },
-          [&](const WheelEntry& e) { reclaimed.push_back(e.slot); });
-  EXPECT_EQ(reclaimed.size(), 334u);  // slots 0,3,...,999
+  for (std::uint32_t i = 0; i < 1000; i += 3) w.remove(i);  // slots 0,3,...,999
   EXPECT_EQ(w.size(), 1000u - 334u);
+  for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(w.contains(i), i % 3 != 0) << i;
+  SimTime prev = SimTime::zero();
   while (!w.empty()) {
-    EXPECT_NE(w.pop_min().slot % 3, 0u);
+    const std::uint32_t s = w.pop_min();
+    EXPECT_NE(s % 3, 0u);
+    EXPECT_GE(w.at(s), prev);
+    prev = w.at(s);
+  }
+}
+
+TEST(TimerWheel, RemoveFromDueHeapKeepsOrder) {
+  TimerWheel w;
+  // All in the first granule: every entry sits in the due heap.
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    w.push(i, SimTime::from_ns(static_cast<std::int64_t>((i * 37) % 64)), i);
+  }
+  ASSERT_EQ(w.peek_min(), 0u);
+  for (std::uint32_t i = 0; i < 64; i += 2) w.remove(i);
+  std::vector<std::uint32_t> order;
+  while (!w.empty()) order.push_back(w.pop_min());
+  ASSERT_EQ(order.size(), 32u);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    EXPECT_LT(w.at(order[i - 1]), w.at(order[i]));
   }
 }
 
@@ -118,9 +154,8 @@ TEST(TimerWheelLoop, SameTickFifoOrder) {
 TEST(TimerWheelLoop, ArmCancelRearmStorm) {
   EventLoop loop;
   Rng rng(7);
-  // 10k timers constantly re-armed (the RTO-on-every-ACK pattern): the
-  // lazily-cancelled backlog must be swept, not accumulated, and the
-  // surviving shots must fire in order.
+  // 10k timers constantly re-armed (the RTO-on-every-ACK pattern): every
+  // cancel frees its slot at once, and the surviving shots fire in order.
   constexpr int kTimers = 10000;
   std::vector<TimerId> ids(kTimers, 0);
   for (int round = 0; round < 5; ++round) {

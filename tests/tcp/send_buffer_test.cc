@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace sttcp::tcp {
 namespace {
 
@@ -80,6 +82,46 @@ TEST(SendBufferTest, InterleavedAppendAckSlice) {
     sb.ack_to(acked);
   }
   EXPECT_EQ(sb.end_offset(), appended);
+}
+
+TEST(SendBufferTest, RingWrapsAndRegrowsAgainstAReferenceModel) {
+  // Odd-sized appends and acks drive the ring through wrap-around, growth
+  // while wrapped, and emptying (which frees storage) many times over; every
+  // slice and both spans must match a plain byte-vector model.
+  SendBuffer sb(5000);
+  net::Bytes model;  // bytes [una, end)
+  std::uint64_t una = 0;
+  std::uint8_t next = 0;
+  std::uint32_t x = 12345;
+  const auto rnd = [&x](std::uint32_t n) {
+    x = x * 1103515245u + 12345u;
+    return (x >> 8) % n;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const net::Bytes data = seq_bytes(rnd(1500), next);
+    const std::size_t took = sb.append(data);
+    ASSERT_EQ(took, std::min(data.size(), 5000 - model.size()));
+    model.insert(model.end(), data.begin(), data.begin() + static_cast<long>(took));
+    next = static_cast<std::uint8_t>(next + took);
+    // Sometimes acknowledge everything, so the ring empties and restarts.
+    const std::size_t ack = rnd(8) == 0 ? model.size() : rnd(static_cast<std::uint32_t>(model.size()) + 1);
+    EXPECT_EQ(sb.ack_to(una + ack), ack);
+    model.erase(model.begin(), model.begin() + static_cast<long>(ack));
+    una += ack;
+    ASSERT_EQ(sb.size(), model.size());
+    ASSERT_EQ(sb.una_offset(), una);
+    if (model.empty()) continue;
+    const std::size_t from = rnd(static_cast<std::uint32_t>(model.size()));
+    const std::size_t len = rnd(2000) + 1;
+    const net::Bytes got = sb.slice(una + from, len);
+    const std::size_t n = std::min(len, model.size() - from);
+    ASSERT_EQ(got, net::Bytes(model.begin() + static_cast<long>(from),
+                              model.begin() + static_cast<long>(from + n)));
+    const auto [a, b] = sb.spans(una + from, len);
+    net::Bytes joined(a.begin(), a.end());
+    joined.insert(joined.end(), b.begin(), b.end());
+    ASSERT_EQ(joined, got);
+  }
 }
 
 }  // namespace
