@@ -12,6 +12,7 @@
 #include "app/server.h"
 #include "harness/topology.h"
 #include "net/checksum.h"
+#include "net/headers.h"
 #include "net/nic.h"
 #include "net/switch.h"
 #include "sim/event_loop.h"
@@ -74,7 +75,7 @@ struct FanoutRig {
 void BM_SwitchMulticastFanout(benchmark::State& state) {
   // range(0): fan-out width (2 = the paper's primary+backup pair).
   FanoutRig rig(static_cast<int>(state.range(0)));
-  const net::Frame frame(rig.make_frame(1460));
+  const net::Frame frame = net::Frame::copy_of(rig.make_frame(1460));
   constexpr int kBatch = 256;
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
@@ -99,7 +100,7 @@ void BM_SwitchFloodFanout(benchmark::State& state) {
   // Rewrite dst to broadcast so it floods instead of using the group.
   const auto bc = net::MacAddr::broadcast().bytes();
   std::copy(bc.begin(), bc.end(), raw.begin());
-  const net::Frame frame(std::move(raw));
+  const net::Frame frame = net::Frame::copy_of(raw);
   constexpr int kBatch = 256;
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
@@ -148,9 +149,12 @@ void BM_PatternVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternVerify)->Arg(1460)->Arg(16384)->Arg(1 << 20);
 
+// 1460 bytes of segment payload for the codec benchmarks.
+const net::Bytes kMssPayload(1460, 0x5a);
+
 void BM_TcpSegmentSerialize(benchmark::State& state) {
   tcp::TcpSegment seg;
-  seg.payload = net::Bytes(1460, 0x5a);
+  seg.payload = kMssPayload;
   seg.flags.ack = true;
   const net::Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
   for (auto _ : state) {
@@ -162,7 +166,7 @@ BENCHMARK(BM_TcpSegmentSerialize);
 
 void BM_TcpSegmentParse(benchmark::State& state) {
   tcp::TcpSegment seg;
-  seg.payload = net::Bytes(1460, 0x5a);
+  seg.payload = kMssPayload;
   seg.flags.ack = true;
   const net::Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
   const net::Bytes wire = seg.serialize(a, b);
@@ -196,9 +200,9 @@ void BM_ReassemblyInOrder(benchmark::State& state) {
     for (int i = 0; i < 64; ++i) {
       rb.insert(off, chunk);
       off += chunk.size();
-      if (rb.window() < chunk.size()) rb.read(1 << 20);
+      if (rb.window() < chunk.size()) rb.consume(1 << 20, [](net::BytesView) {});
     }
-    benchmark::DoNotOptimize(rb.read(1 << 20));
+    benchmark::DoNotOptimize(rb.consume(1 << 20, [](net::BytesView) {}));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64 * 1460);
 }
@@ -277,7 +281,7 @@ void BM_TcpSegmentSerializeRetransmit(benchmark::State& state) {
   // warm ChecksumMemo — two incremental word updates instead of re-summing
   // 1460 payload bytes. Compare against BM_TcpSegmentSerialize.
   tcp::TcpSegment seg;
-  seg.payload = net::Bytes(1460, 0x5a);
+  seg.payload = kMssPayload;
   seg.flags.ack = true;
   const net::Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
   tcp::TcpSegment::ChecksumMemo memo;
@@ -290,6 +294,59 @@ void BM_TcpSegmentSerializeRetransmit(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1480);
 }
 BENCHMARK(BM_TcpSegmentSerializeRetransmit);
+
+void BM_FrameBuildTcpSegment(benchmark::State& state) {
+  // One outgoing full-MSS data segment as TcpStack::emit builds it: one
+  // frame block, the TCP header and the payload copied in from the send
+  // queue and checksummed in place, then the Ethernet/IPv4 header room
+  // filled in. One allocation per frame.
+  tcp::SendBuffer sb(1 << 16);
+  sb.append(kMssPayload);
+  tcp::TcpSegment seg;
+  seg.flags.ack = true;
+  const net::Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  const net::MacAddr ma = net::MacAddr::from_u64(1), mb = net::MacAddr::from_u64(2);
+  constexpr std::size_t kFrameSize =
+      net::kIpFrameHeaderSize + tcp::TcpSegment::kHeaderSize + 1460;
+  for (auto _ : state) {
+    net::Frame frame = net::Frame::allocate(kFrameSize);
+    seg.write(frame.writable().subspan(net::kIpFrameHeaderSize), a, b, sb.spans(0, 1460),
+              nullptr);
+    net::write_ip_headers(frame.writable(), mb, ma, a, b, net::kIpProtoTcp);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kFrameSize);
+}
+BENCHMARK(BM_FrameBuildTcpSegment);
+
+void BM_TcpReceiveDataSegment(benchmark::State& state) {
+  // The receive side of one full-MSS data segment: parse the frame, parse
+  // and verify the TCP segment (its payload a view into the frame), append
+  // the payload to the reassembly ring and let the application consume it
+  // in place. The ring drains on every read, so each insert refills it.
+  const net::Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  tcp::TcpSegment seg;
+  seg.flags.ack = true;
+  net::Frame frame = net::Frame::allocate(net::kIpFrameHeaderSize +
+                                          tcp::TcpSegment::kHeaderSize + 1460);
+  seg.write(frame.writable().subspan(net::kIpFrameHeaderSize), a, b, {kMssPayload, {}},
+            nullptr);
+  net::write_ip_headers(frame.writable(), net::MacAddr::from_u64(2),
+                        net::MacAddr::from_u64(1), a, b, net::kIpProtoTcp);
+  tcp::ReassemblyBuffer rb(1 << 16);
+  std::uint64_t at = 0;
+  for (auto _ : state) {
+    const net::ParsedFrame p = net::parse_frame(frame.view());
+    const auto parsed = tcp::TcpSegment::parse(p.ip->src, p.ip->dst, p.l4, true);
+    rb.insert(at, parsed->payload);
+    at += parsed->payload.size();
+    std::uint64_t sum = 0;
+    rb.consume(1 << 20, [&sum](net::BytesView v) { sum += v[0] + v.size(); });
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1460);
+}
+BENCHMARK(BM_TcpReceiveDataSegment);
 
 void BM_ChecksumUpdate(benchmark::State& state) {
   // The raw RFC 1624 word update (the unit the fast path is built from).

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, run the full test suite. With --asan, also
-# build the ASan+UBSan configuration and run the sttcp + obs subset plus the
-# chaos sweeps under it (the full suite under ASan is slow; the ST-TCP engine
-# — including the reintegration snapshot path — and the telemetry layer are
-# where the pointer-heavy code lives, and the chaos/two-failure sweeps drive
-# the widest state coverage). With --release, also build
+# build the ASan+UBSan configuration and run the engine, network, TCP,
+# sttcp and obs subset plus the chaos sweeps under it (the full suite under
+# ASan is slow; those layers are where the pointer-heavy code lives, and the
+# chaos/two-failure sweeps drive the widest state coverage). With --release, also build
 # the optimized lane the benchmarks are measured in and smoke-run bench_micro
 # (see docs/PERFORMANCE.md). With --chaos, run the adversarial multi-fault
 # fuzzer (docs/CHAOS.md) over a fixed seed budget in the Release lane. With
@@ -88,11 +87,14 @@ for arg in "$@"; do
       # Impairment engine (COW corruption, reorder hold queue) is included:
       # it is the newest pointer-heavy code. So is the engine core (sim_*:
       # inline callbacks, owner-cleared timers, the intrusive wheel, and the
-      # allocation-budget binary, whose counts are checked only uninstrumented).
+      # allocation-budget binary, whose counts are checked only uninstrumented),
+      # and so are the network and TCP layers (net_|tcp_): parsed segments and
+      # buffered replica segments are views into shared frame blocks, so a
+      # frame dropped too early shows up here as a use-after-free.
       # The chaos fuzzer runs a reduced seed budget under ASan — each seed is
       # ~5x slower instrumented.
       STTCP_CHAOS_SEEDS=12 ctest --test-dir build-asan --output-on-failure \
-        -j "$JOBS" -R 'sim_|sttcp|obs|chaos|impairment'
+        -j "$JOBS" -R 'sim_|net_|tcp_|sttcp|obs|chaos|impairment'
       ;;
     --tsan)
       cmake -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSTTCP_SANITIZE=thread >/dev/null
@@ -101,10 +103,12 @@ for arg in "$@"; do
       # sharded determinism digests, and the sweep-runner pool (the grey
       # and multi-failure sweeps run reduced seed budgets under TSan —
       # the group sweep is the newest SweepRunner client). Clock-domain
-      # tests ride along: virtual-clock skew under the parallel executor.
+      # tests ride along: virtual-clock skew under the parallel executor. So
+      # do the frame tests: a frame block's atomic refcount is shared by
+      # shard threads.
       STTCP_GREY_SEEDS=8 STTCP_MULTI_SEEDS=8 STTCP_MULTI_NEG_SEEDS=4 \
         ctest --test-dir build-tsan --output-on-failure \
-        -j "$JOBS" -R 'parallel|determinism|clock_domain|grey_chaos|multi_failure'
+        -j "$JOBS" -R 'parallel|determinism|clock_domain|frame|grey_chaos|multi_failure'
       ;;
     --release)
       cmake -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -112,7 +116,7 @@ for arg in "$@"; do
       # Quick sanity pass over the hot-path microbenchmarks; the committed
       # numbers in BENCH_micro.json use --benchmark_min_time=0.2.
       ./build-release/bench/bench_micro \
-        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_OneShotTimerRearm|BM_SendBufferAppendSliceAck|BM_Pattern' \
+        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_OneShotTimerRearm|BM_SendBufferAppendSliceAck|BM_FrameBuildTcpSegment|BM_TcpReceiveDataSegment|BM_Pattern' \
         --benchmark_min_time=0.05
       ;;
     --chaos)

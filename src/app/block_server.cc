@@ -97,11 +97,10 @@ void BlockStoreServer::on_accept(Conn& c) {
 }
 
 void BlockStoreServer::on_data(Conn& c) {
-  const net::Bytes in = c.tcp->read(1 << 20);
-  stats_.bytes_read += in.size();
   Side& s = side_of(c);
+  // A poisoned decoder buffers nothing further; the bytes are drained anyway.
+  stats_.bytes_read += c.tcp->consume(1 << 20, [&s](net::BytesView in) { s.decoder.feed(in); });
   if (s.decoder.poisoned()) return;
-  s.decoder.feed(in);
   if (log_.recording() && !promote_draining_) {
     pump_record(c, s);
     return;

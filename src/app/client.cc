@@ -46,8 +46,11 @@ void DownloadClient::connect() {
 }
 
 void DownloadClient::on_readable() {
-  net::Bytes data = conn_->read(1 << 20);
-  if (data.empty()) return;
+  const std::size_t n = conn_->consume(1 << 20, [this](net::BytesView chunk) {
+    if (!pattern_verify(conn_received_, chunk)) corrupt_ = true;
+    conn_received_ += chunk.size();
+  });
+  if (n == 0) return;
   if (stall_timer_ != nullptr && !complete_) {
     stall_timer_->arm(opt_.stall_timeout, [this] {
       if (complete_ || conn_ == nullptr) return;
@@ -55,9 +58,7 @@ void DownloadClient::on_readable() {
       conn_->abort();
     });
   }
-  if (!pattern_verify(conn_received_, data)) corrupt_ = true;
-  conn_received_ += data.size();
-  received_ += data.size();
+  received_ += n;
   if (failover_timeline_ != nullptr) failover_timeline_->client_byte(stack_.world().now());
   timeline_.push_back(Sample{stack_.world().now(), received_});
   if (received_ >= opt_.expected_bytes && !complete_) {
@@ -146,10 +147,11 @@ void StreamClient::maybe_request() {
 }
 
 void StreamClient::on_readable() {
-  net::Bytes data = conn_->read(1 << 20);
-  if (data.empty()) return;
-  if (!pattern_verify(received_, data)) corrupt_ = true;
-  received_ += data.size();
+  const std::size_t n = conn_->consume(1 << 20, [this](net::BytesView chunk) {
+    if (!pattern_verify(received_, chunk)) corrupt_ = true;
+    received_ += chunk.size();
+  });
+  if (n == 0) return;
   if (failover_timeline_ != nullptr) failover_timeline_->client_byte(stack_.world().now());
   rx_times_.push_back(stack_.world().now());
   maybe_request();

@@ -164,7 +164,7 @@ void FileServer::on_accept(Conn& c) {
 
 void FileServer::on_data(Conn& c) {
   // A file server ignores (but drains) client chatter.
-  stats_.bytes_read += c.tcp->read(1 << 20).size();
+  stats_.bytes_read += c.tcp->consume(1 << 20, [](net::BytesView) {});
 }
 
 void FileServer::on_writable(Conn& c) {
@@ -184,10 +184,10 @@ StreamServer::StreamServer(tcp::TcpStack& stack, std::uint16_t port,
 void StreamServer::on_accept(Conn&) {}
 
 void StreamServer::on_data(Conn& c) {
-  const net::Bytes reqs = c.tcp->read(1 << 20);
-  stats_.bytes_read += reqs.size();
+  const std::size_t reqs = c.tcp->consume(1 << 20, [](net::BytesView) {});
+  stats_.bytes_read += reqs;
   // Each request byte buys one record.
-  c.to_serve += reqs.size() * record_size_;
+  c.to_serve += reqs * record_size_;
   on_writable(c);
 }
 
@@ -206,10 +206,10 @@ SinkServer::SinkServer(tcp::TcpStack& stack, std::uint16_t port, bool verify)
 void SinkServer::on_accept(Conn&) {}
 
 void SinkServer::on_data(Conn& c) {
-  const net::Bytes in = c.tcp->read(1 << 20);
-  if (verify_ && !pattern_verify(c.served, in)) corrupt_ = true;
-  c.served += in.size();  // read offset (SinkServer writes nothing)
-  stats_.bytes_read += in.size();
+  stats_.bytes_read += c.tcp->consume(1 << 20, [this, &c](net::BytesView in) {
+    if (verify_ && !pattern_verify(c.served, in)) corrupt_ = true;
+    c.served += in.size();  // read offset (SinkServer writes nothing)
+  });
 }
 
 void SinkServer::on_writable(Conn&) {}
@@ -220,14 +220,14 @@ SizedServer::SizedServer(tcp::TcpStack& stack, std::uint16_t port)
     : ServerApp(stack, port, "sized_server") {}
 
 void SizedServer::on_data(Conn& c) {
-  net::Bytes in = c.tcp->read(1 << 20);
-  stats_.bytes_read += in.size();
-  if (c.request_seen) return;  // trailing client bytes are ignored
   // Accumulate the 8-byte request; it may straddle segments. echo_pending is
   // reused as the accumulator so the reintegration checkpoint carries a
-  // partial request across a snapshot without new fields.
-  c.echo_pending.insert(c.echo_pending.end(), in.begin(), in.end());
-  if (c.echo_pending.size() < kRequestBytes) return;
+  // partial request across a snapshot without new fields. Trailing client
+  // bytes after the request are drained and ignored.
+  stats_.bytes_read += c.tcp->consume(1 << 20, [&c](net::BytesView in) {
+    if (!c.request_seen) c.echo_pending.insert(c.echo_pending.end(), in.begin(), in.end());
+  });
+  if (c.request_seen || c.echo_pending.size() < kRequestBytes) return;
   std::uint64_t size = 0;
   for (std::size_t i = 0; i < kRequestBytes; ++i) {
     size = (size << 8) | c.echo_pending[i];
@@ -254,9 +254,9 @@ EchoServer::EchoServer(tcp::TcpStack& stack, std::uint16_t port)
 void EchoServer::on_accept(Conn&) {}
 
 void EchoServer::on_data(Conn& c) {
-  net::Bytes in = c.tcp->read(1 << 20);
-  stats_.bytes_read += in.size();
-  c.echo_pending.insert(c.echo_pending.end(), in.begin(), in.end());
+  stats_.bytes_read += c.tcp->consume(1 << 20, [&c](net::BytesView in) {
+    c.echo_pending.insert(c.echo_pending.end(), in.begin(), in.end());
+  });
   pump(c);
 }
 

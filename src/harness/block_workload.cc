@@ -166,9 +166,8 @@ void BlockWorkload::flush_tx(Client& c) {
 
 void BlockWorkload::on_readable(std::size_t i) {
   Client& c = *clients_[i];
-  const net::Bytes in = c.conn->read(1 << 20);
+  c.conn->consume(1 << 20, [&c](net::BytesView in) { c.decoder.feed(in); });
   if (c.decoder.poisoned()) return;
-  c.decoder.feed(in);
   Envelope resp;
   while (true) {
     const Decoder::Result res = c.decoder.next(&resp);

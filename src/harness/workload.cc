@@ -160,9 +160,10 @@ void Workload::on_flow_readable(std::uint64_t id) {
   auto it = active_.find(id);
   if (it == active_.end() || it->second->conn == nullptr) return;
   Flow& f = *it->second;
-  const net::Bytes in = f.conn->read(1 << 20);
-  if (!app::pattern_verify(f.received, in)) f.corrupt = true;
-  f.received += in.size();
+  f.conn->consume(1 << 20, [&f](net::BytesView in) {
+    if (!app::pattern_verify(f.received, in)) f.corrupt = true;
+    f.received += in.size();
+  });
   if (!f.fct_recorded && f.received >= f.size) {
     f.fct_recorded = true;
     const auto us = static_cast<std::uint64_t>((now() - f.started).us());

@@ -13,17 +13,22 @@ namespace sttcp::net {
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
 
-/// Writes big-endian fields into a Bytes buffer at a cursor: by default at
-/// its end (appending), or from a given offset, overwriting what is there
-/// (header room reserved in front of a payload). Writes past the end grow
-/// the buffer.
+/// Writes big-endian fields at a cursor, into one of two targets:
+///  - a Bytes buffer: by default at its end (appending), or from a given
+///    offset, overwriting what is there; writes past the end grow it;
+///  - a fixed region (a frame being built in place, net/frame.h): the
+///    region never grows, and a write past its end throws
+///    std::out_of_range.
 class ByteWriter {
  public:
-  explicit ByteWriter(Bytes& out) : out_(out), pos_(out.size()) {}
-  ByteWriter(Bytes& out, std::size_t at) : out_(out), pos_(at) {}
+  explicit ByteWriter(Bytes& out) : vec_(&out), pos_(out.size()) {}
+  ByteWriter(Bytes& out, std::size_t at) : vec_(&out), pos_(at) {}
+  explicit ByteWriter(std::span<std::uint8_t> region) : fixed_(region) {}
 
-  /// Pre-size the buffer for `n` more bytes (one allocation up front).
-  void reserve(std::size_t n) { out_.reserve(pos_ + n); }
+  /// Pre-size a Bytes target for `n` more bytes (one allocation up front).
+  void reserve(std::size_t n) {
+    if (vec_ != nullptr) vec_->reserve(pos_ + n);
+  }
 
   void u8(std::uint8_t v) { *put(1) = v; }
   void u16(std::uint16_t v) {
@@ -40,8 +45,8 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(v));
   }
   void bytes(BytesView b) {
-    if (pos_ == out_.size()) {  // appending: one pass, no zero-fill
-      out_.insert(out_.end(), b.begin(), b.end());
+    if (vec_ != nullptr && pos_ == vec_->size()) {  // appending: one pass, no zero-fill
+      vec_->insert(vec_->end(), b.begin(), b.end());
       pos_ += b.size();
     } else if (!b.empty()) {
       std::memcpy(put(b.size()), b.data(), b.size());
@@ -52,20 +57,28 @@ class ByteWriter {
   std::size_t size() const { return pos_; }
   /// Patch a previously-written 16-bit field at absolute offset `at`.
   void patch_u16(std::size_t at, std::uint16_t v) {
-    out_.at(at) = static_cast<std::uint8_t>(v >> 8);
-    out_.at(at + 1) = static_cast<std::uint8_t>(v);
+    std::uint8_t* p = existing(at, 2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
 
  private:
   std::uint8_t* put(std::size_t n) {
-    if (pos_ + n > out_.size()) out_.resize(pos_ + n);
-    std::uint8_t* p = out_.data() + pos_;
+    if (vec_ != nullptr && pos_ + n > vec_->size()) vec_->resize(pos_ + n);
+    std::uint8_t* p = existing(pos_, n);
     pos_ += n;
     return p;
   }
+  /// Bytes [at, at + n) of the target, which must already exist.
+  std::uint8_t* existing(std::size_t at, std::size_t n) {
+    const std::span<std::uint8_t> all = vec_ != nullptr ? std::span<std::uint8_t>(*vec_) : fixed_;
+    if (at + n > all.size()) throw std::out_of_range("ByteWriter: write past the end");
+    return all.data() + at;
+  }
 
-  Bytes& out_;
-  std::size_t pos_;
+  Bytes* vec_ = nullptr;
+  std::span<std::uint8_t> fixed_;
+  std::size_t pos_ = 0;
 };
 
 /// Consumes big-endian fields from a view. Throws std::out_of_range on

@@ -96,17 +96,14 @@ UdpHeader UdpHeader::read(ByteReader& r) {
   return h;
 }
 
-Bytes IcmpEcho::serialize() const {
-  Bytes out;
-  ByteWriter w(out);
-  w.reserve(8);
+void IcmpEcho::write(std::span<std::uint8_t> out) const {
+  ByteWriter w(out.first(kSize));
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(0);  // code
   w.u16(0);  // checksum placeholder
   w.u16(id);
   w.u16(seq);
-  w.patch_u16(2, internet_checksum(out));
-  return out;
+  w.patch_u16(2, internet_checksum(out.first(kSize)));
 }
 
 std::optional<IcmpEcho> IcmpEcho::parse(BytesView data) {
@@ -124,9 +121,9 @@ std::optional<IcmpEcho> IcmpEcho::parse(BytesView data) {
   return e;
 }
 
-void write_ip_headers(Bytes& frame, MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
-                      Ipv4Addr ip_dst, std::uint8_t protocol) {
-  ByteWriter w(frame, 0);
+void write_ip_headers(std::span<std::uint8_t> frame, MacAddr eth_dst, MacAddr eth_src,
+                      Ipv4Addr ip_src, Ipv4Addr ip_dst, std::uint8_t protocol) {
+  ByteWriter w(frame.first(kIpFrameHeaderSize));
   EthernetHeader{eth_dst, eth_src, kEtherTypeIpv4}.write(w);
   Ipv4Header ih;
   ih.protocol = protocol;
@@ -135,31 +132,20 @@ void write_ip_headers(Bytes& frame, MacAddr eth_dst, MacAddr eth_src, Ipv4Addr i
   ih.write(w, frame.size() - kIpFrameHeaderSize);
 }
 
-Bytes build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
+Frame build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
                       Ipv4Addr ip_dst, std::uint16_t src_port, std::uint16_t dst_port,
                       BytesView payload) {
   constexpr std::size_t kL4 = kIpFrameHeaderSize;
-  Bytes out;
-  out.reserve(kL4 + UdpHeader::kSize + payload.size());
-  out.resize(kL4);  // header room, filled last
-  ByteWriter w(out);
+  Frame frame = Frame::allocate(kL4 + UdpHeader::kSize + payload.size());
+  const std::span<std::uint8_t> bytes = frame.writable();
+  const std::span<std::uint8_t> udp = bytes.subspan(kL4);
+  ByteWriter w(udp);
   UdpHeader{src_port, dst_port, 0, 0}.write(w, payload.size());
   w.bytes(payload);
   // The pseudo-header checksum covers the whole UDP segment.
-  w.patch_u16(kL4 + 6, transport_checksum(ip_src, ip_dst, kIpProtoUdp,
-                                          BytesView(out).subspan(kL4)));
-  write_ip_headers(out, eth_dst, eth_src, ip_src, ip_dst, kIpProtoUdp);
-  return out;
-}
-
-Bytes build_ip_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
-                     Ipv4Addr ip_dst, std::uint8_t protocol, BytesView l4) {
-  Bytes out;
-  out.reserve(kIpFrameHeaderSize + l4.size());
-  out.resize(kIpFrameHeaderSize);
-  out.insert(out.end(), l4.begin(), l4.end());
-  write_ip_headers(out, eth_dst, eth_src, ip_src, ip_dst, protocol);
-  return out;
+  w.patch_u16(6, transport_checksum(ip_src, ip_dst, kIpProtoUdp, udp));
+  write_ip_headers(bytes, eth_dst, eth_src, ip_src, ip_dst, kIpProtoUdp);
+  return frame;
 }
 
 ParsedFrame parse_frame(BytesView frame) {

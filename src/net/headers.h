@@ -7,9 +7,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "net/addr.h"
 #include "net/bytes.h"
+#include "net/frame.h"
 
 namespace sttcp::net {
 
@@ -62,33 +64,31 @@ struct UdpHeader {
 enum class IcmpType : std::uint8_t { kEchoReply = 0, kEchoRequest = 8 };
 
 struct IcmpEcho {
+  static constexpr std::size_t kSize = 8;  // echo header, no payload
   IcmpType type = IcmpType::kEchoRequest;
   std::uint16_t id = 0;
   std::uint16_t seq = 0;
 
-  /// Serializes type/code/checksum/id/seq (no payload).
-  Bytes serialize() const;
+  /// Writes type/code/checksum/id/seq into the first kSize bytes of `out`
+  /// (an ICMP frame's L4 region, built in place).
+  void write(std::span<std::uint8_t> out) const;
   static std::optional<IcmpEcho> parse(BytesView data);
 };
 
 /// Ethernet + IPv4 header bytes in front of every L4 segment in a frame.
 inline constexpr std::size_t kIpFrameHeaderSize = EthernetHeader::kSize + Ipv4Header::kSize;
 
-/// Fill the first kIpFrameHeaderSize bytes of `frame` — header room left in
-/// front of an L4 segment — with the Ethernet and IPv4 headers for that
-/// segment (everything past the room).
-void write_ip_headers(Bytes& frame, MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
-                      Ipv4Addr ip_dst, std::uint8_t protocol);
+/// Fill the first kIpFrameHeaderSize bytes of `frame` -- header room left in
+/// front of an L4 segment in a frame being built in place -- with the
+/// Ethernet and IPv4 headers for that segment (everything past the room).
+void write_ip_headers(std::span<std::uint8_t> frame, MacAddr eth_dst, MacAddr eth_src,
+                      Ipv4Addr ip_src, Ipv4Addr ip_dst, std::uint8_t protocol);
 
-/// Assembled Ethernet/IPv4/UDP datagram ready for the wire, built in one
-/// buffer sized once.
-Bytes build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
+/// Assembled Ethernet/IPv4/UDP datagram ready for the wire, built in place
+/// in one frame.
+Frame build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
                       Ipv4Addr ip_dst, std::uint16_t src_port, std::uint16_t dst_port,
                       BytesView payload);
-
-/// Assembled Ethernet/IPv4 frame around an already-serialized L4 segment.
-Bytes build_ip_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
-                     Ipv4Addr ip_dst, std::uint8_t protocol, BytesView l4);
 
 /// Parsed view of a received frame (headers by value, payload as offsets into
 /// the original buffer — callers keep the frame alive while using it).

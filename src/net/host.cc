@@ -64,16 +64,8 @@ void Host::power_on() {
   for (auto& hook : boot_hooks_) hook();
 }
 
-bool Host::send_ip(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, BytesView l4) {
-  Bytes frame;
-  frame.reserve(kIpFrameHeaderSize + l4.size());
-  frame.resize(kIpFrameHeaderSize);
-  frame.insert(frame.end(), l4.begin(), l4.end());
-  return send_ip_frame(src, dst, protocol, std::move(frame));
-}
-
 bool Host::send_ip_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
-                         Bytes frame) {
+                         Frame frame) {
   if (!alive_ || nics_.empty()) return false;
   const MacAddr* dst_mac = next_hop(dst);
   if (dst_mac == nullptr) {
@@ -81,9 +73,15 @@ bool Host::send_ip_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
     return false;
   }
   Nic& out = *nics_.front();
-  write_ip_headers(frame, *dst_mac, out.mac(), src, dst, protocol);
+  write_ip_headers(frame.writable(), *dst_mac, out.mac(), src, dst, protocol);
   ++stats_.packets_out;
   return out.send(std::move(frame));
+}
+
+bool Host::send_icmp(Ipv4Addr src, Ipv4Addr dst, const IcmpEcho& echo) {
+  Frame frame = Frame::allocate(kIpFrameHeaderSize + IcmpEcho::kSize);
+  echo.write(frame.writable().subspan(kIpFrameHeaderSize));
+  return send_ip_frame(src, dst, kIpProtoIcmp, std::move(frame));
 }
 
 const MacAddr* Host::next_hop(Ipv4Addr dst) {
@@ -106,10 +104,9 @@ bool Host::udp_send(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
   const MacAddr* dst_mac = next_hop(dst);
   if (dst_mac == nullptr) return false;
   Nic& out = *nics_.front();
-  Bytes frame =
-      build_udp_frame(*dst_mac, out.mac(), src, dst, src_port, dst_port, payload);
   ++stats_.packets_out;
-  return out.send(std::move(frame));
+  return out.send(
+      build_udp_frame(*dst_mac, out.mac(), src, dst, src_port, dst_port, payload));
 }
 
 void Host::ping(Ipv4Addr src, Ipv4Addr dst, sim::Duration timeout, PingCallback cb) {
@@ -117,8 +114,7 @@ void Host::ping(Ipv4Addr src, Ipv4Addr dst, sim::Duration timeout, PingCallback 
     return;  // a dead host issues nothing; callers are dead too
   }
   const std::uint16_t id = next_ping_id_++;
-  IcmpEcho echo{IcmpType::kEchoRequest, id, 1};
-  const bool sent = send_ip(src, dst, kIpProtoIcmp, echo.serialize());
+  const bool sent = send_icmp(src, dst, IcmpEcho{IcmpType::kEchoRequest, id, 1});
   PendingPing p;
   p.cb = std::move(cb);
   p.sent_at = world_.now();
@@ -198,7 +194,7 @@ void Host::process_frame(const Frame& frame) {
       break;
     default: {
       auto it = l4_handlers_.find(ip.protocol);
-      if (it != l4_handlers_.end()) it->second(ip, p.l4);
+      if (it != l4_handlers_.end()) it->second(ip, p.l4, frame);
       break;
     }
   }
@@ -208,8 +204,7 @@ void Host::handle_icmp(const Ipv4Header& ip, BytesView l4) {
   auto echo = IcmpEcho::parse(l4);
   if (!echo.has_value()) return;
   if (echo->type == IcmpType::kEchoRequest) {
-    IcmpEcho reply{IcmpType::kEchoReply, echo->id, echo->seq};
-    send_ip(ip.dst, ip.src, kIpProtoIcmp, reply.serialize());
+    send_icmp(ip.dst, ip.src, IcmpEcho{IcmpType::kEchoReply, echo->id, echo->seq});
     return;
   }
   // Echo reply: complete a pending ping.

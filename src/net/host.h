@@ -34,7 +34,10 @@ class Host {
  public:
   using UdpHandler =
       std::function<void(Ipv4Addr src_ip, std::uint16_t src_port, BytesView payload)>;
-  using L4Handler = std::function<void(const Ipv4Header& ip, BytesView l4)>;
+  /// `l4` views into `frame`; a handler that keeps the view past the call
+  /// keeps a copy of the frame with it.
+  using L4Handler =
+      std::function<void(const Ipv4Header& ip, BytesView l4, const Frame& frame)>;
   using PingCallback = std::function<void(bool success, sim::Duration rtt)>;
   using CrashHook = std::function<void()>;
   using RxTap = std::function<void(const Frame& frame)>;
@@ -105,13 +108,12 @@ class Host {
   void add_boot_hook(CrashHook hook) { boot_hooks_.push_back(std::move(hook)); }
 
   // --- sending ------------------------------------------------------------
-  /// Route + ARP + frame + transmit an IP packet. Returns false if the host
-  /// is down, has no usable NIC, or lacks an ARP entry for dst.
-  bool send_ip(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, BytesView l4);
-  /// send_ip for a frame the caller built in one buffer: the L4 segment
-  /// already sits behind kIpFrameHeaderSize bytes of header room, which
-  /// this fills in before transmitting.
-  bool send_ip_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, Bytes frame);
+  /// Route + ARP + transmit an IP packet the caller built in place: `frame`
+  /// (from Frame::allocate, not yet shared) holds the L4 segment behind
+  /// kIpFrameHeaderSize bytes of header room, which this fills in. Returns
+  /// false if the host is down, has no usable NIC, or lacks an ARP entry for
+  /// dst.
+  bool send_ip_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol, Frame frame);
 
   // --- UDP ----------------------------------------------------------------
   void udp_bind(std::uint16_t port, UdpHandler handler);
@@ -144,6 +146,7 @@ class Host {
   void dispatch_frame(Frame frame);
   void process_frame(const Frame& frame);
   void handle_icmp(const Ipv4Header& ip, BytesView l4);
+  bool send_icmp(Ipv4Addr src, Ipv4Addr dst, const IcmpEcho& echo);
   void handle_udp(const Ipv4Header& ip, BytesView l4);
   /// Destination MAC for `dst` (ARP entry, else the gateway); nullptr, and
   /// one more ARP miss counted, when there is neither.

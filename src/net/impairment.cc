@@ -60,12 +60,12 @@ Impairment::Plan Impairment::plan(int direction, Frame frame) {
 void Impairment::corrupt(Frame& frame) {
   // Copy-on-write single-bit flip past the Ethernet header: every other
   // holder of the original buffer keeps the clean bytes.
-  Bytes bytes = frame.clone();
+  Frame copy = Frame::copy_of(frame.view());
   const std::size_t off =
       EthernetHeader::kSize +
-      static_cast<std::size_t>(rng_.below(bytes.size() - EthernetHeader::kSize));
-  bytes[off] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
-  frame = Frame(std::move(bytes));
+      static_cast<std::size_t>(rng_.below(copy.size() - EthernetHeader::kSize));
+  copy.writable()[off] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
+  frame = std::move(copy);
   ++stats_.corrupted;
   if (corrupt_tap_) corrupt_tap_(frame, off);
 }

@@ -12,9 +12,10 @@
 //    "corrupted segments are never ACKed" invariant exactly checkable.
 //    Offsets inside the Ethernet header are excluded because real NICs drop
 //    FCS-failing frames (equivalent to loss, which Gilbert–Elliott covers).
-//    The flip is copy-on-write: the shared ref-counted buffer is cloned,
-//    flipped, and rewrapped as a fresh Frame, so every other holder of the
-//    original buffer (fan-out copies, the pcap tap) still sees clean bytes.
+//    The flip is copy-on-write: the shared frame is copied into a fresh
+//    block (Frame::copy_of) and flipped there before anyone else sees it, so
+//    every other holder of the original block (fan-out copies, the pcap tap)
+//    still sees clean bytes.
 //  * Duplication: the frame is delivered twice (the second copy is a
 //    refcount bump, not a byte copy) and occupies the wire twice.
 //  * Bounded reordering: selected frames get `reorder_delay` of extra

@@ -50,8 +50,7 @@ class Nic final : public FrameSink {
   void set_promiscuous(bool on) { promiscuous_ = on; }
 
   /// Transmit a frame. Returns false (and counts a drop) when failed or
-  /// unattached. A Bytes argument converts implicitly — that conversion is
-  /// the single per-frame buffer allocation; every hop after it shares it.
+  /// unattached. Every hop after this shares the frame's one block.
   bool send(Frame frame);
 
   void fail() { failed_ = true; }

@@ -121,9 +121,6 @@ void Router::on_frame(int ingress, Frame frame) {
 
   Ipv4Header fwd = ip;
   --fwd.ttl;
-  Bytes out;
-  out.reserve(EthernetHeader::kSize + Ipv4Header::kSize + p.l4.size());
-  ByteWriter w(out);
   const RouterPort& egress = *ports_[static_cast<std::size_t>(route->port)];
   const Ipv4Addr arp_for = route->next_hop.is_zero() ? ip.dst : route->next_hop;
   const auto a = egress.arp.find(arp_for);
@@ -132,11 +129,13 @@ void Router::on_frame(int ingress, Frame frame) {
     log_.warn("no ARP entry for ", arp_for.str(), " on port ", route->port);
     return;
   }
+  Frame out = Frame::allocate(kIpFrameHeaderSize + p.l4.size());
+  ByteWriter w(out.writable());
   EthernetHeader{a->second, egress.mac, kEtherTypeIpv4}.write(w);
   fwd.write(w, p.l4.size());
   w.bytes(p.l4);
   ++stats_.forwarded;
-  egress.out->send(Frame(std::move(out)));
+  egress.out->send(std::move(out));
 }
 
 void Router::deliver_local(int ingress, const Frame& frame) {
@@ -162,10 +161,11 @@ void Router::deliver_local(int ingress, const Frame& frame) {
     ++stats_.arp_miss;
     return;
   }
-  const IcmpEcho reply{IcmpType::kEchoReply, echo->id, echo->seq};
-  Bytes out = build_ip_frame(a->second, egress.mac, ip.dst, ip.src, kIpProtoIcmp,
-                             reply.serialize());
-  egress.out->send(Frame(std::move(out)));
+  Frame out = Frame::allocate(kIpFrameHeaderSize + IcmpEcho::kSize);
+  IcmpEcho{IcmpType::kEchoReply, echo->id, echo->seq}.write(
+      out.writable().subspan(kIpFrameHeaderSize));
+  write_ip_headers(out.writable(), a->second, egress.mac, ip.dst, ip.src, kIpProtoIcmp);
+  egress.out->send(std::move(out));
   (void)ingress;
 }
 

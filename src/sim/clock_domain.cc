@@ -45,10 +45,11 @@ void ClockDomain::clear() {
   profile_ = LagProfile::none();
   // Drop every pending deferred callback: clear() models a power transition
   // (crash / fresh boot), after which the stalled host's queued work is gone.
-  // An owning timer keeps its (now stale) handle; cancelling it is a no-op.
+  // An owning timer is disarmed, exactly as if its shot had surfaced.
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     if (slots_[slot].inner == 0) continue;
     loop_.cancel(slots_[slot].inner);
+    if (slots_[slot].owner != nullptr) *slots_[slot].owner = 0;
     retire(slot);
   }
 }

@@ -74,6 +74,7 @@ class ClockDomain {
   /// when they surface.
   void set_lag(LagProfile p);
   /// Drop the profile (fresh boot / stall over): back to pure passthrough.
+  /// Pending deferred callbacks are dropped and their owning timers disarmed.
   void clear();
 
   /// True while a profile is active and the current time has not passed its

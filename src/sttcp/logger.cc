@@ -71,9 +71,8 @@ std::optional<LoggerReply> LoggerReply::parse(net::BytesView data) {
 StreamLogger::StreamLogger(net::Host& host, Config config)
     : host_(host), cfg_(config), log_(host.logger().child("logger")) {
   host_.set_l4_handler(net::kIpProtoTcp,
-                       [this](const net::Ipv4Header& ip, net::BytesView l4) {
-                         on_tcp(ip, l4);
-                       });
+                       [this](const net::Ipv4Header& ip, net::BytesView l4,
+                              const net::Frame&) { on_tcp(ip, l4); });
   host_.udp_bind(cfg_.udp_port, [this](net::Ipv4Addr src, std::uint16_t sport,
                                        net::BytesView payload) {
     on_request(src, sport, payload);
@@ -105,10 +104,11 @@ void StreamLogger::on_tcp(const net::Ipv4Header& ip, net::BytesView l4) {
   const std::uint64_t offset = seq_abs - s.irs - 1;
   s.reasm.insert(offset, seg->payload);
   // Drain everything contiguous into the retention log.
-  net::Bytes drained = s.reasm.read(1 << 30);
-  if (!drained.empty()) {
-    stats_.bytes_logged += drained.size();
-    s.log.insert(s.log.end(), drained.begin(), drained.end());
+  const std::size_t drained = s.reasm.consume(1 << 30, [&s](net::BytesView in) {
+    s.log.insert(s.log.end(), in.begin(), in.end());
+  });
+  if (drained > 0) {
+    stats_.bytes_logged += drained;
     if (s.log.size() > cfg_.retention) {
       const std::size_t drop = s.log.size() - cfg_.retention;
       s.log.erase(s.log.begin(), s.log.begin() + static_cast<std::ptrdiff_t>(drop));

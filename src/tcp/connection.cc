@@ -82,17 +82,14 @@ std::size_t TcpConnection::send(net::BytesView data) {
   return n;
 }
 
-net::Bytes TcpConnection::read(std::size_t max) {
-  const std::size_t before_window = reasm_.window();
-  net::Bytes out = reasm_.read(max);
-  app_read_ += out.size();
+void TcpConnection::on_consumed(std::size_t n, std::size_t window_before) {
+  app_read_ += n;
   // Window update: if the advertised window was effectively closed and the
   // read reopened it, tell the sender so it does not sit in persist.
-  if (!out.empty() && before_window < cfg_.mss && reasm_.window() >= cfg_.mss &&
-      is_open() && state_ != TcpState::kSynSent && state_ != TcpState::kSynRcvd) {
+  if (window_before < cfg_.mss && reasm_.window() >= cfg_.mss && is_open() &&
+      state_ != TcpState::kSynSent && state_ != TcpState::kSynRcvd) {
     emit_ack();
   }
-  return out;
 }
 
 std::size_t TcpConnection::send_space() const {

@@ -125,8 +125,20 @@ class TcpConnection {
   // --- application API ------------------------------------------------------
   /// Write bytes; returns how many were accepted (send-buffer space).
   std::size_t send(net::BytesView data);
-  /// Read up to `max` in-order received bytes.
-  net::Bytes read(std::size_t max);
+  /// Read up to `max` in-order received bytes in place: `fn(net::BytesView)`
+  /// sees them as at most two spans of the receive ring (two when it
+  /// wraps), in stream order, and they are consumed when it returns. Returns
+  /// the bytes consumed. The spans are valid only during the call, and `fn`
+  /// must not call back into this connection: act on the data (reply,
+  /// close) after consume() returns, so the window-update ACK below leaves
+  /// first, as it would after a copying read.
+  template <class Fn>
+  std::size_t consume(std::size_t max, Fn&& fn) {
+    const std::size_t window_before = reasm_.window();
+    const std::size_t n = reasm_.consume(max, fn);
+    if (n > 0) on_consumed(n, window_before);
+    return n;
+  }
   std::size_t readable() const { return reasm_.readable(); }
   std::size_t send_space() const;
   /// Graceful close: flush pending data, then FIN (subject to the close gate).
@@ -265,6 +277,9 @@ class TcpConnection {
   void apply_deferred_ack();
 
   void notify_writable();
+  /// Account `n` bytes the application consumed and, if that reopened a
+  /// closed window, tell the sender so it does not sit in persist.
+  void on_consumed(std::size_t n, std::size_t window_before);
 
   // Timers.
   void arm_keepalive();

@@ -80,12 +80,4 @@ std::size_t ReassemblyBuffer::insert(std::uint64_t at, net::BytesView data) {
   return 0;
 }
 
-net::Bytes ReassemblyBuffer::read(std::size_t max) {
-  const std::size_t n = std::min(max, ready_.size());
-  net::Bytes out(n);
-  ready_.copy_out(0, out.data(), n);
-  ready_.pop_front(n);
-  return out;
-}
-
 }  // namespace sttcp::tcp

@@ -4,9 +4,11 @@
 // fragments, and exposes an in-order byte queue to the application. The
 // advertised receive window is derived from the free capacity. The in-order
 // queue is one contiguous ring (tcp/byte_ring.h), sized to fit and freed
-// whenever the application has read everything.
+// whenever the application has read everything. The application reads it in
+// place through consume(): no copy out, no buffer per read.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,8 +27,20 @@ class ReassemblyBuffer {
   /// of *new in-order* bytes that became readable as a result.
   std::size_t insert(std::uint64_t at, net::BytesView data);
 
-  /// Read up to `max` in-order bytes (application recv()).
-  net::Bytes read(std::size_t max);
+  /// Application recv(), in place: hand up to `max` in-order bytes to
+  /// `fn(net::BytesView)` as at most two spans (two when the ring wraps), in
+  /// stream order, then drop them. Returns the bytes consumed. The spans are
+  /// valid only during the call.
+  template <class Fn>
+  std::size_t consume(std::size_t max, Fn&& fn) {
+    const std::size_t n = std::min(max, ready_.size());
+    if (n == 0) return 0;
+    const auto [first, second] = ready_.spans(0, n);
+    fn(first);
+    if (!second.empty()) fn(second);
+    ready_.pop_front(n);
+    return n;
+  }
 
   /// Copy the in-order readable bytes without consuming them. A connection
   /// snapshot (ST-TCP reintegration) ships these to the rejoining replica so

@@ -36,26 +36,24 @@ std::uint16_t pack_off_flags(const TcpFlags& flags) {
 }  // namespace
 
 net::Bytes TcpSegment::serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip) const {
-  net::Bytes out;
-  serialize_into(out, src_ip, dst_ip, {payload, {}}, nullptr);
+  net::Bytes out(kHeaderSize + payload.size());
+  write(out, src_ip, dst_ip, {payload, {}}, nullptr);
   return out;
 }
 
 net::Bytes TcpSegment::serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
                                  ChecksumMemo& memo) const {
-  net::Bytes out;
-  serialize_into(out, src_ip, dst_ip, {payload, {}}, &memo);
+  net::Bytes out(kHeaderSize + payload.size());
+  write(out, src_ip, dst_ip, {payload, {}}, &memo);
   return out;
 }
 
-void TcpSegment::serialize_into(net::Bytes& out, net::Ipv4Addr src_ip,
-                                net::Ipv4Addr dst_ip,
-                                std::pair<net::BytesView, net::BytesView> data,
-                                ChecksumMemo* memo) const {
-  const std::size_t start = out.size();
+void TcpSegment::write(std::span<std::uint8_t> out, net::Ipv4Addr src_ip,
+                       net::Ipv4Addr dst_ip,
+                       std::pair<net::BytesView, net::BytesView> data,
+                       ChecksumMemo* memo) const {
   const std::size_t payload_len = data.first.size() + data.second.size();
-  net::ByteWriter w(out);
-  w.reserve(kHeaderSize + payload_len);
+  net::ByteWriter w(out.first(kHeaderSize + payload_len));
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(seq);
@@ -77,7 +75,7 @@ void TcpSegment::serialize_into(net::Bytes& out, net::Ipv4Addr src_ip,
     ck = net::checksum_update(ck, memo->window, window);
   } else {
     ck = net::transport_checksum(src_ip, dst_ip, net::kIpProtoTcp,
-                                 net::BytesView(out).subspan(start));
+                                 out.first(kHeaderSize + payload_len));
   }
   if (memo != nullptr) *memo = ChecksumMemo{true, seq, ack, window, off_flags, payload_len, ck};
   w.patch_u16(ck_at, ck);
@@ -108,7 +106,7 @@ std::optional<TcpSegment> TcpSegment::parse(net::Ipv4Addr src_ip, net::Ipv4Addr 
   (void)r.u16();  // checksum (verified above)
   (void)r.u16();  // urgent pointer
   r.skip(header_len - kHeaderSize);  // options ignored
-  s.payload = net::to_bytes(r.rest());
+  s.payload = r.rest();
   return s;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -32,7 +33,10 @@ struct TcpSegment {
   SeqWire ack = 0;
   TcpFlags flags;
   std::uint16_t window = 0;
-  net::Bytes payload;
+  /// A parsed segment's payload is a view into the frame it arrived in
+  /// (net/frame.h): valid while that frame is alive, which covers the whole
+  /// receive call. Whoever keeps a segment longer keeps its frame too.
+  net::BytesView payload;
 
   /// Sequence space the segment occupies (payload + SYN + FIN).
   std::uint32_t seq_len() const {
@@ -57,22 +61,21 @@ struct TcpSegment {
     std::uint16_t sum = 0;
   };
 
-  /// Serialize header+payload with a valid checksum.
+  /// Write the header and `data` as the payload (two spans, written back
+  /// to back; the `payload` field is not used) into `out`, which is exactly
+  /// kHeaderSize plus the payload long, and checksum it there. This is how
+  /// a frame is built in place: the stack passes the L4 region of a fresh
+  /// frame and the send queue's bytes. A non-null `memo` takes the
+  /// retransmit fast path above: it must describe the same payload bytes
+  /// whenever (seq, flags, length) match -- true for TCP retransmits, where
+  /// a sequence range's bytes are immutable.
+  void write(std::span<std::uint8_t> out, net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
+             std::pair<net::BytesView, net::BytesView> data, ChecksumMemo* memo) const;
+
+  /// Header + `payload` with a valid checksum, as a fresh buffer (tests and
+  /// benchmarks; the stack writes segments in place via write()).
   net::Bytes serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip) const;
-
-  /// Append the header and `data` as the payload (two spans, written back
-  /// to back; the `payload` field is not used) to `out`, checksummed over
-  /// the appended bytes. This is how a whole frame is built in one buffer: the caller
-  /// leaves header room in `out` and passes the send queue's bytes in
-  /// place. A non-null `memo` takes the retransmit fast path below.
-  void serialize_into(net::Bytes& out, net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
-                      std::pair<net::BytesView, net::BytesView> data,
-                      ChecksumMemo* memo) const;
-
-  /// Serialize with the RFC 1624 retransmit fast path. Produces bytes
-  /// identical to the plain overload; `memo` must describe the same payload
-  /// bytes whenever (seq, flags, length) match — true for TCP retransmits,
-  /// where a sequence range's bytes are immutable.
+  /// serialize() through the retransmit fast path (see write()).
   net::Bytes serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
                        ChecksumMemo& memo) const;
 

@@ -10,9 +10,8 @@ TcpStack::TcpStack(net::Host& host, TcpConfig config)
       log_(host.logger().child("tcp")),
       isn_rng_(host.world().rng().fork()) {
   host_.set_l4_handler(net::kIpProtoTcp,
-                       [this](const net::Ipv4Header& ip, net::BytesView l4) {
-                         on_packet(ip, l4);
-                       });
+                       [this](const net::Ipv4Header& ip, net::BytesView l4,
+                              const net::Frame& frame) { on_packet(ip, l4, frame); });
   host_.add_boot_hook([this] { reset_for_boot(); });
 }
 
@@ -67,11 +66,11 @@ TcpConnection& TcpStack::create_replica(const FourTuple& tuple,
   pending_syn_time_.erase(tuple);
   auto it = pending_.find(tuple);
   if (it != pending_.end()) {
-    std::vector<TcpSegment> segs = std::move(it->second);
+    std::vector<PendingSegment> segs = std::move(it->second);
     pending_.erase(it);
-    for (const TcpSegment& s : segs) {
+    for (const PendingSegment& p : segs) {
       if (!conn.is_open()) break;
-      conn.on_segment(s);
+      conn.on_segment(p.seg);
     }
   }
   return conn;
@@ -117,7 +116,7 @@ std::size_t TcpStack::memory_bytes() const {
   std::size_t total = 0;
   for (const auto& [t, c] : conns_) total += c->memory_bytes();
   for (const auto& [t, q] : pending_) {
-    for (const TcpSegment& s : q) total += sizeof(TcpSegment) + s.payload.size();
+    for (const PendingSegment& p : q) total += sizeof(PendingSegment) + p.frame.size();
   }
   return total;
 }
@@ -126,11 +125,11 @@ bool TcpStack::emit(const FourTuple& tuple, const TcpSegment& seg,
                     std::pair<net::BytesView, net::BytesView> payload,
                     TcpSegment::ChecksumMemo* memo) {
   if (!alive()) return false;
-  net::Bytes frame;
-  frame.reserve(net::kIpFrameHeaderSize + TcpSegment::kHeaderSize +
-                payload.first.size() + payload.second.size());
-  frame.resize(net::kIpFrameHeaderSize);  // filled in by the host
-  seg.serialize_into(frame, tuple.local.ip, tuple.remote.ip, payload, memo);
+  net::Frame frame = net::Frame::allocate(net::kIpFrameHeaderSize + TcpSegment::kHeaderSize +
+                                          payload.first.size() + payload.second.size());
+  // The header room in front is filled in by the host.
+  seg.write(frame.writable().subspan(net::kIpFrameHeaderSize), tuple.local.ip,
+            tuple.remote.ip, payload, memo);
   return host_.send_ip_frame(tuple.local.ip, tuple.remote.ip, net::kIpProtoTcp,
                              std::move(frame));
 }
@@ -140,7 +139,8 @@ void TcpStack::on_connection_finished(TcpConnection& conn, CloseReason reason) {
   schedule_gc(conn.tuple());
 }
 
-void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4) {
+void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4,
+                         const net::Frame& frame) {
   if (!alive()) return;
   ++stats_.segments_in;
   auto seg = TcpSegment::parse(ip.src, ip.dst, l4, cfg_.verify_checksums);
@@ -165,7 +165,7 @@ void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4) {
     // Hold segments until ST-TCP announces the connection (ISS/IRS).
     auto& q = pending_[t];
     if (q.size() < kMaxBufferedSegments) {
-      q.push_back(*seg);
+      q.push_back({*seg, frame});
       ++stats_.segments_buffered;
     }
     if (seg->flags.syn && !seg->flags.ack) {
@@ -187,9 +187,9 @@ void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4) {
       if (st != pending_syn_time_.end() &&
           world().now() - st->second <= cfg_.replica_isn_inference_window) {
         SeqWire irs = 0;
-        for (const TcpSegment& b : q) {
-          if (b.flags.syn) {
-            irs = b.seq;
+        for (const PendingSegment& b : q) {
+          if (b.seg.flags.syn) {
+            irs = b.seg.seq;
             break;
           }
         }

@@ -112,7 +112,8 @@ class TcpStack {
   void for_each(const std::function<void(TcpConnection&)>& fn);
   std::size_t connection_count() const { return conns_.size(); }
   /// Total heap footprint of all connections plus replica-mode buffered
-  /// segments (see TcpConnection::memory_bytes). Churn-scale memory audit.
+  /// segments, each counted with the whole frame it keeps alive (see
+  /// TcpConnection::memory_bytes). Churn-scale memory audit.
   std::size_t memory_bytes() const;
   /// Replica-mode segments currently held awaiting an announce (per-tuple
   /// occupancy, capped at max_buffered_segments() each) — lets the chaos
@@ -144,9 +145,9 @@ class TcpStack {
     if (accept_isn_fn_) return accept_isn_fn_(t);
     return static_cast<SeqWire>(isn_rng_.next_u64());
   }
-  /// Build the segment's frame in one buffer — Ethernet/IPv4 header room,
-  /// TCP header, then `payload` copied straight from the send queue — and
-  /// hand it to the host's IP layer. `memo`, when non-null, enables the
+  /// Build the segment's frame in place in one block -- Ethernet/IPv4
+  /// header room, TCP header, then `payload` copied straight from the send
+  /// queue -- and hand it to the host's IP layer. `memo`, when non-null, enables the
   /// RFC 1624 retransmit fast path (see TcpSegment::ChecksumMemo) — the
   /// connection passes its own memo for retransmissions and null for first
   /// transmissions.
@@ -159,7 +160,7 @@ class TcpStack {
   net::Host& host() { return host_; }
 
  private:
-  void on_packet(const net::Ipv4Header& ip, net::BytesView l4);
+  void on_packet(const net::Ipv4Header& ip, net::BytesView l4, const net::Frame& frame);
   TcpConnection& create_connection(const FourTuple& tuple);
   void dispatch_accept(TcpConnection& conn);
   void send_rst_for(const net::Ipv4Header& ip, const TcpSegment& seg);
@@ -199,9 +200,14 @@ class TcpStack {
   std::map<std::uint16_t, AcceptHandler> listeners_;
   ConnectionObserver* observer_ = nullptr;
 
-  // Replica mode: segments seen before the primary's announcement.
+  // Replica mode: segments seen before the primary's announcement. Each
+  // keeps the frame its payload views into (a refcount, not a copy).
+  struct PendingSegment {
+    TcpSegment seg;
+    net::Frame frame;
+  };
   static constexpr std::size_t kMaxBufferedSegments = 256;
-  std::unordered_map<FourTuple, std::vector<TcpSegment>> pending_;
+  std::unordered_map<FourTuple, std::vector<PendingSegment>> pending_;
   std::unordered_map<FourTuple, sim::SimTime> pending_syn_time_;
 
   ReplicaInference inference_;

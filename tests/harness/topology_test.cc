@@ -17,9 +17,12 @@
 #include "harness/topology.h"
 #include "net/frame.h"
 #include "tcp/connection.h"
+#include "tests/tcp/read_bytes.h"
 
 namespace sttcp {
 namespace {
+
+using tcp::testing::read_bytes;
 
 using harness::Cell;
 using harness::CellConfig;
@@ -60,7 +63,7 @@ RunRecord drive(sim::World& world, net::EthernetSwitch& sw,
   tcp::TcpConnection* conn = nullptr;
   tcp::TcpConnection::Callbacks cb;
   cb.on_readable = [&] {
-    const net::Bytes chunk = conn->read(1 << 20);
+    const net::Bytes chunk = read_bytes(*conn, 1 << 20);
     out.client_bytes.insert(out.client_bytes.end(), chunk.begin(), chunk.end());
   };
   cb.on_peer_closed = [&] { conn->close(); };
@@ -373,7 +376,7 @@ struct RoutedWorld {
     servers.emplace_back(
         std::make_unique<app::FileServer>(cell.backup_stack(), port, size));
     tcp::TcpConnection::Callbacks cb;
-    cb.on_readable = [this] { received += conn->read(1 << 20).size(); };
+    cb.on_readable = [this] { received += conn->consume(1 << 20, [](net::BytesView) {}); };
     cb.on_peer_closed = [this] { conn->close(); };
     cb.on_closed = [this](tcp::CloseReason r) {
       if (r == tcp::CloseReason::kReset) reset = true;
@@ -475,7 +478,7 @@ struct ShardedWorld {
     servers.emplace_back(
         std::make_unique<app::FileServer>(cell.backup_stack(), port, size));
     tcp::TcpConnection::Callbacks cb;
-    cb.on_readable = [this] { received += conn->read(1 << 20).size(); };
+    cb.on_readable = [this] { received += conn->consume(1 << 20, [](net::BytesView) {}); };
     cb.on_peer_closed = [this] { conn->close(); };
     cb.on_closed = [this](tcp::CloseReason r) {
       if (r == tcp::CloseReason::kReset) reset = true;

@@ -19,9 +19,12 @@
 #include "harness/workload.h"
 #include "net/frame.h"
 #include "tcp/connection.h"
+#include "tests/tcp/read_bytes.h"
 
 namespace sttcp {
 namespace {
+
+using tcp::testing::read_bytes;
 
 struct RunRecord {
   std::string trace;          // full trace dump, line per event
@@ -67,7 +70,7 @@ RunRecord download_run(std::uint64_t seed, int extra_backups,
   tcp::TcpConnection* conn = nullptr;
   tcp::TcpConnection::Callbacks cb;
   cb.on_readable = [&] {
-    const net::Bytes chunk = conn->read(1 << 20);
+    const net::Bytes chunk = read_bytes(*conn, 1 << 20);
     out.client_bytes.insert(out.client_bytes.end(), chunk.begin(), chunk.end());
   };
   cb.on_peer_closed = [&] { conn->close(); };

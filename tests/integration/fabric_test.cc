@@ -55,7 +55,7 @@ struct Fabric {
     servers.emplace_back(
         std::make_unique<app::FileServer>(cell.backup_stack(), port, size));
     tcp::TcpConnection::Callbacks cb;
-    cb.on_readable = [this] { received += conn->read(1 << 20).size(); };
+    cb.on_readable = [this] { received += conn->consume(1 << 20, [](net::BytesView) {}); };
     cb.on_peer_closed = [this] { conn->close(); };
     cb.on_closed = [this](tcp::CloseReason r) {
       if (r == tcp::CloseReason::kReset) reset = true;
@@ -143,7 +143,7 @@ TEST(FabricTest, TwoCellsFailIndependentlyAcrossTheFabric) {
     servers.emplace_back(std::make_unique<app::FileServer>(
         cell.backup_stack(), cell.service_port(), size));
     tcp::TcpConnection::Callbacks cb;
-    cb.on_readable = [&, k] { received[k] += conns[k]->read(1 << 20).size(); };
+    cb.on_readable = [&, k] { received[k] += conns[k]->consume(1 << 20, [](net::BytesView) {}); };
     cb.on_peer_closed = [&, k] { conns[k]->close(); };
     cb.on_closed = [&, k](tcp::CloseReason r) {
       if (r == tcp::CloseReason::kReset) reset[k] = true;

@@ -75,7 +75,8 @@ TEST(Ipv4HeaderTest, CorruptionDetected) {
 
 TEST(IcmpEchoTest, RoundTripAndChecksum) {
   const IcmpEcho e{IcmpType::kEchoRequest, 0x1234, 7};
-  const Bytes b = e.serialize();
+  Bytes b(IcmpEcho::kSize);
+  e.write(b);
   auto parsed = IcmpEcho::parse(b);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->id, 0x1234);
@@ -88,10 +89,10 @@ TEST(IcmpEchoTest, RoundTripAndChecksum) {
 
 TEST(FrameTest, UdpFrameRoundTrip) {
   const Bytes payload = to_bytes("hello heartbeats");
-  const Bytes frame = build_udp_frame(MacAddr::from_u64(0xb), MacAddr::from_u64(0xa),
+  const Frame frame = build_udp_frame(MacAddr::from_u64(0xb), MacAddr::from_u64(0xa),
                                       Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
                                       5000, 6000, payload);
-  const ParsedFrame p = parse_frame(frame);
+  const ParsedFrame p = parse_frame(frame.view());
   EXPECT_EQ(p.eth.dst, MacAddr::from_u64(0xb));
   ASSERT_TRUE(p.ip.has_value());
   EXPECT_EQ(p.ip->protocol, kIpProtoUdp);
@@ -107,7 +108,7 @@ TEST(FrameTest, UdpFrameRoundTrip) {
 }
 
 TEST(FrameTest, TruncatedFrameThrows) {
-  const Bytes frame = build_udp_frame(MacAddr::from_u64(0xb), MacAddr::from_u64(0xa),
+  const Frame frame = build_udp_frame(MacAddr::from_u64(0xb), MacAddr::from_u64(0xa),
                                       Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
                                       1, 2, to_bytes("x"));
   Bytes cut(frame.begin(), frame.begin() + 20);

@@ -45,7 +45,7 @@ TEST(ImpairmentTest, IdleEngineIsPassThrough) {
   Impairment imp{sim::Rng(7)};
   EXPECT_FALSE(imp.active());
   const Bytes original = tagged_frame(100, 1);
-  Impairment::Plan p = imp.plan(0, Frame(Bytes(original)));
+  Impairment::Plan p = imp.plan(0, Frame::copy_of(original));
   EXPECT_FALSE(p.drop);
   EXPECT_FALSE(p.reordered);
   EXPECT_EQ(p.copies, 1);
@@ -64,7 +64,7 @@ TEST(ImpairmentTest, CorruptionFlipsExactlyOneBitViaCopyOnWrite) {
   });
   for (int i = 0; i < 100; ++i) {
     const Bytes original = tagged_frame(120, static_cast<std::uint8_t>(i));
-    const Frame before{Bytes(original)};  // second holder of the shared buffer
+    const Frame before = Frame::copy_of(original);  // second holder of the shared buffer
     Impairment::Plan p = imp.plan(0, before);
     EXPECT_EQ(bit_differences(p.frame, original), 1);
     // Copy-on-write: the pre-existing holder still sees the original bytes.
@@ -89,7 +89,7 @@ TEST(ImpairmentTest, SingleBitFlipAlwaysBreaksInternetChecksum) {
     }
     const std::uint16_t before = internet_checksum(
         BytesView(original).subspan(EthernetHeader::kSize));
-    Impairment::Plan p = imp.plan(0, Frame(Bytes(original)));
+    Impairment::Plan p = imp.plan(0, Frame::copy_of(original));
     const std::uint16_t after =
         internet_checksum(p.frame.view().subspan(EthernetHeader::kSize));
     // A one-bit flip shifts the ones'-complement sum by ±2^k, which never
@@ -108,7 +108,7 @@ TEST(ImpairmentTest, GilbertElliottLossComesInBursts) {
   int dropped = 0, runs = 0;
   bool in_run = false;
   for (int i = 0; i < n; ++i) {
-    Impairment::Plan p = imp.plan(0, Frame(tagged_frame(60, 0)));
+    Impairment::Plan p = imp.plan(0, Frame::copy_of(tagged_frame(60, 0)));
     if (p.drop) {
       ++dropped;
       if (!in_run) ++runs;
@@ -135,7 +135,7 @@ TEST(ImpairmentTest, DuplicateOccupiesTheWireTwice) {
   link.impairment().config().duplicate_probability = 1.0;
   CollectSink b(w);
   link.port(1).set_sink(&b);
-  link.port(0).send(tagged_frame(1250, 7));
+  link.port(0).send(Frame::copy_of(tagged_frame(1250, 7)));
   w.loop().run();
   ASSERT_EQ(b.frames.size(), 2u);
   EXPECT_EQ(bit_differences(b.frames[0], b.frames[1].view()), 0);
@@ -155,7 +155,7 @@ TEST(ImpairmentTest, ReorderedFramesAreOvertaken) {
   const int n = 100;
   for (int i = 0; i < n; ++i) {
     w.loop().schedule_after(sim::Duration::micros(100 * i), [&link, i] {
-      link.port(0).send(tagged_frame(60, static_cast<std::uint8_t>(i)));
+      link.port(0).send(Frame::copy_of(tagged_frame(60, static_cast<std::uint8_t>(i))));
     });
   }
   w.loop().run();
@@ -180,7 +180,7 @@ TEST(ImpairmentTest, JitterNeverReordersByItself) {
   const int n = 200;
   for (int i = 0; i < n; ++i) {
     w.loop().schedule_after(sim::Duration::micros(i), [&link, i] {
-      link.port(0).send(tagged_frame(60, static_cast<std::uint8_t>(i)));
+      link.port(0).send(Frame::copy_of(tagged_frame(60, static_cast<std::uint8_t>(i))));
     });
   }
   w.loop().run();
@@ -208,7 +208,7 @@ TEST(ImpairmentTest, SameSeedSameImpairmentDecisions) {
     link.port(1).set_sink(&b);
     for (int i = 0; i < 500; ++i) {
       w.loop().schedule_after(sim::Duration::micros(10 * i), [&link, i] {
-        link.port(0).send(tagged_frame(200, static_cast<std::uint8_t>(i)));
+        link.port(0).send(Frame::copy_of(tagged_frame(200, static_cast<std::uint8_t>(i))));
       });
     }
     w.loop().run();

@@ -23,7 +23,7 @@ class CollectSink final : public FrameSink {
   sim::World& world_;
 };
 
-Bytes make_frame(std::size_t n) { return Bytes(n, 0xab); }
+Frame make_frame(std::size_t n) { return Frame::copy_of(Bytes(n, 0xab)); }
 
 TEST(LinkTest, DeliversAfterLatency) {
   sim::World w;

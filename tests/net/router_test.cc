@@ -81,7 +81,7 @@ struct RouterRig {
   }
 
   /// A raw IP frame addressed (L2) to the router's left port.
-  net::Bytes make_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t ttl) {
+  net::Frame make_frame(Ipv4Addr src, Ipv4Addr dst, std::uint8_t ttl) {
     net::Bytes out;
     net::ByteWriter w(out);
     net::EthernetHeader{router.port_mac(0), MacAddr::from_u64(0x01),
@@ -93,7 +93,7 @@ struct RouterRig {
     ip.ttl = ttl;
     ip.protocol = 250;  // payloadless experimental protocol
     ip.write(w, 0);
-    return out;
+    return net::Frame::copy_of(out);
   }
 
   void run() { world.loop().run_for(sim::Duration::millis(1)); }
@@ -155,10 +155,12 @@ TEST(Router, ArpMissDropsAndCounts) {
 TEST(Router, AnswersIcmpEchoOnItsInterfaceIp) {
   RouterRig rig;
   const net::IcmpEcho echo{net::IcmpType::kEchoRequest, 7, 1};
-  net::Bytes frame = net::build_ip_frame(
-      rig.router.port_mac(0), MacAddr::from_u64(0x01), Ipv4Addr{10, 0, 0, 1},
-      Ipv4Addr{10, 0, 0, 254}, net::kIpProtoIcmp, echo.serialize());
-  rig.left.port(1).send(net::Frame(std::move(frame)));
+  net::Frame frame =
+      net::Frame::allocate(net::kIpFrameHeaderSize + net::IcmpEcho::kSize);
+  echo.write(frame.writable().subspan(net::kIpFrameHeaderSize));
+  net::write_ip_headers(frame.writable(), rig.router.port_mac(0), MacAddr::from_u64(0x01),
+                        Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{10, 0, 0, 254}, net::kIpProtoIcmp);
+  rig.left.port(1).send(std::move(frame));
   rig.run();
 
   ASSERT_EQ(rig.left_side.frames.size(), 1u);

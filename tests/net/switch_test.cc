@@ -28,12 +28,12 @@ class SwitchTest : public ::testing::Test {
     }
   }
 
-  Bytes frame(MacAddr dst, MacAddr src) {
+  Frame frame(MacAddr dst, MacAddr src) {
     Bytes out;
     ByteWriter w(out);
     EthernetHeader{dst, src, 0x1234}.write(w);
     w.u32(0xdeadbeef);
-    return out;
+    return Frame::copy_of(out);
   }
 
   void run() { world_.loop().run(); }

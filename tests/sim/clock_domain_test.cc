@@ -116,6 +116,22 @@ TEST(ClockDomain, ClearDropsPendingDeferredWork) {
   EXPECT_FALSE(dom.lagged());
 }
 
+TEST(ClockDomain, ClearDisarmsDeferredOneShot) {
+  EventLoop loop;
+  ClockDomain dom(loop);
+  OneShotTimer timer(dom);
+  bool fired = false;
+  dom.set_lag(LagProfile::stall(1_s));
+  timer.arm(10_ms, [&] { fired = true; });
+  ASSERT_TRUE(timer.armed());
+  dom.clear();  // the deferred shot dies with the power transition...
+  loop.run_for(5_s);
+  EXPECT_FALSE(fired);
+  // ...and so does the timer's claim to be armed.
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(timer.deadline(), SimTime::never());
+}
+
 TEST(ClockDomain, OneShotTimerThroughDomainSlidesAndRearms) {
   EventLoop loop;
   ClockDomain dom(loop);

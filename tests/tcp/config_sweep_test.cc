@@ -11,9 +11,12 @@
 #include "harness/sweep.h"
 #include "harness/topology.h"
 #include "tests/tcp/tcp_fixture.h"
+#include "tests/tcp/read_bytes.h"
 
 namespace sttcp::tcp {
 namespace {
+
+using testing::read_bytes;
 
 using testing::pattern_bytes;
 using testing::PatternSink;
@@ -79,7 +82,7 @@ TEST_P(ConfigSweepTest, TransferIntactUnderLoss) {
   });
   TcpConnection* cp = nullptr;
   TcpConnection::Callbacks ccb;
-  ccb.on_readable = [&] { sink.consume(cp->read(1 << 20)); };
+  ccb.on_readable = [&] { sink.consume(read_bytes(*cp, 1 << 20)); };
   ccb.on_peer_closed = [&] {
     done = true;
     cp->close();

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "tests/tcp/tcp_fixture.h"
+#include "tests/tcp/read_bytes.h"
 
 namespace sttcp::tcp {
 namespace {
+
+using testing::read_bytes;
 
 using testing::pattern_bytes;
 using testing::TcpFixture;
@@ -72,7 +75,7 @@ TEST_F(ConnectionTest, DataFlowsBothDirections) {
     accepted_ = &s;
     TcpConnection::Callbacks scb;
     scb.on_readable = [&s, &at_server] {
-      net::Bytes b = s.read(4096);
+      net::Bytes b = read_bytes(s, 4096);
       at_server.insert(at_server.end(), b.begin(), b.end());
       s.send(net::to_bytes("pong"));
     };
@@ -82,7 +85,7 @@ TEST_F(ConnectionTest, DataFlowsBothDirections) {
   TcpConnection* cp = nullptr;
   ccb.on_established = [&] { cp->send(net::to_bytes("ping")); };
   ccb.on_readable = [&] {
-    net::Bytes b = cp->read(4096);
+    net::Bytes b = read_bytes(*cp, 4096);
     at_client.insert(at_client.end(), b.begin(), b.end());
   };
   cp = &client_stack_->connect(net_.ip(0), net::SocketAddr{net_.ip(1), 80},
@@ -141,18 +144,24 @@ TEST_F(ConnectionTest, AbortSendsRstToPeer) {
     s.set_callbacks(std::move(scb));
   });
   TcpConnection* cp = nullptr;
+  bool rst_generated = false;
   TcpConnection::Callbacks ccb;
   // Abort shortly after establishment so the server has completed its accept
-  // (an abort racing the handshake legitimately never reaches the app).
+  // (an abort racing the handshake legitimately never reaches the app). The
+  // aborted connection is destroyed soon after, so its RST notice is read
+  // right at the abort.
   ccb.on_established = [&] {
-    net_.world.loop().schedule_after(sim::Duration::millis(10), [&] { cp->abort(); });
+    net_.world.loop().schedule_after(sim::Duration::millis(10), [&] {
+      cp->abort();
+      rst_generated = cp->rst_generated();
+    });
   };
   cp = &client_stack_->connect(net_.ip(0), net::SocketAddr{net_.ip(1), 80},
                                std::move(ccb));
   run_for(sim::Duration::millis(100));
   EXPECT_TRUE(server_closed);
   EXPECT_EQ(server_reason, CloseReason::kReset);
-  EXPECT_TRUE(cp->rst_generated());
+  EXPECT_TRUE(rst_generated);
 }
 
 TEST_F(ConnectionTest, LostDataSegmentIsRetransmitted) {
@@ -162,7 +171,7 @@ TEST_F(ConnectionTest, LostDataSegmentIsRetransmitted) {
     server_conn = &s;
     TcpConnection::Callbacks scb;
     scb.on_readable = [&] {
-      net::Bytes b = server_conn->read(65536);
+      net::Bytes b = read_bytes(*server_conn, 65536);
       at_server.insert(at_server.end(), b.begin(), b.end());
     };
     s.set_callbacks(std::move(scb));
@@ -214,11 +223,11 @@ TEST_F(ConnectionTest, ReceiverWindowThrottlesSender) {
   net::Bytes drained;
   TcpConnection::Callbacks scb;
   scb.on_readable = [&] {
-    net::Bytes b = server_conn->read(65536);
+    net::Bytes b = read_bytes(*server_conn, 65536);
     drained.insert(drained.end(), b.begin(), b.end());
   };
   server_conn->set_callbacks(std::move(scb));
-  net::Bytes first = server_conn->read(65536);
+  net::Bytes first = read_bytes(*server_conn, 65536);
   drained.insert(drained.begin(), first.begin(), first.end());
   run_for(sim::Duration::seconds(30));
   EXPECT_EQ(written, 200000u);
@@ -246,7 +255,7 @@ TEST_F(ConnectionTest, CountersTrackStreamPositions) {
     server_conn = &s;
     TcpConnection::Callbacks scb;
     scb.on_readable = [&] {
-      net::Bytes b = server_conn->read(1000);  // reads lag writes
+      net::Bytes b = read_bytes(*server_conn, 1000);  // reads lag writes
       at_server.insert(at_server.end(), b.begin(), b.end());
     };
     s.set_callbacks(std::move(scb));
@@ -315,7 +324,7 @@ TEST_F(ConnectionTest, SuppressedConnectionSendsNothing) {
   net::Bytes at_client;
   TcpConnection::Callbacks ccb;
   ccb.on_readable = [&] {
-    net::Bytes b = cp->read(65536);
+    net::Bytes b = read_bytes(*cp, 65536);
     at_client.insert(at_client.end(), b.begin(), b.end());
   };
   cp = &client_stack_->connect(net_.ip(0), net::SocketAddr{net_.ip(1), 80},
@@ -350,7 +359,7 @@ TEST_F(ConnectionTest, HalfCloseAllowsContinuedServerSend) {
   bool client_closed = false;
   TcpConnection::Callbacks ccb;
   ccb.on_established = [&] { cp->close(); };
-  ccb.on_readable = [&] { sink.consume(cp->read(65536)); };
+  ccb.on_readable = [&] { sink.consume(read_bytes(*cp, 65536)); };
   ccb.on_closed = [&](CloseReason) { client_closed = true; };
   cp = &client_stack_->connect(net_.ip(0), net::SocketAddr{net_.ip(1), 80},
                                std::move(ccb));

@@ -1,9 +1,12 @@
 #include "tcp/reassembly.h"
+#include "tests/tcp/read_bytes.h"
 
 #include <gtest/gtest.h>
 
 namespace sttcp::tcp {
 namespace {
+
+using testing::read_bytes;
 
 net::Bytes pattern(std::uint64_t offset, std::size_t n) {
   net::Bytes b(n);
@@ -18,7 +21,7 @@ TEST(ReassemblyTest, InOrderDelivery) {
   EXPECT_EQ(rb.insert(0, pattern(0, 10)), 10u);
   EXPECT_EQ(rb.next_expected(), 10u);
   EXPECT_EQ(rb.readable(), 10u);
-  EXPECT_EQ(rb.read(100), pattern(0, 10));
+  EXPECT_EQ(read_bytes(rb, 100), pattern(0, 10));
 }
 
 TEST(ReassemblyTest, OutOfOrderHoleThenFill) {
@@ -30,7 +33,7 @@ TEST(ReassemblyTest, OutOfOrderHoleThenFill) {
   EXPECT_EQ(rb.readable(), 0u);
   EXPECT_EQ(rb.insert(0, pattern(0, 10)), 20u);  // hole filled, both delivered
   EXPECT_FALSE(rb.has_gap());
-  EXPECT_EQ(rb.read(100), pattern(0, 20));
+  EXPECT_EQ(read_bytes(rb, 100), pattern(0, 20));
 }
 
 TEST(ReassemblyTest, DuplicatesDiscarded) {
@@ -47,14 +50,14 @@ TEST(ReassemblyTest, PartialOverlapWithDelivered) {
   rb.insert(0, pattern(0, 10));
   // Retransmission covering [5, 15): only [10, 15) is new.
   EXPECT_EQ(rb.insert(5, pattern(5, 10)), 5u);
-  EXPECT_EQ(rb.read(100), pattern(0, 15));
+  EXPECT_EQ(read_bytes(rb, 100), pattern(0, 15));
 }
 
 TEST(ReassemblyTest, WindowClipsBeyondCapacity) {
   ReassemblyBuffer rb(10);
   EXPECT_EQ(rb.insert(0, pattern(0, 20)), 10u);  // clipped at window
   EXPECT_EQ(rb.window(), 0u);
-  EXPECT_EQ(rb.read(100).size(), 10u);
+  EXPECT_EQ(read_bytes(rb, 100).size(), 10u);
   EXPECT_EQ(rb.window(), 10u);  // reading frees window
   EXPECT_EQ(rb.insert(10, pattern(10, 10)), 10u);
 }
@@ -74,7 +77,7 @@ TEST(ReassemblyTest, OverlappingOutOfOrderFragments) {
   rb.insert(15, pattern(15, 10));  // [15,25): only [20,25) is new
   rb.insert(5, pattern(5, 7));     // [5,12): only [5,10) is new
   EXPECT_EQ(rb.insert(0, pattern(0, 5)), 25u);
-  EXPECT_EQ(rb.read(100), pattern(0, 25));
+  EXPECT_EQ(read_bytes(rb, 100), pattern(0, 25));
 }
 
 TEST(ReassemblyTest, FragmentFullyCoveredByExisting) {
@@ -82,7 +85,7 @@ TEST(ReassemblyTest, FragmentFullyCoveredByExisting) {
   rb.insert(10, pattern(10, 20));  // [10,30)
   rb.insert(15, pattern(15, 5));   // fully inside
   rb.insert(0, pattern(0, 10));
-  EXPECT_EQ(rb.read(100), pattern(0, 30));
+  EXPECT_EQ(read_bytes(rb, 100), pattern(0, 30));
 }
 
 TEST(ReassemblyTest, NewFragmentAbsorbsSmallerOnes) {
@@ -91,17 +94,17 @@ TEST(ReassemblyTest, NewFragmentAbsorbsSmallerOnes) {
   rb.insert(16, pattern(16, 2));
   rb.insert(10, pattern(10, 15));  // covers both
   rb.insert(0, pattern(0, 10));
-  EXPECT_EQ(rb.read(100), pattern(0, 25));
+  EXPECT_EQ(read_bytes(rb, 100), pattern(0, 25));
 }
 
 TEST(ReassemblyTest, ReadInChunks) {
   ReassemblyBuffer rb(100);
   rb.insert(0, pattern(0, 30));
-  EXPECT_EQ(rb.read(10), pattern(0, 10));
-  EXPECT_EQ(rb.read(10), pattern(10, 10));
+  EXPECT_EQ(read_bytes(rb, 10), pattern(0, 10));
+  EXPECT_EQ(read_bytes(rb, 10), pattern(10, 10));
   EXPECT_EQ(rb.readable(), 10u);
-  EXPECT_EQ(rb.read(100), pattern(20, 10));
-  EXPECT_TRUE(rb.read(10).empty());
+  EXPECT_EQ(read_bytes(rb, 100), pattern(20, 10));
+  EXPECT_TRUE(read_bytes(rb, 10).empty());
 }
 
 TEST(ReassemblyTest, DeliverTapSeesEveryByteOnce) {
@@ -145,7 +148,7 @@ TEST_P(ReassemblyOrderTest, AnyArrivalOrderYieldsSameStream) {
               pattern(static_cast<std::uint64_t>(idx) * 10, 10));
   }
   EXPECT_EQ(rb.next_expected(), 60u);
-  EXPECT_EQ(rb.read(1000), pattern(0, 60));
+  EXPECT_EQ(read_bytes(rb, 1000), pattern(0, 60));
 }
 
 INSTANTIATE_TEST_SUITE_P(Permutations, ReassemblyOrderTest,

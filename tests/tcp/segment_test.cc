@@ -19,7 +19,8 @@ TEST(SegmentTest, RoundTripDataSegment) {
   s.flags.ack = true;
   s.flags.psh = true;
   s.window = 65535;
-  s.payload = net::to_bytes("GET / HTTP/1.0\r\n\r\n");
+  const net::Bytes payload = net::to_bytes("GET / HTTP/1.0\r\n\r\n");
+  s.payload = payload;
   const net::Bytes wire_bytes = s.serialize(kSrc, kDst);
   ASSERT_EQ(wire_bytes.size(), TcpSegment::kHeaderSize + s.payload.size());
   auto p = TcpSegment::parse(kSrc, kDst, wire_bytes, /*verify_checksum=*/true);
@@ -32,7 +33,9 @@ TEST(SegmentTest, RoundTripDataSegment) {
   EXPECT_TRUE(p->flags.psh);
   EXPECT_FALSE(p->flags.syn);
   EXPECT_EQ(p->window, 65535);
-  EXPECT_EQ(p->payload, s.payload);
+  EXPECT_EQ(net::to_bytes(p->payload), payload);
+  // The parsed payload is a view into the wire bytes, not a copy.
+  EXPECT_EQ(p->payload.data(), wire_bytes.data() + TcpSegment::kHeaderSize);
 }
 
 TEST(SegmentTest, AllFlagCombinationsRoundTrip) {
@@ -55,7 +58,8 @@ TEST(SegmentTest, AllFlagCombinationsRoundTrip) {
 
 TEST(SegmentTest, ChecksumCatchesPayloadCorruption) {
   TcpSegment s;
-  s.payload = net::to_bytes("data-to-protect");
+  const net::Bytes payload = net::to_bytes("data-to-protect");
+  s.payload = payload;
   net::Bytes w = s.serialize(kSrc, kDst);
   w[TcpSegment::kHeaderSize + 3] ^= 0x20;
   EXPECT_FALSE(TcpSegment::parse(kSrc, kDst, w, true).has_value());
@@ -65,7 +69,8 @@ TEST(SegmentTest, ChecksumCatchesPayloadCorruption) {
 
 TEST(SegmentTest, ChecksumCoversPseudoHeader) {
   TcpSegment s;
-  s.payload = net::to_bytes("x");
+  const net::Bytes payload = net::to_bytes("x");
+  s.payload = payload;
   const net::Bytes w = s.serialize(kSrc, kDst);
   // Same bytes claimed to come from a different source IP must fail.
   EXPECT_FALSE(TcpSegment::parse(net::Ipv4Addr(10, 0, 0, 9), kDst, w, true).has_value());
@@ -85,7 +90,8 @@ TEST(SegmentTest, SeqLenCountsSynFinAndPayload) {
   EXPECT_EQ(s.seq_len(), 0u);
   s.flags.syn = true;
   EXPECT_EQ(s.seq_len(), 1u);
-  s.payload = net::to_bytes("abc");
+  const net::Bytes payload = net::to_bytes("abc");
+  s.payload = payload;
   EXPECT_EQ(s.seq_len(), 4u);
   s.flags.fin = true;
   EXPECT_EQ(s.seq_len(), 5u);
@@ -102,8 +108,9 @@ TEST(SegmentTest, ChecksumMemoMatchesFullSerialization) {
     s.seq = static_cast<SeqWire>(rng.next_u64());
     s.flags.ack = true;
     s.flags.psh = true;
-    s.payload.resize(1 + rng.below(1460));
-    for (auto& b : s.payload) b = static_cast<std::uint8_t>(rng.next_u64());
+    net::Bytes payload(1 + rng.below(1460));
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+    s.payload = payload;
 
     TcpSegment::ChecksumMemo memo;
     for (int retx = 0; retx < 8; ++retx) {
@@ -122,20 +129,24 @@ TEST(SegmentTest, ChecksumMemoInvalidatesOnShapeChange) {
   s.dst_port = 2;
   s.seq = 100;
   s.flags.ack = true;
-  s.payload = net::to_bytes("the same bytes every time");
+  const net::Bytes same = net::to_bytes("the same bytes every time");
+  s.payload = same;
   TcpSegment::ChecksumMemo memo;
   EXPECT_EQ(s.serialize(kSrc, kDst, memo), s.serialize(kSrc, kDst));
 
   // A different sequence range or length must take the full path (and still
   // produce correct bytes), refreshing the memo.
   s.seq = 200;
-  s.payload = net::to_bytes("entirely different payload!");
+  const net::Bytes different = net::to_bytes("entirely different payload!");
+  s.payload = different;
   EXPECT_EQ(s.serialize(kSrc, kDst, memo), s.serialize(kSrc, kDst));
   s.flags.fin = true;
   EXPECT_EQ(s.serialize(kSrc, kDst, memo), s.serialize(kSrc, kDst));
-  auto p = TcpSegment::parse(kSrc, kDst, s.serialize(kSrc, kDst, memo), true);
+  // The parsed payload views into `wire`, so the wire bytes must outlive it.
+  const net::Bytes wire = s.serialize(kSrc, kDst, memo);
+  auto p = TcpSegment::parse(kSrc, kDst, wire, true);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->payload, s.payload);
+  EXPECT_EQ(net::to_bytes(p->payload), different);
 }
 
 TEST(SegmentTest, StrRendering) {

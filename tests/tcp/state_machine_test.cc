@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "tests/tcp/tcp_fixture.h"
+#include "tests/tcp/read_bytes.h"
 
 namespace sttcp::tcp {
 namespace {
+
+using testing::read_bytes;
 
 using testing::pattern_bytes;
 using testing::TcpFixture;
@@ -60,7 +63,7 @@ TEST_F(StateMachineTest, DataBeforeFinIsDeliveredThenEof) {
   net::Bytes got;
   TcpConnection::Callbacks scb;
   scb.on_readable = [this, &got] {
-    net::Bytes b = server_conn_->read(65536);
+    net::Bytes b = read_bytes(*server_conn_, 65536);
     got.insert(got.end(), b.begin(), b.end());
   };
   scb.on_peer_closed = [&eof] { eof = true; };
@@ -83,7 +86,7 @@ TEST_F(StateMachineTest, FinWait2ReceivesDataUntilPeerCloses) {
   server_conn_->send(pattern_bytes(0, 3000));
   run_for(sim::Duration::millis(50));
   EXPECT_EQ(client_conn_->readable(), 3000u);
-  EXPECT_EQ(client_conn_->read(4096), pattern_bytes(0, 3000));
+  EXPECT_EQ(read_bytes(*client_conn_, 4096), pattern_bytes(0, 3000));
   server_conn_->close();
   run_for(sim::Duration::millis(50));
   EXPECT_EQ(client_conn_->state(), TcpState::kTimeWait);
@@ -200,10 +203,12 @@ TEST_F(StateMachineTest, InOrderBurstInOneTickCoalescesToOneAck) {
   a.ack = 1001;  // server ISS+1
   a.flags.ack = true;
   a.window = 65535;
-  a.payload = testing::pattern_bytes(0, 4);
+  const net::Bytes first = testing::pattern_bytes(0, 4);
+  a.payload = first;
   TcpSegment b = a;
   b.seq = 1005;
-  b.payload = testing::pattern_bytes(4, 4);
+  const net::Bytes second = testing::pattern_bytes(4, 4);
+  b.payload = second;
   server_conn_->on_segment(a);
   server_conn_->on_segment(b);
   // Nothing leaves synchronously; the flush runs in this same tick.
@@ -217,7 +222,8 @@ TEST_F(StateMachineTest, InOrderBurstInOneTickCoalescesToOneAck) {
   const std::uint64_t dup_before = server_conn_->stats().segments_sent;
   TcpSegment o = a;
   o.seq = 1013;
-  o.payload = testing::pattern_bytes(12, 4);
+  const net::Bytes beyond_gap = testing::pattern_bytes(12, 4);
+  o.payload = beyond_gap;
   server_conn_->on_segment(o);
   server_conn_->on_segment(o);
   EXPECT_EQ(server_conn_->stats().segments_sent - dup_before, 2u);
@@ -228,7 +234,7 @@ TEST_F(StateMachineTest, ServerInCloseWaitCanStillSend) {
   net::Bytes got;
   TcpConnection::Callbacks ccb2;
   ccb2.on_readable = [this, &got] {
-    net::Bytes b = client_conn_->read(65536);
+    net::Bytes b = read_bytes(*client_conn_, 65536);
     got.insert(got.end(), b.begin(), b.end());
   };
   ccb2.on_closed = [this](CloseReason) { client_closed_ = true; };

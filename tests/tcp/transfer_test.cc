@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "tests/tcp/tcp_fixture.h"
+#include "tests/tcp/read_bytes.h"
 
 namespace sttcp::tcp {
 namespace {
+
+using testing::read_bytes;
 
 using testing::pattern_bytes;
 using testing::PatternSink;
@@ -61,7 +64,7 @@ void run_download(TcpFixture& f, std::uint64_t total, TransferResult& out,
   });
   TcpConnection* cp = nullptr;
   TcpConnection::Callbacks ccb;
-  ccb.on_readable = [&] { out.sink.consume(cp->read(1 << 20)); };
+  ccb.on_readable = [&] { out.sink.consume(read_bytes(*cp, 1 << 20)); };
   ccb.on_peer_closed = [&] {
     out.client_done = true;
     out.done_at = f.net_.world.now();
@@ -142,7 +145,7 @@ TEST_F(TransferTest, UploadDirectionAlsoWorks) {
   server_stack_->listen(80, [&](TcpConnection& s) {
     server_conn = &s;
     TcpConnection::Callbacks scb;
-    scb.on_readable = [&] { sink.consume(server_conn->read(1 << 20)); };
+    scb.on_readable = [&] { sink.consume(read_bytes(*server_conn, 1 << 20)); };
     scb.on_peer_closed = [&] {
       server_saw_eof = true;
       server_conn->close();
@@ -184,7 +187,7 @@ TEST_F(TransferTest, TwoSimultaneousConnectionsShareTheLink) {
   TcpConnection* conns[2] = {nullptr, nullptr};
   for (int i = 0; i < 2; ++i) {
     TcpConnection::Callbacks ccb;
-    ccb.on_readable = [&, i] { sinks[i].consume(conns[i]->read(1 << 20)); };
+    ccb.on_readable = [&, i] { sinks[i].consume(read_bytes(*conns[i], 1 << 20)); };
     ccb.on_peer_closed = [&, i] {
       done[i] = true;
       conns[i]->close();
