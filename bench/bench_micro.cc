@@ -177,18 +177,89 @@ void BM_TcpSegmentParse(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpSegmentParse);
 
-void BM_HeartbeatSerialize(benchmark::State& state) {
-  sttcp::HeartbeatMsg msg;
-  for (int i = 0; i < state.range(0); ++i) {
-    sttcp::HbRecord r;
-    r.repl_id = static_cast<std::uint16_t>(i);
-    msg.records.push_back(r);
+// Heartbeat shapes measured on stbench: a primary's decision beat on
+// `blockstore` carries ~24 unacked decision records and no connection
+// records; a periodic beat on `ring` carries ~1,721 connection records.
+struct HbShape {
+  std::size_t decisions = 0;
+  std::size_t records = 0;
+};
+constexpr HbShape kDecisionBeat{24, 0};
+constexpr HbShape kRingPeriodicBeat{0, 1721};
+
+/// The endpoint state a beat is written from: a decision log holding the
+/// unacked window, and the connections' records.
+struct HbSource {
+  explicit HbSource(const HbShape& shape) : log(sttcp::DecisionLog::Mode::kRecord) {
+    header.role = sttcp::Role::kPrimary;
+    header.hb_seq = 1000;
+    header.decisions_valid = shape.decisions > 0;
+    header.decision_ack = 17;
+    for (std::size_t i = 0; i < shape.decisions; ++i) {
+      log.choose(sttcp::DecisionKind::kOrder, [i] { return i * 7919; });
+    }
+    for (std::size_t i = 0; i < shape.records; ++i) {
+      sttcp::HbRecord r;
+      r.repl_id = static_cast<std::uint16_t>(i + 1);
+      r.bytes_received = i * 1460;
+      r.acked_by_peer = i * 977;
+      r.app_written = i * 4096;
+      r.app_read = i * 1460;
+      records.push_back(r);
+    }
   }
+  sttcp::HbHeader header;
+  sttcp::DecisionLog log;
+  std::vector<sttcp::HbRecord> records;
+};
+
+/// One beat from endpoint state to a frame ready for the NIC: sized once,
+/// written in place behind the header room, UDP and IP headers filled in.
+net::Frame write_beat_frame(const HbSource& src) {
+  const net::Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  const auto decisions = src.log.unacked(512);
+  std::size_t record_bytes = 0;
+  for (const sttcp::HbRecord& r : src.records) record_bytes += r.wire_size();
+  net::Frame frame = net::Frame::allocate(
+      net::kUdpFrameHeaderSize + src.header.wire_size(decisions.size(), record_bytes));
+  const std::span<std::uint8_t> bytes = frame.writable();
+  sttcp::HbWriter w(bytes.subspan(net::kUdpFrameHeaderSize), src.header, decisions.size());
+  for (const sttcp::DecisionRecord& d : decisions) w.decision(d);
+  w.records(src.records.size());
+  for (const sttcp::HbRecord& r : src.records) w.record(r);
+  w.finish();
+  net::write_udp_header(bytes.subspan(net::kIpFrameHeaderSize), a, b, 7000, 7000);
+  net::write_ip_headers(bytes, net::MacAddr::from_u64(2), net::MacAddr::from_u64(1), a, b,
+                        net::kIpProtoUdp);
+  return frame;
+}
+
+void BM_HeartbeatWrite(benchmark::State& state, HbShape shape) {
+  const HbSource src(shape);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(msg.serialize());
+    benchmark::DoNotOptimize(write_beat_frame(src));
   }
 }
-BENCHMARK(BM_HeartbeatSerialize)->Arg(1)->Arg(100);
+BENCHMARK_CAPTURE(BM_HeartbeatWrite, decision_24, kDecisionBeat);
+BENCHMARK_CAPTURE(BM_HeartbeatWrite, periodic_1721, kRingPeriodicBeat);
+
+void BM_HeartbeatRead(benchmark::State& state, HbShape shape) {
+  // Validate the received UDP payload once, then walk every decision and
+  // record it carries.
+  const net::Frame frame = write_beat_frame(HbSource(shape));
+  const net::BytesView payload = frame.view().subspan(net::kUdpFrameHeaderSize);
+  for (auto _ : state) {
+    const auto beat = sttcp::HbView::parse(payload);
+    std::uint64_t sum = 0;
+    for (const sttcp::DecisionRecord& d : beat->decisions) sum += d.seq + d.value;
+    for (const sttcp::HbRecord& r : beat->records) {
+      sum += r.repl_id + r.bytes_received + r.acked_by_peer + r.app_written + r.app_read;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK_CAPTURE(BM_HeartbeatRead, decision_24, kDecisionBeat);
+BENCHMARK_CAPTURE(BM_HeartbeatRead, periodic_1721, kRingPeriodicBeat);
 
 void BM_ReassemblyInOrder(benchmark::State& state) {
   const net::Bytes chunk(1460, 0x11);

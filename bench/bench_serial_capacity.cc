@@ -19,12 +19,8 @@ void run() {
 
   // Analytic part: wire cost per heartbeat record.
   {
-    ::sttcp::sttcp::HeartbeatMsg m;
-    const std::size_t header = m.serialize().size();
-    ::sttcp::sttcp::HbRecord r;
-    r.repl_id = 1;
-    m.records.push_back(r);
-    const std::size_t per_conn = m.serialize().size() - header;
+    const std::size_t header = ::sttcp::sttcp::HbHeader{}.wire_size(0, 0);
+    const std::size_t per_conn = ::sttcp::sttcp::HbRecord{}.wire_size();
     std::cout << "heartbeat header: " << header << " B, per-connection record: "
               << per_conn << " B (paper claims < 20 B)\n";
     Table t({"connections", "HB size (B)", "serial load @200ms (kbps)",
@@ -78,25 +74,20 @@ void run() {
   // quorum (PromoteRequest/Ack) and the gateway ping go over Ethernet.
   std::cout << "\n-- group arbitration: why quorum moves off the serial link --\n\n";
   {
-    ::sttcp::sttcp::HeartbeatMsg pair;
-    const std::size_t pair_hdr = pair.serialize().size();
-    ::sttcp::sttcp::HbRecord r;
-    r.repl_id = 1;
-    pair.records.push_back(r);
-    const std::size_t per_conn = pair.serialize().size() - pair_hdr;
+    const std::size_t per_conn = ::sttcp::sttcp::HbRecord{}.wire_size();
 
     Table t({"members N", "serial cables (full mesh)", "HB header (B)",
              "per-peer budget (kbps)", "conn ceiling/peer"});
     for (const int n : {2, 3, 4, 8}) {
-      ::sttcp::sttcp::HeartbeatMsg g;
+      ::sttcp::sttcp::HbHeader g;
+      std::vector<std::uint8_t> order;
       if (n > 2) {
         g.group_valid = true;
         g.view_epoch = 1;
-        for (int m = 0; m < n; ++m) {
-          g.view_order.push_back(static_cast<std::uint8_t>(m));
-        }
+        for (int m = 0; m < n; ++m) order.push_back(static_cast<std::uint8_t>(m));
+        g.view_order = order;
       }
-      const std::size_t hdr = g.serialize().size();
+      const std::size_t hdr = g.wire_size(0, 0);
       const int cables = n * (n - 1) / 2;
       // One UART per host, time-sliced across its N-1 mesh neighbours.
       const double budget = 115.2 / (n - 1);

@@ -116,7 +116,7 @@ for arg in "$@"; do
       # Quick sanity pass over the hot-path microbenchmarks; the committed
       # numbers in BENCH_micro.json use --benchmark_min_time=0.2.
       ./build-release/bench/bench_micro \
-        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_OneShotTimerRearm|BM_SendBufferAppendSliceAck|BM_FrameBuildTcpSegment|BM_TcpReceiveDataSegment|BM_Pattern' \
+        --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun|BM_OneShotTimerRearm|BM_SendBufferAppendSliceAck|BM_FrameBuildTcpSegment|BM_TcpReceiveDataSegment|BM_HeartbeatWrite|BM_HeartbeatRead|BM_Pattern' \
         --benchmark_min_time=0.05
       ;;
     --chaos)

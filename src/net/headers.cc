@@ -84,7 +84,7 @@ void UdpHeader::write(ByteWriter& w, std::size_t payload_len) const {
   w.u16(src_port);
   w.u16(dst_port);
   w.u16(static_cast<std::uint16_t>(kSize + payload_len));
-  w.u16(0);  // checksum patched by build_udp_frame (needs pseudo-header)
+  w.u16(0);  // checksum patched by write_udp_header (needs pseudo-header)
 }
 
 UdpHeader UdpHeader::read(ByteReader& r) {
@@ -132,20 +132,16 @@ void write_ip_headers(std::span<std::uint8_t> frame, MacAddr eth_dst, MacAddr et
   ih.write(w, frame.size() - kIpFrameHeaderSize);
 }
 
-Frame build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
-                      Ipv4Addr ip_dst, std::uint16_t src_port, std::uint16_t dst_port,
-                      BytesView payload) {
-  constexpr std::size_t kL4 = kIpFrameHeaderSize;
-  Frame frame = Frame::allocate(kL4 + UdpHeader::kSize + payload.size());
-  const std::span<std::uint8_t> bytes = frame.writable();
-  const std::span<std::uint8_t> udp = bytes.subspan(kL4);
-  ByteWriter w(udp);
-  UdpHeader{src_port, dst_port, 0, 0}.write(w, payload.size());
-  w.bytes(payload);
+void write_udp_header(std::span<std::uint8_t> segment, Ipv4Addr ip_src, Ipv4Addr ip_dst,
+                      std::uint16_t src_port, std::uint16_t dst_port) {
+  if (segment.size() < UdpHeader::kSize ||
+      segment.size() - UdpHeader::kSize > kMaxUdpPayload) {
+    throw std::length_error("write_udp_header: payload does not fit one IPv4 datagram");
+  }
+  ByteWriter w(segment.first(UdpHeader::kSize));
+  UdpHeader{src_port, dst_port, 0, 0}.write(w, segment.size() - UdpHeader::kSize);
   // The pseudo-header checksum covers the whole UDP segment.
-  w.patch_u16(6, transport_checksum(ip_src, ip_dst, kIpProtoUdp, udp));
-  write_ip_headers(bytes, eth_dst, eth_src, ip_src, ip_dst, kIpProtoUdp);
-  return frame;
+  w.patch_u16(6, transport_checksum(ip_src, ip_dst, kIpProtoUdp, segment));
 }
 
 ParsedFrame parse_frame(BytesView frame) {

@@ -84,11 +84,19 @@ inline constexpr std::size_t kIpFrameHeaderSize = EthernetHeader::kSize + Ipv4He
 void write_ip_headers(std::span<std::uint8_t> frame, MacAddr eth_dst, MacAddr eth_src,
                       Ipv4Addr ip_src, Ipv4Addr ip_dst, std::uint8_t protocol);
 
-/// Assembled Ethernet/IPv4/UDP datagram ready for the wire, built in place
-/// in one frame.
-Frame build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
-                      Ipv4Addr ip_dst, std::uint16_t src_port, std::uint16_t dst_port,
-                      BytesView payload);
+/// Ethernet + IPv4 + UDP header bytes in front of a UDP payload in a frame.
+inline constexpr std::size_t kUdpFrameHeaderSize = kIpFrameHeaderSize + UdpHeader::kSize;
+/// Largest UDP payload one IPv4 datagram holds: the 16-bit total_length
+/// (65,535) less the IPv4 and UDP headers.
+inline constexpr std::size_t kMaxUdpPayload = 65'535 - Ipv4Header::kSize - UdpHeader::kSize;
+
+/// Fill the UDP header of `segment` -- a UDP segment being built in place
+/// (header room, then the payload the caller already wrote) -- including the
+/// pseudo-header checksum over the whole segment. Throws std::length_error
+/// when the payload exceeds kMaxUdpPayload, where the length fields would
+/// wrap.
+void write_udp_header(std::span<std::uint8_t> segment, Ipv4Addr ip_src, Ipv4Addr ip_dst,
+                      std::uint16_t src_port, std::uint16_t dst_port);
 
 /// Parsed view of a received frame (headers by value, payload as offsets into
 /// the original buffer — callers keep the frame alive while using it).

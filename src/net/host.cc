@@ -1,6 +1,7 @@
 #include "net/host.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "net/checksum.h"
 
@@ -98,15 +99,27 @@ void Host::udp_bind(std::uint16_t port, UdpHandler handler) {
 
 void Host::udp_unbind(std::uint16_t port) { udp_handlers_.erase(port); }
 
-bool Host::udp_send(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
-                    std::uint16_t dst_port, BytesView payload) {
+bool Host::udp_send_frame(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
+                          std::uint16_t dst_port, Frame frame) {
   if (!alive_ || nics_.empty()) return false;
   const MacAddr* dst_mac = next_hop(dst);
   if (dst_mac == nullptr) return false;
   Nic& out = *nics_.front();
+  const std::span<std::uint8_t> bytes = frame.writable();
+  write_udp_header(bytes.subspan(kIpFrameHeaderSize), src, dst, src_port, dst_port);
+  write_ip_headers(bytes, *dst_mac, out.mac(), src, dst, kIpProtoUdp);
   ++stats_.packets_out;
-  return out.send(
-      build_udp_frame(*dst_mac, out.mac(), src, dst, src_port, dst_port, payload));
+  return out.send(std::move(frame));
+}
+
+bool Host::udp_send(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
+                    std::uint16_t dst_port, BytesView payload) {
+  Frame frame = Frame::allocate(kUdpFrameHeaderSize + payload.size());
+  if (!payload.empty()) {
+    std::memcpy(frame.writable().data() + kUdpFrameHeaderSize, payload.data(),
+                payload.size());
+  }
+  return udp_send_frame(src, src_port, dst, dst_port, std::move(frame));
 }
 
 void Host::ping(Ipv4Addr src, Ipv4Addr dst, sim::Duration timeout, PingCallback cb) {

@@ -118,6 +118,14 @@ class Host {
   // --- UDP ----------------------------------------------------------------
   void udp_bind(std::uint16_t port, UdpHandler handler);
   void udp_unbind(std::uint16_t port);
+  /// Send a UDP datagram the caller built in place: `frame` (from
+  /// Frame::allocate, not yet shared) holds the payload behind
+  /// kUdpFrameHeaderSize bytes of header room, which this fills in (UDP
+  /// header and checksum, then the IP headers). Returns false like
+  /// send_ip_frame; throws std::length_error past kMaxUdpPayload.
+  bool udp_send_frame(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
+                      std::uint16_t dst_port, Frame frame);
+  /// udp_send_frame with `payload` copied into a fresh frame.
   bool udp_send(Ipv4Addr src, std::uint16_t src_port, Ipv4Addr dst,
                 std::uint16_t dst_port, BytesView payload);
 

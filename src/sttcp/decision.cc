@@ -51,42 +51,32 @@ void DecisionLog::on_peer_ack(std::uint64_t cum) {
   if (commit_hook_) commit_hook_();
 }
 
-std::vector<DecisionRecord> DecisionLog::unacked(std::size_t max) const {
-  std::vector<DecisionRecord> out;
-  out.reserve(std::min(max, unacked_.size()));
-  for (const DecisionRecord& r : unacked_) {
-    if (out.size() >= max) break;
-    out.push_back(r);
+void DecisionLog::ingest_one(const DecisionRecord& r) {
+  if (r.seq < next_consume_ + queue_.size()) {
+    // Below the cursor: consumed already, restored via checkpoint, or a
+    // heartbeat-retransmitted copy of a queued record.
+    ++(r.seq >= next_consume_ ? stats_.duplicates : stats_.stale);
+    return;
   }
-  return out;
+  if (r.seq == next_consume_ + queue_.size()) {
+    queue_.push_back(r);
+    ++stats_.ingested;
+    // The hole this record filled may unpark successors.
+    auto it = parked_.find(r.seq + 1);
+    while (it != parked_.end()) {
+      queue_.push_back(it->second);
+      parked_.erase(it);
+      it = parked_.find(queue_.back().seq + 1);
+    }
+  } else if (parked_.emplace(r.seq, r).second) {
+    ++stats_.ingested;
+  } else {
+    ++stats_.duplicates;
+  }
+  if (r.seq > max_seen_) max_seen_ = r.seq;
 }
 
-bool DecisionLog::ingest(const std::vector<DecisionRecord>& recs) {
-  const std::uint64_t before = rx_cursor_;
-  for (const DecisionRecord& r : recs) {
-    if (r.seq < next_consume_ + queue_.size()) {
-      // Below the cursor: consumed already, restored via checkpoint, or a
-      // heartbeat-retransmitted copy of a queued record.
-      ++(r.seq >= next_consume_ ? stats_.duplicates : stats_.stale);
-      continue;
-    }
-    if (r.seq == next_consume_ + queue_.size()) {
-      queue_.push_back(r);
-      ++stats_.ingested;
-      // The hole this record filled may unpark successors.
-      auto it = parked_.find(r.seq + 1);
-      while (it != parked_.end()) {
-        queue_.push_back(it->second);
-        parked_.erase(it);
-        it = parked_.find(queue_.back().seq + 1);
-      }
-    } else if (parked_.emplace(r.seq, r).second) {
-      ++stats_.ingested;
-    } else {
-      ++stats_.duplicates;
-    }
-    if (r.seq > max_seen_) max_seen_ = r.seq;
-  }
+bool DecisionLog::ingest_done(std::uint64_t before) {
   advance_rx_cursor();
   const bool advanced = rx_cursor_ > before;
   if (advanced && ingest_hook_) ingest_hook_();

@@ -27,11 +27,13 @@
 // response inside the dead primary.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
-#include <vector>
+#include <ranges>
 
 #include "net/bytes.h"
 
@@ -103,8 +105,13 @@ class DecisionLog {
   bool standalone() const { return standalone_; }
   /// Peer acknowledged every seq <= cum (from the heartbeat decision block).
   void on_peer_ack(std::uint64_t cum);
-  /// Oldest unacked records, capped (heartbeat retransmission window).
-  std::vector<DecisionRecord> unacked(std::size_t max) const;
+  /// The oldest unacked records, at most `max` of them, viewed in place:
+  /// the heartbeat retransmission window. Valid until the log next changes.
+  using Window = std::ranges::subrange<std::deque<DecisionRecord>::const_iterator>;
+  Window unacked(std::size_t max) const {
+    const auto n = static_cast<std::ptrdiff_t>(std::min(max, unacked_.size()));
+    return Window(unacked_.begin(), unacked_.begin() + n);
+  }
   /// The application finished a batch of choices and wants them on the wire
   /// now instead of at the next periodic beat (fires the endpoint's hook).
   void request_flush() {
@@ -112,10 +119,20 @@ class DecisionLog {
   }
 
   // --- replay side -----------------------------------------------------------
-  /// Accept records from a heartbeat block; duplicates and records below the
-  /// replay cursor are dropped. Returns true when the contiguous rx cursor
-  /// advanced (the endpoint acks promptly; the app re-pumps its executor).
-  bool ingest(const std::vector<DecisionRecord>& recs);
+  /// Accept records from a heartbeat block — any range of DecisionRecord,
+  /// such as a received beat's decision block read in place; duplicates and
+  /// records below the replay cursor are dropped. Returns true when the
+  /// contiguous rx cursor advanced (the endpoint acks promptly; the app
+  /// re-pumps its executor).
+  template <class Records>
+  bool ingest(const Records& recs) {
+    const std::uint64_t before = rx_cursor_;
+    for (const DecisionRecord& r : recs) ingest_one(r);
+    return ingest_done(before);
+  }
+  bool ingest(std::initializer_list<DecisionRecord> recs) {
+    return ingest<std::initializer_list<DecisionRecord>>(recs);
+  }
   /// Highest contiguously ingested-or-consumed seq: the cumulative ack.
   std::uint64_t rx_cursor() const { return rx_cursor_; }
   /// Next record due for consumption, or nullptr if it has not arrived.
@@ -155,6 +172,9 @@ class DecisionLog {
   void set_promote_hook(std::function<void()> fn) { promote_hook_ = std::move(fn); }
 
  private:
+  void ingest_one(const DecisionRecord& r);
+  /// Settle one ingest: advance the cursor past `before`, fire the hook.
+  bool ingest_done(std::uint64_t before);
   void advance_rx_cursor();
 
   Mode mode_;

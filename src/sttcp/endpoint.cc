@@ -134,33 +134,52 @@ bool StTcpEndpoint::serial_channel_alive() const {
 // Heartbeat
 // ---------------------------------------------------------------------------
 
-HeartbeatMsg StTcpEndpoint::make_hb_header() {
-  HeartbeatMsg msg;
-  msg.role = role_;
-  msg.hb_seq = hb_seq_++;
-  msg.ping_valid = my_ping_valid_;
-  msg.ping_ok = my_ping_ok_;
-  msg.app_suspect = local_app_suspect_;
-  msg.rejoin_request = reintegrator_->rejoin_request_flag();
-  msg.rejoin_ready = reintegrator_->rejoin_ready_flag();
-  msg.rejoin_epoch = reintegrator_->epoch();
+namespace {
+// Decision records per beat: a burst of choices cannot blow up one beat;
+// periodic beats retransmit the remainder oldest-first until acked.
+constexpr std::size_t kMaxDecisionsPerBeat = 512;
+// Record bytes one UDP beat carries at most (see emit_heartbeat).
+constexpr std::size_t kUdpRecordBudget = 60'000;
+}  // namespace
+
+HbHeader StTcpEndpoint::next_hb_header() {
+  HbHeader h;
+  h.role = role_;
+  h.hb_seq = hb_seq_++;
+  h.ping_valid = my_ping_valid_;
+  h.ping_ok = my_ping_ok_;
+  h.app_suspect = local_app_suspect_;
+  h.rejoin_request = reintegrator_->rejoin_request_flag();
+  h.rejoin_ready = reintegrator_->rejoin_ready_flag();
+  h.rejoin_epoch = reintegrator_->epoch();
   if (group_mode()) {
-    msg.group_valid = true;
-    msg.member = my_member();
-    msg.view_epoch = view_.epoch;
-    msg.view_order = view_.order;
+    h.group_valid = true;
+    h.member = my_member();
+    h.view_epoch = view_.epoch;
+    h.view_order = view_.order;
   }
   // Logged-decision block (pairs only — see set_decision_log;
-  // docs/APPLICATION.md): cumulative ack of the peer's decision stream + our
-  // own unacked records, capped so a burst cannot blow the UDP byte budget —
-  // periodic beats retransmit the remainder oldest-first until acked.
+  // docs/APPLICATION.md): cumulative ack of the peer's decision stream; the
+  // beat then carries our own unacked records, kMaxDecisionsPerBeat at most.
   if (decision_log_ != nullptr && replicating_or_reintegrating()) {
-    constexpr std::size_t kMaxDecisionsPerBeat = 512;
-    msg.decisions_valid = true;
-    msg.decision_ack = decision_log_->rx_cursor();
-    msg.decisions = decision_log_->unacked(kMaxDecisionsPerBeat);
+    h.decisions_valid = true;
+    h.decision_ack = decision_log_->rx_cursor();
   }
-  return msg;
+  return h;
+}
+
+bool StTcpEndpoint::announces(std::uint16_t id, const ReplConn& rc,
+                              std::size_t pi) const {
+  if (rc.conn == nullptr) return false;
+  // Announces are per peer: each peer keeps seeing the announce until IT
+  // has echoed the id (or a reintegration snapshot carried the connection).
+  if (role_ == Role::kPrimary) return !(pi < rc.gp.size() && rc.gp[pi].echoed);
+  // A replica still under an inferred id: the primary cannot match the
+  // record by id, so carry the tuple (announce extension) and let it match
+  // by connection identity. Under load the primary's own announce can sit
+  // behind seconds of queued client data on its uplink — this leg rides
+  // the backup's idle uplink, so "peer never replicated" stays quiet.
+  return id >= 0x8000;
 }
 
 HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
@@ -174,26 +193,10 @@ HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
   rec.acked_by_peer = rc.acked();
   rec.app_written = rc.written();
   rec.app_read = rc.read();
-  // Announces are per peer: each peer keeps seeing the announce until IT
-  // has echoed the id (or a reintegration snapshot carried the connection).
-  const bool announce_needed = !(pi < rc.gp.size() && rc.gp[pi].echoed);
-  if (role_ == Role::kPrimary && announce_needed && rc.conn != nullptr) {
+  if (announces(id, rc, pi)) {
     rec.announce = true;
-    rec.established = true;
-    rec.client_ip = rc.tuple.remote.ip;
-    rec.client_port = rc.tuple.remote.port;
-    rec.local_port = rc.tuple.local.port;
-    rec.iss = rc.conn->iss();
-    rec.irs = rc.conn->irs();
-  }
-  if (role_ == Role::kBackup && id >= 0x8000 && rc.conn != nullptr) {
-    // A replica still under an inferred id: the primary cannot match the
-    // record by id, so carry the tuple (announce extension) and let it match
-    // by connection identity. Under load the primary's own announce can sit
-    // behind seconds of queued client data on its uplink — this leg rides
-    // the backup's idle uplink, so "peer never replicated" stays quiet.
-    rec.announce = true;
-    rec.established = rc.conn->state() != tcp::TcpState::kSynRcvd;
+    rec.established =
+        role_ == Role::kPrimary || rc.conn->state() != tcp::TcpState::kSynRcvd;
     rec.client_ip = rc.tuple.remote.ip;
     rec.client_port = rc.tuple.remote.port;
     rec.local_port = rc.tuple.local.port;
@@ -211,96 +214,139 @@ void StTcpEndpoint::send_heartbeat(bool include_serial) {
   // a copy went to peer B (a shared cursor would starve every record at
   // fan-out > 1 under budget pressure).
   for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
-    Peer& p = peers_[pi];
-    HeartbeatMsg msg = make_hb_header();
-    msg.records.reserve(conns_.size());
-    for (auto& [id, rc] : conns_) msg.records.push_back(make_record(id, *rc, pi));
-    std::size_t total = 0;
-    for (const auto& r : msg.records) total += r.wire_size();
-    emit_heartbeat(msg, total, p, include_serial && p.has_serial ? serial_ : nullptr);
+    emit_heartbeat(pi, Beat::kPeriodic, 0,
+                   include_serial && peers_[pi].has_serial ? serial_ : nullptr);
   }
   ++stats_.hb_sent;
-}
-
-void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_bytes,
-                                   Peer& p, net::SerialPort* serial) {
-  // An IPv4 datagram caps at 65,535 bytes; with every record carrying an
-  // announce (35 B) that is ~1,870 connections. Past it the 16-bit
-  // total_length wraps silently and the peer drops the frame on UDP
-  // checksum — the IP heartbeat channel goes dead exactly when the pair is
-  // busiest, and the peer falsely convicts ("never replicated"). Budget the
-  // UDP copy well under the limit with a rotating window, so every record
-  // still crosses within ceil(total/budget) periods. Urgent records never
-  // wait for the window: announces and FIN/RST notices also travel as
-  // single-record event heartbeats the moment they happen.
-  constexpr std::size_t kUdpRecordBudget = 60'000;
-
-  // Rotation cursors are connection ids, not vector positions: conns_ is
-  // id-ordered, so records[] is sorted by repl_id, and an id survives the
-  // churn of inserts/erases between beats. A positional cursor drifts when
-  // the vector recomposes and can starve a record indefinitely — exactly
-  // long enough for the peer's replica-setup grace timer to convict.
-  const auto start_index = [&](std::uint16_t next_id) -> std::size_t {
-    auto it = std::lower_bound(
-        msg.records.begin(), msg.records.end(), next_id,
-        [](const HbRecord& r, std::uint16_t id) { return r.repl_id < id; });
-    return it == msg.records.end() ? 0 : static_cast<std::size_t>(it - msg.records.begin());
-  };
-
-  net::Bytes wire_msg;
-  if (total_bytes <= kUdpRecordBudget) {
-    wire_msg = msg.serialize();
-  } else {
-    HeartbeatMsg umsg = msg;
-    umsg.records.clear();
-    umsg.records.reserve(msg.records.size());
-    const std::size_t start = start_index(p.udp_rr_next_id);
-    std::size_t used = 0;
-    for (std::size_t k = 0; k < msg.records.size(); ++k) {
-      const std::size_t i = (start + k) % msg.records.size();
-      const HbRecord& r = msg.records[i];
-      if (used + r.wire_size() > kUdpRecordBudget) {
-        p.udp_rr_next_id = r.repl_id;
-        break;
-      }
-      used += r.wire_size();
-      umsg.records.push_back(r);
-    }
-    wire_msg = umsg.serialize();
-  }
-  host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, wire_msg);
-  if (serial != nullptr) {
-    const std::size_t cap = cfg_.serial_max_records;
-    if (cap == 0 || msg.records.size() <= cap) {
-      // Under the cap the UDP copy was not truncated either (the serial cap
-      // is far below the UDP byte budget), so the bytes can be shared.
-      serial->send(total_bytes <= kUdpRecordBudget ? wire_msg : msg.serialize());
-    } else {
-      // Serial copy carries a rotating window of `cap` records (same header
-      // and hb_seq), so every connection's counters ride the line within
-      // ceil(n/cap) periods while the channel-liveness beat stays on time.
-      HeartbeatMsg smsg = msg;
-      smsg.records.clear();
-      const std::size_t start = start_index(p.serial_rr_next_id);
-      for (std::size_t k = 0; k < cap; ++k) {
-        smsg.records.push_back(msg.records[(start + k) % msg.records.size()]);
-      }
-      p.serial_rr_next_id = msg.records[(start + cap) % msg.records.size()].repl_id;
-      serial->send(smsg.serialize());
-    }
-  }
 }
 
 void StTcpEndpoint::send_event_heartbeat(std::uint16_t id) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
   if (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant) return;
   for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
-    HeartbeatMsg msg = make_hb_header();
-    if (const ReplConn* rc = by_id(id)) msg.records.push_back(make_record(id, *rc, pi));
-    host_.udp_send(cfg_.my_ip, cfg_.hb_port, peers_[pi].ip, cfg_.hb_port,
-                   msg.serialize());
+    emit_heartbeat(pi, Beat::kEvent, id, nullptr);
   }
   ++stats_.hb_sent;
+}
+
+void StTcpEndpoint::emit_heartbeat(std::size_t pi, Beat beat, std::uint16_t id,
+                                   net::SerialPort* serial) {
+  Peer& p = peers_[pi];
+  const HbHeader h = next_hb_header();
+  const DecisionLog::Window decisions =
+      h.decisions_valid ? decision_log_->unacked(kMaxDecisionsPerBeat)
+                        : DecisionLog::Window();
+
+  // A beat's records: `count` entries of conns_ from `first` on, wrapping
+  // past the end, `bytes` wire bytes in all. conns_ is id-ordered, so the
+  // rotation cursors below are connection ids, not positions: an id
+  // survives the churn of inserts/erases between beats, where a positional
+  // cursor drifts and can starve a record indefinitely — exactly long
+  // enough for the peer's replica-setup grace timer to convict.
+  using ConnIt = decltype(conns_)::const_iterator;
+  struct Records {
+    ConnIt first;
+    std::size_t count = 0;
+    std::size_t bytes = 0;
+  };
+  const auto next = [this](ConnIt it) {
+    return ++it == conns_.end() ? conns_.begin() : it;
+  };
+  const auto from_id = [this](std::uint16_t next_id) {
+    const ConnIt it = conns_.lower_bound(next_id);
+    return it == conns_.end() ? conns_.begin() : it;
+  };
+  const auto size_of = [&](ConnIt it) {
+    return announces(it->first, *it->second, pi) ? HbRecord::kAnnounceWireSize
+                                                 : HbRecord::kWireSize;
+  };
+  const auto write = [&](std::span<std::uint8_t> out, const Records& recs) {
+    HbWriter w(out, h, decisions.size());
+    for (const DecisionRecord& d : decisions) w.decision(d);
+    w.records(recs.count);
+    ConnIt it = recs.first;
+    for (std::size_t k = 0; k < recs.count; ++k, it = next(it)) {
+      w.record(make_record(it->first, *it->second, pi));
+    }
+    w.finish();
+  };
+
+  Records all{conns_.begin(), 0, 0};
+  Records udp = all;
+  switch (beat) {
+    case Beat::kDecision:
+      break;
+    case Beat::kEvent:
+      if (const ConnIt it = conns_.find(id); it != conns_.end()) {
+        udp = Records{it, 1, size_of(it)};
+      }
+      break;
+    case Beat::kPeriodic: {
+      all.count = conns_.size();
+      for (ConnIt it = conns_.begin(); it != conns_.end(); ++it) all.bytes += size_of(it);
+      // An IPv4 datagram caps at 65,535 bytes; with every record carrying
+      // an announce (35 B) that is ~1,870 connections. Past it the 16-bit
+      // total_length would wrap and the peer drop the frame — the IP
+      // heartbeat channel would go dead exactly when the pair is busiest,
+      // and the peer falsely convict ("never replicated"). The UDP copy
+      // therefore carries a rotating window of records that fits next to
+      // the beat's other bytes (header, view, up to 512 decisions), so every
+      // record still crosses within ceil(total/window) periods. Urgent
+      // records never wait for the window: announces and FIN/RST notices
+      // also travel as single-record event heartbeats the moment they
+      // happen.
+      const std::size_t window = std::min(
+          kUdpRecordBudget, net::kMaxUdpPayload - h.wire_size(decisions.size(), 0));
+      if (all.bytes <= window) {
+        udp = all;
+        break;
+      }
+      udp.first = from_id(p.udp_rr_next_id);
+      ConnIt it = udp.first;
+      for (std::size_t k = 0; k < all.count; ++k, it = next(it)) {
+        const std::size_t size = size_of(it);
+        if (udp.bytes + size > window) {
+          p.udp_rr_next_id = it->first;
+          break;
+        }
+        udp.bytes += size;
+        ++udp.count;
+      }
+      break;
+    }
+  }
+
+  net::Frame frame = net::Frame::allocate(net::kUdpFrameHeaderSize +
+                                          h.wire_size(decisions.size(), udp.bytes));
+  const std::span<std::uint8_t> payload =
+      frame.writable().subspan(net::kUdpFrameHeaderSize);
+  write(payload, udp);
+
+  net::Bytes serial_msg;
+  if (serial != nullptr) {
+    const std::size_t cap = cfg_.serial_max_records;
+    if (cap == 0 || all.count <= cap) {
+      if (udp.count == all.count) {
+        // The UDP copy carries every record: the bytes are the same.
+        serial_msg.assign(payload.begin(), payload.end());
+      } else {
+        serial_msg.resize(h.wire_size(decisions.size(), all.bytes));
+        write(serial_msg, all);
+      }
+    } else {
+      // Serial copy carries a rotating window of `cap` records (same header
+      // and hb_seq), so every connection's counters ride the line within
+      // ceil(n/cap) periods while the channel-liveness beat stays on time.
+      Records window{from_id(p.serial_rr_next_id), cap, 0};
+      ConnIt it = window.first;
+      for (std::size_t k = 0; k < cap; ++k, it = next(it)) window.bytes += size_of(it);
+      p.serial_rr_next_id = it->first;
+      serial_msg.resize(h.wire_size(decisions.size(), window.bytes));
+      write(serial_msg, window);
+    }
+  }
+  host_.udp_send_frame(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, std::move(frame));
+  if (serial != nullptr) serial->send(std::move(serial_msg));
 }
 
 // ---------------------------------------------------------------------------
@@ -328,18 +374,17 @@ void StTcpEndpoint::send_decision_heartbeat() {
   // a fresh cumulative ack the primary's output gate is waiting on). Rides
   // the IP channel only, like other event heartbeats: the serial line is
   // too slow for per-request traffic.
-  for (const Peer& p : peers_) {
-    HeartbeatMsg msg = make_hb_header();
-    host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, msg.serialize());
+  for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
+    emit_heartbeat(pi, Beat::kDecision, 0, nullptr);
   }
   ++stats_.hb_sent;
   ++stats_.decision_hb_sent;
 }
 
-void StTcpEndpoint::process_decisions(const HeartbeatMsg& msg) {
-  if (decision_log_ == nullptr || !msg.decisions_valid) return;
-  decision_log_->on_peer_ack(msg.decision_ack);
-  if (decision_log_->ingest(msg.decisions)) {
+void StTcpEndpoint::process_decisions(const HbView& beat) {
+  if (decision_log_ == nullptr || !beat.header.decisions_valid) return;
+  decision_log_->on_peer_ack(beat.header.decision_ack);
+  if (decision_log_->ingest(beat.decisions)) {
     // Our replay cursor advanced: ack promptly instead of waiting out the
     // heartbeat period — the primary's output-commit gate holds client
     // responses until this ack lands. No storm: the ack beat carries no new
@@ -373,18 +418,19 @@ void StTcpEndpoint::sync_decision_log() {
 
 void StTcpEndpoint::on_hb_datagram(net::BytesView payload, bool via_serial) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
-  auto msg = HeartbeatMsg::parse(payload);
-  if (!msg.has_value()) {
+  const std::optional<HbView> beat = HbView::parse(payload);
+  if (!beat.has_value()) {
     ++stats_.hb_malformed;
     world_.trace().record(host_.name(), "hb_malformed",
                           via_serial ? "serial" : "ip");
     log_.warn("malformed heartbeat (", via_serial ? "serial" : "ip", ")");
     return;
   }
-  on_heartbeat(*msg, via_serial);
+  on_heartbeat(*beat, via_serial);
 }
 
-void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
+void StTcpEndpoint::on_heartbeat(const HbView& beat, bool via_serial) {
+  const HbHeader& msg = beat.header;
   // A group beat names its sender; a pair beat carries no member block and
   // comes from the pair's one peer.
   Peer* p = msg.group_valid ? peer_by_member(msg.member)
@@ -479,14 +525,14 @@ void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
   // checkpoint it is waiting for jumps the replay cursor past them).
   if (mode_ == Mode::kRejoining && !reintegrator_->snapshot_applied()) return;
 
-  process_decisions(msg);
+  process_decisions(beat);
   sync_decision_log();
 
   // Records count only on the leader<->backup axis: a group backup hears
   // another backup's heartbeats for liveness and promotion, not for
   // replication. (A pair has only that axis.)
   if (!leads(my_member()) && !leads(p->member) && mode_ != Mode::kRejoining) return;
-  for (const HbRecord& rec : msg.records) {
+  for (const HbRecord& rec : beat.records) {
     // A record may have triggered a failover action.
     if (!replicating_or_reintegrating()) break;
     process_record(rec, pi);
@@ -1792,11 +1838,11 @@ void StTcpEndpoint::flush_stonith_pending() {
 }
 
 void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
-                                     const std::vector<std::uint8_t>& order) {
+                                     std::span<const std::uint8_t> order) {
   if (order.empty()) return;
   if (static_cast<std::int32_t>(epoch - view_.epoch) <= 0) return;
   view_.epoch = epoch;
-  view_.order = order;
+  view_.order.assign(order.begin(), order.end());
   ++stats_.view_changes;
   // The announced view supersedes every local arbitration in flight. In
   // particular any pending STONITH: the announcer already powered off what

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -288,24 +289,34 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   // The serial copy of the periodic beat can additionally be capped to
   // cfg_.serial_max_records records, rotated round-robin across periods
   // (the 115.2 kbps line cannot carry thousands of records per period).
-  /// One copy per peer, each with that peer's view of the announces and
-  /// its own rotation cursors.
+  // The three senders share one emit path (emit_heartbeat), sending one
+  // copy per peer, each with that peer's view of the announces and its own
+  // rotation cursors.
   void send_heartbeat(bool include_serial = true);
   void send_event_heartbeat(std::uint16_t id);
-  HeartbeatMsg make_hb_header();
+  /// Which connection records a beat carries: every connection (periodic),
+  /// the one named connection (event), or none (decision).
+  enum class Beat : std::uint8_t { kPeriodic, kEvent, kDecision };
+  /// Write one beat straight into its frame and send it to peers_[pi]: the
+  /// header, the decision window, and `beat`'s records (`id` names the
+  /// event beat's connection). A periodic beat's UDP copy is a rotating
+  /// window when the records would overflow one datagram; when `serial` is
+  /// set, the (optionally capped) serial copy follows. The rotation cursors
+  /// are the peer's own, so no peer's window is advanced by a copy sent to
+  /// another.
+  void emit_heartbeat(std::size_t pi, Beat beat, std::uint16_t id,
+                      net::SerialPort* serial);
+  /// The header of this endpoint's next beat (takes a fresh hb_seq).
+  HbHeader next_hb_header();
   /// The announce decision is per peer: `pi` keeps seeing the announce until
   /// it has echoed the id (rc.gp[pi].echoed).
+  bool announces(std::uint16_t id, const ReplConn& rc, std::size_t pi) const;
   HbRecord make_record(std::uint16_t id, const ReplConn& rc, std::size_t pi) const;
   void on_hb_datagram(net::BytesView payload, bool via_serial);
-  void on_heartbeat(const HeartbeatMsg& msg, bool via_serial);
+  void on_heartbeat(const HbView& beat, bool via_serial);
   /// `pi`: the peers_ index the record arrived from.
   void process_record(const HbRecord& rec, std::size_t pi);
   void detector_tick();
-  /// Emit the (possibly budget-rotated) UDP copy to `p` and, when `serial`
-  /// is non-null, the capped serial copy. The rotation cursors are the
-  /// peer's own, so no peer's window is advanced by a copy sent to another.
-  void emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_bytes, Peer& p,
-                      net::SerialPort* serial);
 
   // Registration. Replica ids wrap within their range (primary [1, 0x8000),
   // inferred [0x8000, 0xffff]) and skip ids still tracked — a long churn run
@@ -370,7 +381,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void restart_peer_progress(ReplConn& rc, std::size_t pi);
   /// Adopt a strictly newer view (from a heartbeat or a ViewAnnounce). A
   /// view that excludes this member is a fence: re-enter via rejoin.
-  void maybe_adopt_view(std::uint32_t epoch, const std::vector<std::uint8_t>& order);
+  void maybe_adopt_view(std::uint32_t epoch, std::span<const std::uint8_t> order);
   /// Convict one watched peer: stamp the conviction (timeline, counters,
   /// trace), queue its STONITH, and react — a pair takes over or goes
   /// non-fault-tolerant; a group removes the member from the view and
@@ -425,7 +436,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// Called after every mode transition site (takeover, go_non_ft, the
   /// reintegrator's handshakes) — idempotent.
   void sync_decision_log();
-  void process_decisions(const HeartbeatMsg& msg);
+  void process_decisions(const HbView& beat);
 
   net::Host& host_;
   tcp::TcpStack& stack_;

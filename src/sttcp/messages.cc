@@ -1,5 +1,9 @@
 #include "sttcp/messages.h"
 
+#include <bit>
+#include <cstring>
+#include <stdexcept>
+
 #include "net/checksum.h"
 
 namespace sttcp::sttcp {
@@ -22,173 +26,252 @@ constexpr std::uint8_t kHdrRejoinRequest = 0x08;
 constexpr std::uint8_t kHdrRejoinReady = 0x10;
 constexpr std::uint8_t kHdrGroup = 0x20;
 constexpr std::uint8_t kHdrDecisions = 0x40;
+
+// Unchecked big-endian stores and loads: HbWriter bounds each write against
+// its sized region, HbView::parse validates the layout before any load.
+template <class T>
+T big_endian(T v) {
+  if constexpr (std::endian::native == std::endian::big || sizeof(T) == 1) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+template <class T>
+std::uint8_t* put(std::uint8_t* p, T v) {
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof v);
+  return p + sizeof v;
+}
+template <class T>
+T get(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return big_endian(v);
+}
+std::uint8_t* put16(std::uint8_t* p, std::uint16_t v) { return put(p, v); }
+std::uint8_t* put32(std::uint8_t* p, std::uint32_t v) { return put(p, v); }
+std::uint8_t* put64(std::uint8_t* p, std::uint64_t v) { return put(p, v); }
+std::uint16_t get16(const std::uint8_t* p) { return get<std::uint16_t>(p); }
+std::uint32_t get32(const std::uint8_t* p) { return get<std::uint32_t>(p); }
+std::uint64_t get64(const std::uint8_t* p) { return get<std::uint64_t>(p); }
+
+// magic(1) checksum(2) role(1) hb_seq(4) flags(1) ... record count(2).
+constexpr std::size_t kHbFixedSize = 11;
+constexpr std::size_t kRejoinBlockSize = 4;
+constexpr std::size_t kViewBlockSize = 6;       // + the member list
+constexpr std::size_t kDecisionBlockSize = 10;  // + the records
 }  // namespace
 
 const char* to_string(Role r) {
   return r == Role::kPrimary ? "primary" : "backup";
 }
 
-net::Bytes HeartbeatMsg::serialize() const {
-  // Exact wire size, so the message is written into one allocation.
-  std::size_t size = 11;
-  if (rejoin_request || rejoin_ready) size += 4;
-  if (group_valid) size += 6 + view_order.size();
-  if (decisions_valid) size += 10 + decisions.size() * 17;
-  for (const HbRecord& r : records) size += r.wire_size();
-  net::Bytes out;
-  out.reserve(size);
-  net::ByteWriter w(out);
-  w.u8(kHbMagic);
-  // Internet checksum over the whole message (field zeroed while summing),
-  // patched below. The serial channel has no FCS: without this, a line-noise
-  // bit flip in a counter field would parse "successfully" and feed garbage
-  // progress counters into failover arbitration.
-  w.u16(0);
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u32(hb_seq);
+std::size_t HbHeader::wire_size(std::size_t decisions, std::size_t record_bytes) const {
+  std::size_t size = kHbFixedSize + record_bytes;
+  if (rejoin_request || rejoin_ready) size += kRejoinBlockSize;
+  if (group_valid) size += kViewBlockSize + view_order.size();
+  if (decisions_valid) size += kDecisionBlockSize + decisions * DecisionRecord::kWireSize;
+  return size;
+}
+
+HbWriter::HbWriter(std::span<std::uint8_t> out, const HbHeader& h, std::size_t decisions)
+    : out_(out) {
   std::uint8_t hf = 0;
-  if (ping_valid) hf |= kHdrPingValid;
-  if (ping_ok) hf |= kHdrPingOk;
-  if (app_suspect) hf |= kHdrAppSuspect;
-  if (rejoin_request) hf |= kHdrRejoinRequest;
-  if (rejoin_ready) hf |= kHdrRejoinReady;
-  if (group_valid) hf |= kHdrGroup;
-  if (decisions_valid) hf |= kHdrDecisions;
-  w.u8(hf);
+  if (h.ping_valid) hf |= kHdrPingValid;
+  if (h.ping_ok) hf |= kHdrPingOk;
+  if (h.app_suspect) hf |= kHdrAppSuspect;
+  if (h.rejoin_request) hf |= kHdrRejoinRequest;
+  if (h.rejoin_ready) hf |= kHdrRejoinReady;
+  if (h.group_valid) hf |= kHdrGroup;
+  if (h.decisions_valid) hf |= kHdrDecisions;
+  std::uint8_t* p = take(kHbFixedSize - 2);  // the record count comes last
+  *p++ = kHbMagic;
+  // Internet checksum over the whole beat (field zeroed while summing),
+  // patched by finish(). The serial channel has no FCS: without this, a
+  // line-noise bit flip in a counter field would parse "successfully" and
+  // feed garbage progress counters into failover arbitration.
+  p = put16(p, 0);
+  *p++ = static_cast<std::uint8_t>(h.role);
+  p = put32(p, h.hb_seq);
+  *p = hf;
   // The epoch rides only on rejoin-flagged heartbeats, so the steady-state
   // record math ("<20 bytes per connection") is untouched.
-  if (rejoin_request || rejoin_ready) w.u32(rejoin_epoch);
+  if (h.rejoin_request || h.rejoin_ready) put32(take(kRejoinBlockSize), h.rejoin_epoch);
   // Group-view block: sender member, view epoch, rank-ordered member list.
   // Gated on the flag, so classic pair heartbeats stay byte-identical.
-  if (group_valid) {
-    w.u8(member);
-    w.u32(view_epoch);
-    w.u8(static_cast<std::uint8_t>(view_order.size()));
-    for (const std::uint8_t m : view_order) w.u8(m);
+  if (h.group_valid) {
+    p = take(kViewBlockSize + h.view_order.size());
+    *p++ = h.member;
+    p = put32(p, h.view_epoch);
+    *p++ = static_cast<std::uint8_t>(h.view_order.size());
+    if (!h.view_order.empty()) {
+      std::memcpy(p, h.view_order.data(), h.view_order.size());
+    }
   }
   // Decision block: cumulative ack + the sender's unacked records. Gated on
   // the flag like the group block, so decision-free pairs pay zero bytes.
-  if (decisions_valid) {
-    w.u64(decision_ack);
-    w.u16(static_cast<std::uint16_t>(decisions.size()));
-    for (const DecisionRecord& d : decisions) {
-      w.u64(d.seq);
-      w.u8(d.kind);
-      w.u64(d.value);
-    }
+  if (h.decisions_valid) {
+    p = put64(take(kDecisionBlockSize), h.decision_ack);
+    put16(p, static_cast<std::uint16_t>(decisions));
+  } else if (decisions != 0) {
+    throw std::logic_error("HbWriter: decisions without a decision block");
   }
-  w.u16(static_cast<std::uint16_t>(records.size()));
-  for (const HbRecord& r : records) {
-    w.u16(r.repl_id);
-    std::uint8_t f = 0;
-    if (r.fin_generated) f |= kFlagFin;
-    if (r.rst_generated) f |= kFlagRst;
-    if (r.closed) f |= kFlagClosed;
-    if (r.announce) f |= kFlagAnnounce;
-    if (r.established) f |= kFlagEstablished;
-    w.u8(f);
-    w.u32(static_cast<std::uint32_t>(r.bytes_received));
-    w.u32(static_cast<std::uint32_t>(r.acked_by_peer));
-    w.u32(static_cast<std::uint32_t>(r.app_written));
-    w.u32(static_cast<std::uint32_t>(r.app_read));
-    if (r.announce) {
-      w.u32(r.client_ip.value());
-      w.u16(r.client_port);
-      w.u16(r.local_port);
-      w.u32(r.iss);
-      w.u32(r.irs);
-    }
+}
+
+void HbWriter::decision(const DecisionRecord& d) {
+  std::uint8_t* p = put64(take(DecisionRecord::kWireSize), d.seq);
+  *p++ = d.kind;
+  put64(p, d.value);
+}
+
+void HbWriter::records(std::size_t count) {
+  put16(take(2), static_cast<std::uint16_t>(count));
+}
+
+void HbWriter::record(const HbRecord& r) {
+  std::uint8_t* p = put16(take(r.wire_size()), r.repl_id);
+  std::uint8_t f = 0;
+  if (r.fin_generated) f |= kFlagFin;
+  if (r.rst_generated) f |= kFlagRst;
+  if (r.closed) f |= kFlagClosed;
+  if (r.announce) f |= kFlagAnnounce;
+  if (r.established) f |= kFlagEstablished;
+  *p++ = f;
+  p = put32(p, static_cast<std::uint32_t>(r.bytes_received));
+  p = put32(p, static_cast<std::uint32_t>(r.acked_by_peer));
+  p = put32(p, static_cast<std::uint32_t>(r.app_written));
+  p = put32(p, static_cast<std::uint32_t>(r.app_read));
+  if (r.announce) {
+    p = put32(p, r.client_ip.value());
+    p = put16(p, r.client_port);
+    p = put16(p, r.local_port);
+    p = put32(p, r.iss);
+    put32(p, r.irs);
   }
+}
+
+void HbWriter::finish() {
+  if (pos_ != out_.size()) throw std::logic_error("HbWriter: beat shorter than its region");
   // Summed from the checksum field onward so the field sits word-aligned in
   // the summed region (at its natural offset 1 it would straddle two 16-bit
   // words and the complement trick would not cancel). The magic byte is
   // excluded but checked by value on parse.
-  const std::uint16_t c = net::internet_checksum(
-      net::BytesView(out).subspan(kHbChecksumOffset));
-  out[kHbChecksumOffset] = static_cast<std::uint8_t>(c >> 8);
-  out[kHbChecksumOffset + 1] = static_cast<std::uint8_t>(c);
-  return out;
+  put16(out_.data() + kHbChecksumOffset,
+        net::internet_checksum(net::BytesView(out_).subspan(kHbChecksumOffset)));
 }
 
-std::optional<HeartbeatMsg> HeartbeatMsg::parse(net::BytesView data) {
-  try {
-    net::ByteReader r(data);
-    if (r.u8() != kHbMagic) return std::nullopt;
-    // A valid message checksums to zero from the field onward (the stored
-    // field complements the rest). Rejects bit flips AND truncations.
-    if (net::internet_checksum(data.subspan(kHbChecksumOffset)) != 0) {
-      return std::nullopt;
-    }
-    HeartbeatMsg m;
-    r.u16();  // checksum, verified above
-    const std::uint8_t role_byte = r.u8();
-    if (role_byte > static_cast<std::uint8_t>(Role::kBackup)) return std::nullopt;
-    m.role = static_cast<Role>(role_byte);
-    m.hb_seq = r.u32();
-    const std::uint8_t hf = r.u8();
-    m.ping_valid = (hf & kHdrPingValid) != 0;
-    m.ping_ok = (hf & kHdrPingOk) != 0;
-    m.app_suspect = (hf & kHdrAppSuspect) != 0;
-    m.rejoin_request = (hf & kHdrRejoinRequest) != 0;
-    m.rejoin_ready = (hf & kHdrRejoinReady) != 0;
-    m.group_valid = (hf & kHdrGroup) != 0;
-    m.decisions_valid = (hf & kHdrDecisions) != 0;
-    if (m.rejoin_request || m.rejoin_ready) m.rejoin_epoch = r.u32();
-    if (m.group_valid) {
-      m.member = r.u8();
-      m.view_epoch = r.u32();
-      const std::uint8_t n = r.u8();
-      if (n > r.remaining()) return std::nullopt;
-      m.view_order.reserve(n);
-      for (std::uint8_t i = 0; i < n; ++i) m.view_order.push_back(r.u8());
-    }
-    if (m.decisions_valid) {
-      m.decision_ack = r.u64();
-      const std::uint16_t dn = r.u16();
-      if (static_cast<std::size_t>(dn) * DecisionRecord::kWireSize >
-          r.remaining()) {
-        return std::nullopt;
-      }
-      m.decisions.reserve(dn);
-      for (std::uint16_t i = 0; i < dn; ++i) {
-        DecisionRecord d;
-        d.seq = r.u64();
-        d.kind = r.u8();
-        d.value = r.u64();
-        m.decisions.push_back(d);
-      }
-    }
-    const std::uint16_t count = r.u16();
-    // Reject an impossible record count before reserving for it: each record
-    // is at least 19 wire bytes, so count is bounded by what is left.
-    if (static_cast<std::size_t>(count) * 19 > r.remaining()) return std::nullopt;
-    m.records.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-      HbRecord rec;
-      rec.repl_id = r.u16();
-      const std::uint8_t f = r.u8();
-      rec.fin_generated = (f & kFlagFin) != 0;
-      rec.rst_generated = (f & kFlagRst) != 0;
-      rec.closed = (f & kFlagClosed) != 0;
-      rec.announce = (f & kFlagAnnounce) != 0;
-      rec.established = (f & kFlagEstablished) != 0;
-      rec.bytes_received = r.u32();
-      rec.acked_by_peer = r.u32();
-      rec.app_written = r.u32();
-      rec.app_read = r.u32();
-      if (rec.announce) {
-        rec.client_ip = net::Ipv4Addr(r.u32());
-        rec.client_port = r.u16();
-        rec.local_port = r.u16();
-        rec.iss = r.u32();
-        rec.irs = r.u32();
-      }
-      m.records.push_back(rec);
-    }
-    return m;
-  } catch (const std::exception&) {
-    return std::nullopt;
+std::uint8_t* HbWriter::take(std::size_t n) {
+  if (n > out_.size() - pos_) throw std::logic_error("HbWriter: beat overruns its region");
+  std::uint8_t* p = out_.data() + pos_;
+  pos_ += n;
+  return p;
+}
+
+DecisionRecord HbDecisions::iterator::operator*() const {
+  DecisionRecord d;
+  d.seq = get64(p_);
+  d.kind = p_[8];
+  d.value = get64(p_ + 9);
+  return d;
+}
+
+HbRecord HbRecords::iterator::operator*() const {
+  HbRecord rec;
+  rec.repl_id = get16(p_);
+  const std::uint8_t f = p_[2];
+  rec.fin_generated = (f & kFlagFin) != 0;
+  rec.rst_generated = (f & kFlagRst) != 0;
+  rec.closed = (f & kFlagClosed) != 0;
+  rec.announce = (f & kFlagAnnounce) != 0;
+  rec.established = (f & kFlagEstablished) != 0;
+  rec.bytes_received = get32(p_ + 3);
+  rec.acked_by_peer = get32(p_ + 7);
+  rec.app_written = get32(p_ + 11);
+  rec.app_read = get32(p_ + 15);
+  if (rec.announce) {
+    rec.client_ip = net::Ipv4Addr(get32(p_ + 19));
+    rec.client_port = get16(p_ + 23);
+    rec.local_port = get16(p_ + 25);
+    rec.iss = get32(p_ + 27);
+    rec.irs = get32(p_ + 31);
   }
+  return rec;
+}
+
+HbRecords::iterator& HbRecords::iterator::operator++() {
+  p_ += (p_[2] & kFlagAnnounce) != 0 ? HbRecord::kAnnounceWireSize : HbRecord::kWireSize;
+  return *this;
+}
+
+std::optional<HbView> HbView::parse(net::BytesView data) {
+  if (data.empty() || data[0] != kHbMagic) return std::nullopt;
+  // A valid beat checksums to zero from the field onward (the stored field
+  // complements the rest). Rejects bit flips AND truncations.
+  if (net::internet_checksum(data.subspan(kHbChecksumOffset)) != 0) return std::nullopt;
+  const std::uint8_t* p = data.data();
+  const std::uint8_t* const end = p + data.size();
+  // Bytes left from p on; every block is bounds-checked before it is read.
+  const auto left = [&p, end] { return static_cast<std::size_t>(end - p); };
+  if (left() < kHbFixedSize - 2) return std::nullopt;
+  HbView v;
+  HbHeader& h = v.header;
+  if (p[3] > static_cast<std::uint8_t>(Role::kBackup)) return std::nullopt;
+  h.role = static_cast<Role>(p[3]);
+  h.hb_seq = get32(p + 4);
+  const std::uint8_t hf = p[8];
+  p += kHbFixedSize - 2;
+  h.ping_valid = (hf & kHdrPingValid) != 0;
+  h.ping_ok = (hf & kHdrPingOk) != 0;
+  h.app_suspect = (hf & kHdrAppSuspect) != 0;
+  h.rejoin_request = (hf & kHdrRejoinRequest) != 0;
+  h.rejoin_ready = (hf & kHdrRejoinReady) != 0;
+  h.group_valid = (hf & kHdrGroup) != 0;
+  h.decisions_valid = (hf & kHdrDecisions) != 0;
+  if (h.rejoin_request || h.rejoin_ready) {
+    if (left() < kRejoinBlockSize) return std::nullopt;
+    h.rejoin_epoch = get32(p);
+    p += kRejoinBlockSize;
+  }
+  if (h.group_valid) {
+    if (left() < kViewBlockSize) return std::nullopt;
+    h.member = p[0];
+    h.view_epoch = get32(p + 1);
+    const std::size_t n = p[5];
+    p += kViewBlockSize;
+    if (left() < n) return std::nullopt;
+    h.view_order = std::span<const std::uint8_t>(p, n);
+    p += n;
+  }
+  if (h.decisions_valid) {
+    if (left() < kDecisionBlockSize) return std::nullopt;
+    h.decision_ack = get64(p);
+    const std::size_t bytes = std::size_t{get16(p + 8)} * DecisionRecord::kWireSize;
+    p += kDecisionBlockSize;
+    if (left() < bytes) return std::nullopt;
+    v.decisions = HbDecisions(net::BytesView(p, bytes));
+    p += bytes;
+  }
+  if (left() < 2) return std::nullopt;
+  const std::size_t count = get16(p);
+  p += 2;
+  // An impossible record count fails here, before any record is touched:
+  // each record is at least 19 wire bytes.
+  if (count * HbRecord::kWireSize > left()) return std::nullopt;
+  const std::uint8_t* const records = p;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (left() < HbRecord::kWireSize) return std::nullopt;
+    const std::size_t size = (p[2] & kFlagAnnounce) != 0 ? HbRecord::kAnnounceWireSize
+                                                          : HbRecord::kWireSize;
+    if (left() < size) return std::nullopt;
+    p += size;
+  }
+  v.records = HbRecords(net::BytesView(records, p), count);
+  return v;
 }
 
 std::uint64_t unwrap_counter(std::uint32_t wire_value, std::uint64_t previous) {

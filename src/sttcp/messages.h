@@ -1,4 +1,5 @@
-// Wire formats for the server-to-server protocol.
+// Wire formats for the server-to-server protocol (byte layouts in
+// docs/PROTOCOL.md).
 //
 // Heartbeat (§3): sent every hb_period on BOTH channels (UDP over the IP
 // link, and the RS-232 serial link). Carries, per connection, the four
@@ -14,11 +15,21 @@
 // low 32 bits of the 64-bit positions and are unwrapped against the
 // receiver's previous value.
 //
+// A beat never exists as a message object. The sender sizes it once
+// (HbHeader::wire_size) and HbWriter writes it field by field straight into
+// its region — normally the UDP payload of the frame that carries it — from
+// endpoint state. The receiver validates it once (HbView::parse: magic,
+// checksum, layout) and reads the header, the decision block and the
+// records in place through HbView's ranges; nothing is copied or allocated
+// on either side.
+//
 // Control messages (UDP, IP link only): missed-byte recovery (§4.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/addr.h"
@@ -31,7 +42,8 @@ enum class Role : std::uint8_t { kPrimary = 0, kBackup = 1 };
 
 const char* to_string(Role r);
 
-/// Per-connection heartbeat record.
+/// Per-connection heartbeat record: what HbWriter::record writes and what
+/// iterating HbView::records yields, decoded on the fly.
 struct HbRecord {
   std::uint16_t repl_id = 0;
 
@@ -56,11 +68,16 @@ struct HbRecord {
   std::uint32_t iss = 0;
   std::uint32_t irs = 0;
 
+  static constexpr std::size_t kWireSize = 19;
+  static constexpr std::size_t kAnnounceWireSize = kWireSize + 16;
   /// Wire size of this record.
-  std::size_t wire_size() const { return announce ? 19 + 16 : 19; }
+  std::size_t wire_size() const { return announce ? kAnnounceWireSize : kWireSize; }
 };
 
-struct HeartbeatMsg {
+/// Everything in a heartbeat but its decision records and its connection
+/// records. The sender fills one from endpoint state; HbView::parse fills
+/// one from the wire, with view_order viewing the received bytes.
+struct HbHeader {
   Role role = Role::kPrimary;
   std::uint32_t hb_seq = 0;
 
@@ -89,20 +106,112 @@ struct HeartbeatMsg {
   bool group_valid = false;
   std::uint8_t member = 0;
   std::uint32_t view_epoch = 0;
-  std::vector<std::uint8_t> view_order;
+  std::span<const std::uint8_t> view_order;
 
   /// Logged-decision block (docs/APPLICATION.md): the sender's cumulative
-  /// ack of the peer's decision stream plus its own unacked records. Gated
-  /// on a header flag like the group block — endpoints without a decision
-  /// log keep the paper-sized wire format byte-identical.
+  /// ack of the peer's decision stream, followed by its own unacked records.
+  /// Gated on a header flag like the group block — endpoints without a
+  /// decision log keep the paper-sized wire format byte-identical.
   bool decisions_valid = false;
   std::uint64_t decision_ack = 0;
-  std::vector<DecisionRecord> decisions;
 
-  std::vector<HbRecord> records;
+  /// Wire size of a beat with this header, `decisions` decision records
+  /// (none unless decisions_valid) and `record_bytes` bytes of connection
+  /// records (the sum of their wire_size()).
+  std::size_t wire_size(std::size_t decisions, std::size_t record_bytes) const;
+};
 
-  net::Bytes serialize() const;
-  static std::optional<HeartbeatMsg> parse(net::BytesView data);
+/// Writes one heartbeat in a single pass into a region of exactly its wire
+/// size (HbHeader::wire_size). Call order: the constructor (header, rejoin
+/// epoch, view block, decision ack and count), decision() once per
+/// announced decision, records(count), record() once per record, finish().
+/// Writing past the region, or finishing short of its end, throws
+/// std::logic_error: the region was sized for a different beat.
+class HbWriter {
+ public:
+  HbWriter(std::span<std::uint8_t> out, const HbHeader& h, std::size_t decisions);
+  void decision(const DecisionRecord& d);
+  void records(std::size_t count);
+  void record(const HbRecord& r);
+  /// Patch the checksum over the finished beat.
+  void finish();
+
+ private:
+  std::uint8_t* take(std::size_t n);
+
+  std::span<std::uint8_t> out_;
+  std::size_t pos_ = 0;
+};
+
+/// The decision block of a received beat: a range of DecisionRecord values
+/// decoded in place, oldest-unacked first.
+class HbDecisions {
+ public:
+  class iterator {
+   public:
+    explicit iterator(const std::uint8_t* p) : p_(p) {}
+    DecisionRecord operator*() const;
+    iterator& operator++() {
+      p_ += DecisionRecord::kWireSize;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const std::uint8_t* p_ = nullptr;
+  };
+
+  HbDecisions() = default;
+  explicit HbDecisions(net::BytesView block) : block_(block) {}
+  iterator begin() const { return iterator(block_.data()); }
+  iterator end() const { return iterator(block_.data() + block_.size()); }
+  std::size_t size() const { return block_.size() / DecisionRecord::kWireSize; }
+  bool empty() const { return block_.empty(); }
+
+ private:
+  net::BytesView block_;
+};
+
+/// The connection records of a received beat: a range of HbRecord values
+/// decoded in place (each record is 19 or 35 bytes, by its announce flag).
+class HbRecords {
+ public:
+  class iterator {
+   public:
+    explicit iterator(const std::uint8_t* p) : p_(p) {}
+    HbRecord operator*() const;
+    iterator& operator++();
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const std::uint8_t* p_ = nullptr;
+  };
+
+  HbRecords() = default;
+  HbRecords(net::BytesView block, std::size_t count) : block_(block), count_(count) {}
+  iterator begin() const { return iterator(block_.data()); }
+  iterator end() const { return iterator(block_.data() + block_.size()); }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+ private:
+  net::BytesView block_;
+  std::size_t count_ = 0;
+};
+
+/// A received heartbeat, validated once and read in place. Every view
+/// points into the parsed bytes, which must outlive it.
+struct HbView {
+  HbHeader header;
+  HbDecisions decisions;  // empty unless header.decisions_valid
+  HbRecords records;
+
+  /// Accepts `data` iff it starts with the magic byte, sums to zero from the
+  /// checksum field on, names a known role, and lays out completely: every
+  /// block and record the header and counts announce lies inside `data`.
+  /// Anything else — bit flips, truncations, impossible counts — is
+  /// nullopt. Bytes past the last record are not part of the beat.
+  static std::optional<HbView> parse(net::BytesView data);
 };
 
 /// Unwrap a 32-bit wire counter against the previous 64-bit value.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "net/checksum.h"
 
 namespace sttcp::net {
@@ -87,11 +90,21 @@ TEST(IcmpEchoTest, RoundTripAndChecksum) {
   EXPECT_FALSE(IcmpEcho::parse(corrupt).has_value());
 }
 
+/// A UDP datagram built in place the way Host::udp_send_frame builds it.
+Frame udp_frame(std::uint16_t src_port, std::uint16_t dst_port, BytesView payload) {
+  const Ipv4Addr src(10, 0, 0, 1), dst(10, 0, 0, 2);
+  Frame frame = Frame::allocate(kUdpFrameHeaderSize + payload.size());
+  const std::span<std::uint8_t> bytes = frame.writable();
+  std::copy(payload.begin(), payload.end(), bytes.begin() + kUdpFrameHeaderSize);
+  write_udp_header(bytes.subspan(kIpFrameHeaderSize), src, dst, src_port, dst_port);
+  write_ip_headers(bytes, MacAddr::from_u64(0xb), MacAddr::from_u64(0xa), src, dst,
+                   kIpProtoUdp);
+  return frame;
+}
+
 TEST(FrameTest, UdpFrameRoundTrip) {
   const Bytes payload = to_bytes("hello heartbeats");
-  const Frame frame = build_udp_frame(MacAddr::from_u64(0xb), MacAddr::from_u64(0xa),
-                                      Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
-                                      5000, 6000, payload);
+  const Frame frame = udp_frame(5000, 6000, payload);
   const ParsedFrame p = parse_frame(frame.view());
   EXPECT_EQ(p.eth.dst, MacAddr::from_u64(0xb));
   ASSERT_TRUE(p.ip.has_value());
@@ -108,11 +121,22 @@ TEST(FrameTest, UdpFrameRoundTrip) {
 }
 
 TEST(FrameTest, TruncatedFrameThrows) {
-  const Frame frame = build_udp_frame(MacAddr::from_u64(0xb), MacAddr::from_u64(0xa),
-                                      Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
-                                      1, 2, to_bytes("x"));
+  const Frame frame = udp_frame(1, 2, to_bytes("x"));
   Bytes cut(frame.begin(), frame.begin() + 20);
   EXPECT_THROW(parse_frame(cut), std::exception);
+}
+
+TEST(FrameTest, UdpPayloadPastTheIpv4LimitThrowsInsteadOfWrapping) {
+  // 65,507 payload bytes fill the 16-bit IPv4 total_length exactly; one
+  // more would wrap it, and the peer would drop the datagram on its
+  // checksum.
+  const Bytes largest(kMaxUdpPayload, 0x5a);
+  const Frame frame = udp_frame(1, 2, largest);
+  const ParsedFrame p = parse_frame(frame.view());
+  EXPECT_EQ(p.ip->total_length, 65'535);
+  EXPECT_EQ(p.l4.size(), UdpHeader::kSize + kMaxUdpPayload);
+  EXPECT_EQ(transport_checksum(p.ip->src, p.ip->dst, kIpProtoUdp, p.l4), 0);
+  EXPECT_THROW(udp_frame(1, 2, Bytes(kMaxUdpPayload + 1, 0x5a)), std::length_error);
 }
 
 }  // namespace

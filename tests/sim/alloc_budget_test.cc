@@ -5,8 +5,9 @@
 // steady-state event path — scheduling and firing events, re-arming and
 // cancelling timers, cascading through the timing wheel — must make none,
 // and so must the warm receive path (parsing a data segment out of its frame,
-// consuming the receive ring in place); a whole replicated download is
-// pinned to a per-MiB budget.
+// consuming the receive ring in place). A heartbeat costs exactly its
+// frame's block to send and nothing to receive and ingest, and a whole
+// replicated download is pinned to a per-MiB budget.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,8 +22,12 @@
 #include "harness/topology.h"
 #include "net/frame.h"
 #include "net/headers.h"
+#include "net/nic.h"
+#include "net/switch.h"
 #include "sim/clock_domain.h"
 #include "sim/event_loop.h"
+#include "sttcp/decision.h"
+#include "sttcp/endpoint.h"
 #include "tcp/segment.h"
 #include "tcp/stack.h"
 #include "tests/net/testnet.h"
@@ -70,6 +75,13 @@ constexpr bool kCountsExact = true;
     if (kCountsExact) {                  \
       EXPECT_EQ((window).count(), (n));  \
     }                                    \
+  } while (0)
+
+#define EXPECT_ALLOCATIONS_EQ(count, n) \
+  do {                                  \
+    if (kCountsExact) {                 \
+      EXPECT_EQ((count), (n));          \
+    }                                   \
   } while (0)
 
 constexpr int kCycles = 100'000;
@@ -197,6 +209,107 @@ TEST(AllocBudget, ConsumeOnEstablishedConnectionAllocatesNothing) {
   EXPECT_ALLOCATIONS(w, 0u);
   EXPECT_EQ(consumed, data.size());
   EXPECT_EQ(sum, std::uint64_t{0x33} * data.size());
+}
+
+// --- heartbeats --------------------------------------------------------------
+// A beat is written straight into its frame and read in place, so the frame
+// block is the one allocation a beat costs, on either side.
+
+/// A pair whose primary holds `decisions` unacked logged decisions. The
+/// backup attaches `replay` (when given) and acks what it ingests.
+struct DecisionPair {
+  DecisionPair(std::size_t decisions, sttcp::DecisionLog* replay)
+      : topo(harness::make_figure2(harness::TopologyConfig{})), cell(topo->cell()) {
+    cell.primary_endpoint()->set_decision_log(&log);
+    if (replay != nullptr) cell.backup_endpoint()->set_decision_log(replay);
+    for (std::size_t i = 0; i < decisions; ++i) {
+      log.choose(sttcp::DecisionKind::kOrder, [i] { return i * 7919; });
+    }
+    topo->run_for(Duration::millis(10));
+  }
+  sttcp::DecisionLog log{sttcp::DecisionLog::Mode::kRecord};
+  std::unique_ptr<harness::Topology> topo;
+  harness::Cell& cell;
+};
+
+TEST(AllocBudget, WarmDecisionBeatThroughHostAllocatesOneFrame) {
+  // The backup keeps no log and never acks, so every beat carries the same
+  // 24-record unacked window (blockstore's average).
+  DecisionPair pair(24, nullptr);
+  sttcp::StTcpEndpoint& primary = *pair.cell.primary_endpoint();
+  const std::uint64_t sent = primary.stats().decision_hb_sent;
+  primary.send_decision_heartbeat();  // warm
+  pair.topo->run_for(Duration::millis(1));
+  std::uint64_t allocations = 0;
+  for (int i = 0; i < 100; ++i) {
+    AllocationWindow w;
+    primary.send_decision_heartbeat();
+    allocations += w.count();
+    pair.topo->run_for(Duration::millis(1));  // deliver it, outside the window
+  }
+  EXPECT_ALLOCATIONS_EQ(allocations, 100u);
+  EXPECT_EQ(primary.stats().decision_hb_sent, sent + 101);
+}
+
+TEST(AllocBudget, ReceivingAndIngestingAWarmDecisionBeatAllocatesNothing) {
+  // Capture one decision beat on the wire (25 unacked records), let the
+  // backup ingest it once, then hand the same frame to the backup's NIC
+  // again and again: each time the beat is parsed in place and its records
+  // meet the replay log as the retransmitted duplicates every flush
+  // re-sends.
+  sttcp::DecisionLog replay(sttcp::DecisionLog::Mode::kReplay);
+  DecisionPair pair(24, &replay);
+  const net::Ipv4Addr backup_ip = pair.cell.backup_ip(0);
+  net::Frame beat;
+  pair.topo->ethernet_switch().set_frame_tap([&beat, backup_ip](sim::SimTime,
+                                                                const net::Frame& f) {
+    const net::ParsedFrame p = net::parse_frame(f.view());
+    if (p.ip && p.ip->protocol == net::kIpProtoUdp && p.ip->dst == backup_ip &&
+        beat.empty()) {
+      beat = f;
+    }
+  });
+  pair.log.choose(sttcp::DecisionKind::kOrder, [] { return 1; });
+  pair.cell.primary_endpoint()->send_decision_heartbeat();
+  pair.topo->run_for(Duration::millis(1));
+  pair.topo->ethernet_switch().set_frame_tap(nullptr);
+  ASSERT_FALSE(beat.empty());
+  ASSERT_EQ(replay.rx_cursor(), 25u);
+  const std::uint64_t duplicates = replay.stats().duplicates;
+  net::Nic& nic = pair.cell.backup().nic(0);
+  AllocationWindow w;
+  for (int i = 0; i < 1000; ++i) nic.deliver_frame(beat);
+  EXPECT_ALLOCATIONS(w, 0u);
+  EXPECT_EQ(replay.stats().duplicates, duplicates + 25u * 1000);
+}
+
+TEST(AllocBudget, PeriodicBeatOfTwoThousandRecordsAllocatesOneBlockPerCopy) {
+  // 2,000 idle replicated connections: over a second of heartbeating, the
+  // pair's only allocations are one block per copy of a beat -- the UDP
+  // copy's frame and the serial copy's buffer. The UDP copy carries every
+  // record: 2,000 x 19 B is under the datagram's record budget.
+  constexpr std::size_t kConns = 2000;
+  harness::TopologyConfig cfg;
+  cfg.sttcp.serial_max_records = 50;
+  const auto topo = harness::make_figure2(cfg);
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client = *topo->host_by_name("client");
+  cell.primary_stack().listen(cell.service_port(), [](tcp::TcpConnection&) {});
+  cell.backup_stack().listen(cell.service_port(), [](tcp::TcpConnection&) {});
+  for (std::size_t i = 0; i < kConns; ++i) {
+    client.stack->connect(client.ip, cell.connect_addr(), {});
+  }
+  topo->run_for(Duration::seconds(2));
+  ASSERT_EQ(cell.primary_endpoint()->replicated_connections(), kConns);
+  const auto beats = [&cell] {
+    return cell.primary_endpoint()->stats().hb_sent + cell.backup_endpoint()->stats().hb_sent;
+  };
+  const std::uint64_t before = beats();
+  AllocationWindow w;
+  topo->run_for(Duration::seconds(1));
+  const std::uint64_t sent = beats() - before;
+  EXPECT_GE(sent, 8u);
+  EXPECT_ALLOCATIONS(w, 2 * sent);
 }
 
 // A fixed-seed ST-TCP pair download: the whole replicated data path (links,

@@ -11,6 +11,7 @@
 #include "app/server.h"
 #include "harness/fault.h"
 #include "harness/topology.h"
+#include "sttcp/decision.h"
 
 namespace sttcp::sttcp {
 namespace {
@@ -325,6 +326,47 @@ TEST(EndpointTest, ManyConnectionsHeartbeatStaysUnderSerialBudget) {
   EXPECT_EQ(topo->world().trace().count("non_ft_mode"), 0u);
   // Serial link utilisation stays under capacity (queue drains).
   EXPECT_LT(cell.serial().queue_delay(0), sim::Duration::millis(200));
+}
+
+TEST(EndpointTest, BeatWithAFullDecisionWindowStillFitsOneUdpDatagram) {
+  // 3,050 steady-state records (19 B each, 57,950 B) fit the 60,000 B UDP
+  // record budget on their own. Next to the 11-byte header and a full
+  // 512-record decision block (8,714 B) the datagram would be 66,675 B,
+  // past the 65,507 B an IPv4 datagram can carry: the 16-bit total_length
+  // would wrap and the backup drop every periodic beat. The record window
+  // shrinks to what fits next to the beat's other bytes instead.
+  constexpr std::size_t kConns = 3050;
+  DecisionLog log(DecisionLog::Mode::kRecord);
+  TopologyConfig cfg;
+  cfg.sttcp.serial_max_records = 50;  // the serial copy stays within the line rate
+  const auto topo = make_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  cell.primary_stack().listen(cell.service_port(), [](tcp::TcpConnection&) {});
+  cell.backup_stack().listen(cell.service_port(), [](tcp::TcpConnection&) {});
+  for (std::size_t i = 0; i < kConns; ++i) {
+    client_host.stack->connect(client_host.ip, cell.connect_addr(), {});
+  }
+  topo->run_for(sim::Duration::seconds(2));
+  ASSERT_EQ(cell.primary_endpoint()->replicated_connections(), kConns);
+  ASSERT_EQ(cell.backup_endpoint()->replicated_connections(), kConns);
+
+  // The backup has no decision log, so it never acks: from here on every
+  // primary beat carries the full 512-record decision window.
+  cell.primary_endpoint()->set_decision_log(&log);
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    log.choose(DecisionKind::kTime, [i] { return i; });
+  }
+  const auto& backup = cell.backup_endpoint()->stats();
+  const std::uint64_t received = backup.hb_received_ip;
+  const std::uint64_t drops = cell.backup().stats().udp_checksum_drops;
+  topo->run_for(sim::Duration::seconds(2));
+  EXPECT_GE(backup.hb_received_ip - received, 9u);  // ~5 beats/s, none lost
+  EXPECT_EQ(cell.backup().stats().udp_checksum_drops, drops);
+  EXPECT_EQ(backup.hb_malformed, 0u);
+  EXPECT_TRUE(cell.backup_endpoint()->ip_channel_alive());
+  EXPECT_EQ(topo->world().trace().count("takeover"), 0u);
+  EXPECT_EQ(topo->world().trace().count("non_ft_mode"), 0u);
 }
 
 TEST(EndpointTest, LongFailureFreeSoakNeverMisfires) {

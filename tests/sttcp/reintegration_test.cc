@@ -274,13 +274,13 @@ void tap_wire(Topology& topo, WireCensus& census) {
     const net::UdpHeader udp = net::UdpHeader::read(r);
     const net::BytesView payload = p.l4.subspan(net::UdpHeader::kSize);
     if (udp.dst_port == hb) {
-      const auto msg = sttcp::HeartbeatMsg::parse(payload);
-      if (!msg) {
+      const auto beat = sttcp::HbView::parse(payload);
+      if (!beat) {
         ++census.unparsed;
         return;
       }
       ++census.heartbeats;
-      if (msg->group_valid) ++census.group_heartbeats;
+      if (beat->header.group_valid) ++census.group_heartbeats;
     } else if (udp.dst_port == ctl) {
       ++census.control;
       // Snapshot datagrams (types 3-7) have their own codec
