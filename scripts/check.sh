@@ -28,7 +28,10 @@
 # throwaway git worktree (Release, under build-same/), run the deterministic
 # benches (bench_table1_scenarios, bench_chaos 64, bench_demo1_failover,
 # bench_fabric --quick, bench_explore 3000 with its wall-clock column
-# stripped) and the five examples in both trees, and diff their stdout and
+# stripped) and the five examples in both trees, plus the end-to-end
+# benchmark on all four workloads (seed 1, one measured second; only its
+# `stbench workload=... digest=... sim_s=...` line, with `episodes=` stripped
+# because the episode count depends on wall time), and diff their stdout and
 # exit codes — any difference fails the lane. The default lane also runs the
 # doc link checker.
 #
@@ -71,6 +74,20 @@ same_outputs() {
   done
   # The explorer's last column is wall-clock seconds.
   sed -i -E 's/[|+][^|+]*$//' "$out/bench_explore.txt"
+}
+
+# The simulated-time summary of stbench on every workload, run from the
+# source tree `tree` with its own Release build under `target`. The episode
+# count is how many episodes fit in the measured wall second, so it is
+# stripped; digest and sim_s are deterministic.
+same_stbench() {
+  local tree="$1" target="$2" out="$3" w line
+  for w in bulk churn blockstore ring; do
+    line="$(cd "$tree" && CARGO_TARGET_DIR="$target" python3 stbench/run.py \
+              --workload "$w" --seed 1 --seconds 1 --trace 0 | grep '^stbench workload=')" ||
+      line="stbench workload=$w failed"
+    echo "$line" | sed -E 's/ episodes=[0-9]+//'
+  done >"$out/stbench.txt"
 }
 
 scripts/check_docs.sh
@@ -209,6 +226,8 @@ for arg in "$@"; do
       cmake --build build-same/build -j "$JOBS"
       same_outputs build-same/build build-same/base
       same_outputs build-release build-same/head
+      same_stbench build-same/tree "$PWD/build-same/bench" build-same/base
+      same_stbench . "$PWD/.bench_build" build-same/head
       git worktree remove --force build-same/tree
       if ! diff -r build-same/base build-same/head; then
         echo "check.sh --same: outputs differ from $rev" >&2

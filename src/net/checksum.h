@@ -50,33 +50,4 @@ std::uint16_t internet_checksum(BytesView data);
 std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
                                  BytesView segment);
 
-/// RFC 1624 incremental update (Eqn. 3): given the checksum field `hc` of a
-/// message in which the 16-bit word `old_word` is replaced by `new_word`,
-/// return the new checksum field without re-summing the message.
-///
-///   HC' = ~(~HC + ~m + m')
-///
-/// Matches a full RFC 1071 recomputation bit-for-bit as long as the
-/// message's one's-complement sum is nonzero — always true for a transport
-/// checksum, whose pseudo-header contributes a nonzero protocol word. (The
-/// earlier RFC 1141 formula fails on the -0/+0 corner; Eqn. 3 does not.)
-inline std::uint16_t checksum_update(std::uint16_t hc, std::uint16_t old_word,
-                                     std::uint16_t new_word) {
-  std::uint32_t sum = static_cast<std::uint16_t>(~hc);
-  sum += static_cast<std::uint16_t>(~old_word);
-  sum += new_word;
-  sum = (sum & 0xffff) + (sum >> 16);
-  sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum);
-}
-
-/// 32-bit field variant: applies checksum_update to both halves.
-inline std::uint16_t checksum_update32(std::uint16_t hc, std::uint32_t old_word,
-                                       std::uint32_t new_word) {
-  hc = checksum_update(hc, static_cast<std::uint16_t>(old_word >> 16),
-                       static_cast<std::uint16_t>(new_word >> 16));
-  return checksum_update(hc, static_cast<std::uint16_t>(old_word),
-                         static_cast<std::uint16_t>(new_word));
-}
-
 }  // namespace sttcp::net

@@ -305,7 +305,7 @@ void TcpConnection::emit_data_segment(std::uint64_t seq_abs, std::size_t len,
     rtt_sent_at_ = stack_.world().now();
   }
   if (seq_abs + n > highest_sent_) highest_sent_ = seq_abs + n;
-  send_segment(seg, payload, retransmit ? &retrans_memo_ : nullptr);
+  send_segment(seg, payload);
 }
 
 void TcpConnection::emit_control(TcpFlags flags, SeqWire seq_wire) {
@@ -313,7 +313,7 @@ void TcpConnection::emit_control(TcpFlags flags, SeqWire seq_wire) {
   seg.seq = seq_wire;
   seg.flags = flags;
   if (flags.ack) seg.ack = wire(rcv_nxt_);
-  send_segment(seg, {}, nullptr);
+  send_segment(seg, {});
 }
 
 void TcpConnection::emit_ack() {
@@ -332,8 +332,7 @@ void TcpConnection::schedule_ack() {
 }
 
 void TcpConnection::send_segment(TcpSegment& seg,
-                                 std::pair<net::BytesView, net::BytesView> payload,
-                                 TcpSegment::ChecksumMemo* memo) {
+                                 std::pair<net::BytesView, net::BytesView> payload) {
   seg.src_port = tuple_.local.port;
   seg.dst_port = tuple_.remote.port;
   seg.window = advertised_window();
@@ -349,7 +348,7 @@ void TcpConnection::send_segment(TcpSegment& seg,
     return;
   }
   ++stats_.segments_sent;
-  stack_.emit(tuple_, seg, payload, memo);
+  stack_.emit(tuple_, seg, payload);
 }
 
 // ---------------------------------------------------------------------------

@@ -266,8 +266,7 @@ class TcpConnection {
   void schedule_ack();
   /// Stamp ports/window and transmit `seg` carrying `payload` (spans into
   /// the send buffer; empty for control segments).
-  void send_segment(TcpSegment& seg, std::pair<net::BytesView, net::BytesView> payload,
-                    TcpSegment::ChecksumMemo* memo);
+  void send_segment(TcpSegment& seg, std::pair<net::BytesView, net::BytesView> payload);
 
   // Input processing.
   void on_segment_synsent(const TcpSegment& seg);
@@ -372,11 +371,6 @@ class TcpConnection {
   // ACK coalescing (see schedule_ack).
   sim::OneShotTimer ack_flush_timer_;
   bool ack_pending_ = false;
-
-  // RFC 1624 retransmit checksum memo: retransmissions of the same byte
-  // range reuse the previous serialization's checksum (see
-  // TcpSegment::ChecksumMemo).
-  TcpSegment::ChecksumMemo retrans_memo_;
 
   // RTT sampling (one in-flight sample, Karn's rule).
   bool rtt_pending_ = false;

@@ -37,48 +37,28 @@ std::uint16_t pack_off_flags(const TcpFlags& flags) {
 
 net::Bytes TcpSegment::serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip) const {
   net::Bytes out(kHeaderSize + payload.size());
-  write(out, src_ip, dst_ip, {payload, {}}, nullptr);
-  return out;
-}
-
-net::Bytes TcpSegment::serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
-                                 ChecksumMemo& memo) const {
-  net::Bytes out(kHeaderSize + payload.size());
-  write(out, src_ip, dst_ip, {payload, {}}, &memo);
+  write(out, src_ip, dst_ip, {payload, {}});
   return out;
 }
 
 void TcpSegment::write(std::span<std::uint8_t> out, net::Ipv4Addr src_ip,
                        net::Ipv4Addr dst_ip,
-                       std::pair<net::BytesView, net::BytesView> data,
-                       ChecksumMemo* memo) const {
+                       std::pair<net::BytesView, net::BytesView> data) const {
   const std::size_t payload_len = data.first.size() + data.second.size();
   net::ByteWriter w(out.first(kHeaderSize + payload_len));
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(seq);
   w.u32(ack);
-  const std::uint16_t off_flags = pack_off_flags(flags);
-  w.u16(off_flags);
+  w.u16(pack_off_flags(flags));
   w.u16(window);
   const std::size_t ck_at = w.size();
   w.u16(0);  // checksum placeholder
   w.u16(0);  // urgent pointer
   w.bytes(data.first);
   w.bytes(data.second);
-
-  std::uint16_t ck;
-  if (memo != nullptr && memo->valid && memo->seq == seq &&
-      memo->off_flags == off_flags && memo->payload_len == payload_len) {
-    // Same byte range, same shape: only ack and window can have moved.
-    ck = net::checksum_update32(memo->sum, memo->ack, ack);
-    ck = net::checksum_update(ck, memo->window, window);
-  } else {
-    ck = net::transport_checksum(src_ip, dst_ip, net::kIpProtoTcp,
-                                 out.first(kHeaderSize + payload_len));
-  }
-  if (memo != nullptr) *memo = ChecksumMemo{true, seq, ack, window, off_flags, payload_len, ck};
-  w.patch_u16(ck_at, ck);
+  w.patch_u16(ck_at, net::transport_checksum(src_ip, dst_ip, net::kIpProtoTcp,
+                                             out.first(kHeaderSize + payload_len)));
 }
 
 std::optional<TcpSegment> TcpSegment::parse(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,

@@ -1,5 +1,6 @@
 // TCP segment representation and byte-exact codec (20-byte header, no
-// options), checksummed with the standard pseudo-header.
+// options), checksummed with the standard pseudo-header. Every segment,
+// retransmissions included, is checksummed in full as it is written.
 #pragma once
 
 #include <cstdint>
@@ -44,40 +45,17 @@ struct TcpSegment {
            (flags.fin ? 1 : 0);
   }
 
-  /// Memo of the last full serialization of a retransmitted byte range.
-  /// Between two retransmissions of the same (seq, payload) the only header
-  /// words that may differ are ack and window, so a memo hit derives the new
-  /// checksum from the remembered one with two RFC 1624 incremental updates
-  /// instead of re-summing the payload. The caller owns one memo per
-  /// retransmit stream (the connection); a mismatch on seq, flags, or length
-  /// falls back to the full sum and refreshes the memo.
-  struct ChecksumMemo {
-    bool valid = false;
-    SeqWire seq = 0;
-    SeqWire ack = 0;
-    std::uint16_t window = 0;
-    std::uint16_t off_flags = 0;
-    std::size_t payload_len = 0;
-    std::uint16_t sum = 0;
-  };
-
   /// Write the header and `data` as the payload (two spans, written back
   /// to back; the `payload` field is not used) into `out`, which is exactly
   /// kHeaderSize plus the payload long, and checksum it there. This is how
   /// a frame is built in place: the stack passes the L4 region of a fresh
-  /// frame and the send queue's bytes. A non-null `memo` takes the
-  /// retransmit fast path above: it must describe the same payload bytes
-  /// whenever (seq, flags, length) match -- true for TCP retransmits, where
-  /// a sequence range's bytes are immutable.
+  /// frame and the send queue's bytes.
   void write(std::span<std::uint8_t> out, net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
-             std::pair<net::BytesView, net::BytesView> data, ChecksumMemo* memo) const;
+             std::pair<net::BytesView, net::BytesView> data) const;
 
   /// Header + `payload` with a valid checksum, as a fresh buffer (tests and
   /// benchmarks; the stack writes segments in place via write()).
   net::Bytes serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip) const;
-  /// serialize() through the retransmit fast path (see write()).
-  net::Bytes serialize(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
-                       ChecksumMemo& memo) const;
 
   /// Parse and (optionally) verify the checksum. Returns nullopt on a
   /// malformed or corrupt segment.

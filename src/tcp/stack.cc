@@ -1,6 +1,8 @@
 #include "tcp/stack.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 namespace sttcp::tcp {
 
@@ -17,9 +19,7 @@ TcpStack::TcpStack(net::Host& host, TcpConfig config)
 
 void TcpStack::reset_for_boot() {
   conns_.clear();
-  std::fill(demux_.begin(), demux_.end(), DemuxSlot{});
   pending_.clear();
-  pending_syn_time_.clear();
   replica_mode_ = false;
 }
 
@@ -36,13 +36,18 @@ TcpConnection& TcpStack::connect(net::Ipv4Addr local_ip, net::SocketAddr remote,
   // Allocate an ephemeral port within [49152, 65535], wrapping and skipping
   // tuples still in use — long churn runs cycle the range many times, and a
   // port can linger in TIME_WAIT from an earlier connection to the same
-  // server. The guard bound equals the range size; exhausting it would need
-  // 16,384 live connections to one remote address.
-  for (int guard = 0; guard < 16384; ++guard) {
+  // server. The guard bound equals the range size: with 16,384 live
+  // connections to one remote address there is no port left.
+  bool found = false;
+  for (int guard = 0; guard < 16384 && !found; ++guard) {
     t.local = net::SocketAddr{local_ip, next_ephemeral_};
     next_ephemeral_ =
         next_ephemeral_ == 65535 ? 49152 : static_cast<std::uint16_t>(next_ephemeral_ + 1);
-    if (conns_.find(t) == conns_.end()) break;
+    found = !conns_.contains(t);
+  }
+  if (!found) {
+    throw std::runtime_error("TcpStack::connect: no free ephemeral port to " +
+                             remote.str());
   }
   TcpConnection& conn = create_connection(t);
   conn.set_callbacks(std::move(callbacks));
@@ -63,10 +68,9 @@ TcpConnection& TcpStack::create_replica(const FourTuple& tuple,
   conn.set_callbacks(std::move(cb));
   conn.start_replica(init);
   // Replay anything tapped before the announcement arrived.
-  pending_syn_time_.erase(tuple);
   auto it = pending_.find(tuple);
   if (it != pending_.end()) {
-    std::vector<PendingSegment> segs = std::move(it->second);
+    std::vector<PendingSegment> segs = std::move(it->second.segments);
     pending_.erase(it);
     for (const PendingSegment& p : segs) {
       if (!conn.is_open()) break;
@@ -77,15 +81,8 @@ TcpConnection& TcpStack::create_replica(const FourTuple& tuple,
 }
 
 TcpConnection* TcpStack::find(const FourTuple& tuple) {
-  DemuxSlot& slot = demux_[demux_slot_index(tuple)];
-  if (slot.conn != nullptr && slot.key == tuple) {
-    ++stats_.demux_cache_hits;
-    return slot.conn;
-  }
   auto it = conns_.find(tuple);
-  if (it == conns_.end()) return nullptr;
-  slot = DemuxSlot{tuple, it->second.get()};
-  return it->second.get();
+  return it == conns_.end() ? nullptr : it->second.get();
 }
 
 void TcpStack::for_each(const std::function<void(TcpConnection&)>& fn) {
@@ -108,28 +105,26 @@ void TcpStack::set_replica_mode(bool on) {
     // after takeover: no replica exists to replay them into, and the client
     // retransmits its SYN anyway, reaching the listener directly.
     pending_.clear();
-    pending_syn_time_.clear();
   }
 }
 
 std::size_t TcpStack::memory_bytes() const {
   std::size_t total = 0;
   for (const auto& [t, c] : conns_) total += c->memory_bytes();
-  for (const auto& [t, q] : pending_) {
-    for (const PendingSegment& p : q) total += sizeof(PendingSegment) + p.frame.size();
+  for (const auto& [t, p] : pending_) {
+    for (const PendingSegment& b : p.segments) total += sizeof(PendingSegment) + b.frame.size();
   }
   return total;
 }
 
 bool TcpStack::emit(const FourTuple& tuple, const TcpSegment& seg,
-                    std::pair<net::BytesView, net::BytesView> payload,
-                    TcpSegment::ChecksumMemo* memo) {
+                    std::pair<net::BytesView, net::BytesView> payload) {
   if (!alive()) return false;
   net::Frame frame = net::Frame::allocate(net::kIpFrameHeaderSize + TcpSegment::kHeaderSize +
                                           payload.first.size() + payload.second.size());
   // The header room in front is filled in by the host.
   seg.write(frame.writable().subspan(net::kIpFrameHeaderSize), tuple.local.ip,
-            tuple.remote.ip, payload, memo);
+            tuple.remote.ip, payload);
   return host_.send_ip_frame(tuple.local.ip, tuple.remote.ip, net::kIpProtoTcp,
                              std::move(frame));
 }
@@ -163,13 +158,13 @@ void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4,
 
   if (replica_mode_) {
     // Hold segments until ST-TCP announces the connection (ISS/IRS).
-    auto& q = pending_[t];
-    if (q.size() < kMaxBufferedSegments) {
-      q.push_back({*seg, frame});
+    Pending& p = pending_[t];
+    if (p.segments.size() < kMaxBufferedSegments) {
+      p.segments.push_back({*seg, frame});
       ++stats_.segments_buffered;
     }
     if (seg->flags.syn && !seg->flags.ack) {
-      pending_syn_time_[t] = world().now();
+      p.syn_time = world().now();
       if (inference_ && accept_isn_fn_) {
         // Deterministic accept ISN: the primary's ISS is a pure function of
         // the tuple, so the replica can be seeded from the SYN alone and
@@ -183,20 +178,17 @@ void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4,
       // client's SYN is its handshake ACK, so ack-1 is the primary's ISS.
       // The time window guards against mistaking a later data ACK (which
       // would infer a corrupting ISS) for the handshake ACK.
-      auto st = pending_syn_time_.find(t);
-      if (st != pending_syn_time_.end() &&
-          world().now() - st->second <= cfg_.replica_isn_inference_window) {
+      // The SYN time is spent either way: an expired window never infers.
+      const std::optional<sim::SimTime> syn_time = std::exchange(p.syn_time, std::nullopt);
+      if (syn_time && world().now() - *syn_time <= cfg_.replica_isn_inference_window) {
         SeqWire irs = 0;
-        for (const PendingSegment& b : q) {
+        for (const PendingSegment& b : p.segments) {
           if (b.seg.flags.syn) {
             irs = b.seg.seq;
             break;
           }
         }
-        pending_syn_time_.erase(st);
         inference_(t, seg->ack - 1, irs, /*established=*/true);
-      } else if (st != pending_syn_time_.end()) {
-        pending_syn_time_.erase(st);  // window expired: never infer
       }
     }
     return;
@@ -218,11 +210,14 @@ void TcpStack::on_packet(const net::Ipv4Header& ip, net::BytesView l4,
 }
 
 TcpConnection& TcpStack::create_connection(const FourTuple& tuple) {
-  auto conn = std::make_unique<TcpConnection>(*this, tuple, cfg_,
-                                              log_.child(tuple.remote.str()));
-  TcpConnection& ref = *conn;
-  conns_.emplace(tuple, std::move(conn));
-  return ref;
+  auto [it, inserted] = conns_.try_emplace(tuple);
+  if (!inserted) {
+    throw std::logic_error("TcpStack: connection " + tuple.local.str() + " <-> " +
+                           tuple.remote.str() + " already exists");
+  }
+  it->second = std::make_unique<TcpConnection>(*this, tuple, cfg_,
+                                               log_.child(tuple.remote.str()));
+  return *it->second;
 }
 
 void TcpStack::dispatch_accept(TcpConnection& conn) {
@@ -249,7 +244,7 @@ void TcpStack::send_rst_for(const net::Ipv4Header& ip, const TcpSegment& seg) {
     rst.ack = seg.seq + seg.seq_len();
   }
   ++stats_.rst_sent;
-  emit(FourTuple{{ip.dst, seg.dst_port}, {ip.src, seg.src_port}}, rst, {}, nullptr);
+  emit(FourTuple{{ip.dst, seg.dst_port}, {ip.src, seg.src_port}}, rst, {});
 }
 
 void TcpStack::schedule_gc(const FourTuple& tuple) {
@@ -257,10 +252,7 @@ void TcpStack::schedule_gc(const FourTuple& tuple) {
   // call stack.
   domain().schedule_after(sim::Duration::zero(), [this, tuple] {
     auto it = conns_.find(tuple);
-    if (it != conns_.end() && it->second->state() == TcpState::kClosed) {
-      demux_invalidate(tuple);
-      conns_.erase(it);
-    }
+    if (it != conns_.end() && it->second->state() == TcpState::kClosed) conns_.erase(it);
   });
 }
 

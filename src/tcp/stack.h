@@ -1,12 +1,14 @@
-// TCP stack: demultiplexes segments to connections, owns listeners and
-// connection lifetimes, and exposes the socket-style API plus the ST-TCP
-// seams (replica mode, replica creation, connection observer).
+// TCP stack: demultiplexes segments to connections (one hash-map lookup per
+// segment), owns listeners and connection lifetimes, and exposes the
+// socket-style API plus the ST-TCP seams (replica mode, replica creation,
+// connection observer).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +45,10 @@ class TcpStack {
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_initiated = 0;
     std::uint64_t replicas_created = 0;
-    std::uint64_t demux_cache_hits = 0;    // served from the flat slot array
+    // Never incremented: demux is one map lookup and has no cache. Kept
+    // only because stbench/ (frozen) still reads it for tcp.demux_hit_ratio;
+    // delete it when stbench/ next changes.
+    std::uint64_t demux_cache_hits = 0;
   };
 
   TcpStack(net::Host& host, TcpConfig config);
@@ -55,7 +60,8 @@ class TcpStack {
   void listen(std::uint16_t port, AcceptHandler handler);
   /// Active open. `local_ip` must be one of the host's addresses. Returns the
   /// connection (owned by the stack; valid until on_closed fires and the
-  /// event loop turns over).
+  /// event loop turns over). Throws std::runtime_error when every ephemeral
+  /// port to `remote` is in use.
   TcpConnection& connect(net::Ipv4Addr local_ip, net::SocketAddr remote,
                          TcpConnection::Callbacks callbacks);
 
@@ -120,7 +126,7 @@ class TcpStack {
   /// invariants assert replica memory stays bounded.
   std::size_t pending_segments() const {
     std::size_t n = 0;
-    for (const auto& [t, q] : pending_) n += q.size();
+    for (const auto& [t, p] : pending_) n += p.segments.size();
     return n;
   }
   static constexpr std::size_t max_buffered_segments() { return kMaxBufferedSegments; }
@@ -147,13 +153,9 @@ class TcpStack {
   }
   /// Build the segment's frame in place in one block -- Ethernet/IPv4
   /// header room, TCP header, then `payload` copied straight from the send
-  /// queue -- and hand it to the host's IP layer. `memo`, when non-null, enables the
-  /// RFC 1624 retransmit fast path (see TcpSegment::ChecksumMemo) — the
-  /// connection passes its own memo for retransmissions and null for first
-  /// transmissions.
+  /// queue -- and hand it to the host's IP layer.
   bool emit(const FourTuple& tuple, const TcpSegment& seg,
-            std::pair<net::BytesView, net::BytesView> payload,
-            TcpSegment::ChecksumMemo* memo);
+            std::pair<net::BytesView, net::BytesView> payload);
   void on_connection_finished(TcpConnection& conn, CloseReason reason);
 
   const Stats& stats() const { return stats_; }
@@ -174,41 +176,23 @@ class TcpStack {
   // connection count (a red-black tree walk costs ~15 tuple comparisons at
   // 2,000+ churning connections). All ordered iteration goes via for_each.
   std::unordered_map<FourTuple, std::unique_ptr<TcpConnection>> conns_;
-
-  // Flat direct-mapped demux cache in front of conns_: the steady-state
-  // receive path (data/ACK on an established connection) resolves with one
-  // cheap multiplicative hash and one tuple compare, no hash-table probe.
-  // Filled on a find() miss, invalidated slot-wise when a connection is
-  // GC-erased and wholesale on boot; a stale or colliding slot fails the
-  // full-tuple compare and falls through to the map.
-  struct DemuxSlot {
-    FourTuple key{};
-    TcpConnection* conn = nullptr;
-  };
-  static constexpr std::size_t kDemuxSlots = 2048;  // power of two
-  static std::size_t demux_slot_index(const FourTuple& t) {
-    std::uint64_t h = (std::uint64_t{t.remote.ip.value()} << 32) ^
-                      (std::uint64_t{t.remote.port} << 16) ^ t.local.port;
-    h *= 0x9e3779b97f4a7c15ull;
-    return static_cast<std::size_t>(h >> 53);  // top 11 bits
-  }
-  void demux_invalidate(const FourTuple& t) {
-    DemuxSlot& s = demux_[demux_slot_index(t)];
-    if (s.conn != nullptr && s.key == t) s = DemuxSlot{};
-  }
-  std::vector<DemuxSlot> demux_ = std::vector<DemuxSlot>(kDemuxSlots);
   std::map<std::uint16_t, AcceptHandler> listeners_;
   ConnectionObserver* observer_ = nullptr;
 
-  // Replica mode: segments seen before the primary's announcement. Each
-  // keeps the frame its payload views into (a refcount, not a copy).
+  // Replica mode: segments seen before the primary's announcement, per
+  // tuple. Each keeps the frame its payload views into (a refcount, not a
+  // copy). `syn_time` is when the client's SYN was tapped, until ISN
+  // inference uses it or its window expires.
   struct PendingSegment {
     TcpSegment seg;
     net::Frame frame;
   };
+  struct Pending {
+    std::vector<PendingSegment> segments;
+    std::optional<sim::SimTime> syn_time;
+  };
   static constexpr std::size_t kMaxBufferedSegments = 256;
-  std::unordered_map<FourTuple, std::vector<PendingSegment>> pending_;
-  std::unordered_map<FourTuple, sim::SimTime> pending_syn_time_;
+  std::unordered_map<FourTuple, Pending> pending_;
 
   ReplicaInference inference_;
   AcceptIsnFn accept_isn_fn_;

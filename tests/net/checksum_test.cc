@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/random.h"
-
 namespace sttcp::net {
 namespace {
 
@@ -64,57 +62,6 @@ TEST(ChecksumTest, TransportChecksumDetectsCorruption) {
   seg[8] ^= 0x01;
   // Wrong pseudo-header (different destination) must also fail.
   EXPECT_NE(transport_checksum(src, Ipv4Addr(10, 0, 0, 3), 17, seg), 0);
-}
-
-TEST(ChecksumTest, IncrementalUpdateRfc1624Example) {
-  // RFC 1624 §4: a header whose checksum field is 0xdd2f has the 16-bit
-  // word 0x5555 replaced by 0x3285; Eqn. 3 yields 0x0000 (where the broken
-  // RFC 1141 arithmetic yields 0xffff).
-  EXPECT_EQ(checksum_update(0xdd2f, 0x5555, 0x3285), 0x0000);
-}
-
-TEST(ChecksumTest, IncrementalUpdateMatchesFullRecompute) {
-  // Randomized equivalence against the full RFC 1071 sum: mutate one
-  // aligned 16-bit word of a random buffer and require bit-identical
-  // checksums from both paths. The buffers all have a nonzero sum (the
-  // condition under which Eqn. 3 is exact; transport checksums always
-  // satisfy it via the pseudo-header's protocol word).
-  sim::Rng rng(0x1624);
-  for (int iter = 0; iter < 2000; ++iter) {
-    const std::size_t words = 1 + rng.below(64);
-    Bytes data(words * 2);
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
-    data[0] |= 1;  // nonzero sum
-    const std::uint16_t hc = internet_checksum(data);
-
-    const std::size_t at = 2 * rng.below(words);
-    const std::uint16_t old_word =
-        static_cast<std::uint16_t>((data[at] << 8) | data[at + 1]);
-    const std::uint16_t new_word = static_cast<std::uint16_t>(rng.next_u64());
-    data[at] = static_cast<std::uint8_t>(new_word >> 8);
-    data[at + 1] = static_cast<std::uint8_t>(new_word);
-
-    EXPECT_EQ(checksum_update(hc, old_word, new_word), internet_checksum(data))
-        << "iter " << iter << " words=" << words << " at=" << at;
-  }
-}
-
-TEST(ChecksumTest, IncrementalUpdate32MatchesFullRecompute) {
-  sim::Rng rng(0x162432);
-  for (int iter = 0; iter < 1000; ++iter) {
-    Bytes data(40);
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
-    data[0] |= 1;
-    const std::uint16_t hc = internet_checksum(data);
-    const std::size_t at = 4 * rng.below(10);
-    std::uint32_t old_word = 0, new_word = static_cast<std::uint32_t>(rng.next_u64());
-    for (int i = 0; i < 4; ++i) old_word = (old_word << 8) | data[at + i];
-    for (int i = 0; i < 4; ++i) {
-      data[at + i] = static_cast<std::uint8_t>(new_word >> (24 - 8 * i));
-    }
-    EXPECT_EQ(checksum_update32(hc, old_word, new_word), internet_checksum(data))
-        << "iter " << iter;
-  }
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ TEST(FrameTest, ReplicaReplaysBufferedSegmentsAfterOtherHoldersDropTheirFrames) 
     seg.window = 65535;
     Frame frame = Frame::allocate(kIpFrameHeaderSize + tcp::TcpSegment::kHeaderSize + kLen);
     seg.write(frame.writable().subspan(kIpFrameHeaderSize), net.ip(0), net.ip(1),
-              {payload, {}}, nullptr);
+              {payload, {}});
     ASSERT_TRUE(client.send_ip_frame(net.ip(0), net.ip(1), kIpProtoTcp, std::move(frame)));
     // `payload` dies here: only the frame holds these bytes now.
   }

@@ -164,8 +164,7 @@ TEST(AllocBudget, ParseDataSegmentFromItsFrameAllocatesNothing) {
   seg.flags.ack = true;
   net::Frame frame =
       net::Frame::allocate(net::kIpFrameHeaderSize + tcp::TcpSegment::kHeaderSize + 1460);
-  seg.write(frame.writable().subspan(net::kIpFrameHeaderSize), src, dst, {payload, {}},
-            nullptr);
+  seg.write(frame.writable().subspan(net::kIpFrameHeaderSize), src, dst, {payload, {}});
   net::write_ip_headers(frame.writable(), net::MacAddr::from_u64(2),
                         net::MacAddr::from_u64(1), src, dst, net::kIpProtoTcp);
   std::size_t bytes = 0;
