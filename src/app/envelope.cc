@@ -4,21 +4,32 @@
 
 namespace sttcp::app {
 
-net::Bytes Envelope::serialize() const {
-  net::Bytes out;
-  out.reserve(kHeaderSize + payload.size());
-  net::ByteWriter w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
+std::size_t begin_frame(net::Bytes& out, std::uint8_t type, std::uint32_t session,
+                        std::uint32_t req_id, std::size_t payload_len) {
+  const std::size_t start = out.size();
+  out.reserve(start + Envelope::kHeaderSize + payload_len);
+  out.resize(start + Envelope::kHeaderSize);
+  net::ByteWriter w(std::span<std::uint8_t>(out).subspan(start));
+  w.u16(Envelope::kMagic);
+  w.u8(Envelope::kVersion);
   w.u8(type);
   w.u32(session);
   w.u32(req_id);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u16(0);  // checksum, patched below
-  w.bytes(payload);
-  const std::uint16_t c = net::internet_checksum(out);
-  out[kChecksumOffset] = static_cast<std::uint8_t>(c >> 8);
-  out[kChecksumOffset + 1] = static_cast<std::uint8_t>(c);
+  w.u32(static_cast<std::uint32_t>(payload_len));
+  w.u16(0);  // checksum, stored by seal_frame
+  return start;
+}
+
+void seal_frame(net::Bytes& out, std::size_t start) {
+  const std::uint16_t c = net::internet_checksum(net::BytesView(out).subspan(start));
+  net::ByteWriter(out, 0).patch_u16(start + Envelope::kChecksumOffset, c);
+}
+
+net::Bytes Envelope::serialize() const {
+  net::Bytes out;
+  begin_frame(out, type, session, req_id, payload.size());
+  net::ByteWriter(out).bytes(payload);
+  seal_frame(out, 0);
   return out;
 }
 
@@ -32,18 +43,15 @@ Envelope make_request(MsgType t, std::uint32_t session, std::uint32_t req_id,
   return e;
 }
 
-Envelope make_response(const Envelope& req, Status status,
-                       std::uint64_t timestamp_us, net::BytesView data) {
-  Envelope e;
-  e.type = req.type | kResponseBit;
-  e.session = req.session;
-  e.req_id = req.req_id;
-  e.payload.reserve(9 + data.size());
-  net::ByteWriter w(e.payload);
+void write_response(net::Bytes& out, const Envelope& req, Status status,
+                    std::uint64_t timestamp_us, net::BytesView data) {
+  const std::size_t start =
+      begin_frame(out, req.type | kResponseBit, req.session, req.req_id, 9 + data.size());
+  net::ByteWriter w(out);
   w.u8(static_cast<std::uint8_t>(status));
   w.u64(timestamp_us);
   w.bytes(data);
-  return e;
+  seal_frame(out, start);
 }
 
 std::optional<ResponseBody> parse_response_body(const Envelope& e) {
@@ -54,7 +62,7 @@ std::optional<ResponseBody> parse_response_body(const Envelope& e) {
     if (s > static_cast<std::uint8_t>(Status::kNotFound)) return std::nullopt;
     b.status = static_cast<Status>(s);
     b.timestamp_us = r.u64();
-    b.data = net::to_bytes(r.rest());
+    b.data = r.rest();
     return b;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -93,7 +101,8 @@ Decoder::Result Decoder::next(Envelope* out) {
   out->session = session;
   out->req_id = req_id;
   r.u16();  // checksum, verified above
-  out->payload = net::to_bytes(r.bytes(len));
+  const net::BytesView payload = r.bytes(len);
+  out->payload.assign(payload.begin(), payload.end());
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(total));
   return Result::kOk;
 }

@@ -67,18 +67,27 @@ struct Envelope {
   net::Bytes serialize() const;
 };
 
-/// Convenience builders.
+/// Frames written in place: begin_frame appends the header of a frame whose
+/// payload is `payload_len` bytes and returns the frame's offset in `out`;
+/// the caller appends exactly that payload, then seal_frame stores the
+/// checksum. Appending reuses `out`'s capacity, so a recycled buffer makes
+/// no allocation.
+std::size_t begin_frame(net::Bytes& out, std::uint8_t type, std::uint32_t session,
+                        std::uint32_t req_id, std::size_t payload_len);
+void seal_frame(net::Bytes& out, std::size_t start);
+
 Envelope make_request(MsgType t, std::uint32_t session, std::uint32_t req_id,
                       net::Bytes payload);
-/// Response payload layout: status(1) + timestamp_us(8) + data.
-Envelope make_response(const Envelope& req, Status status,
-                       std::uint64_t timestamp_us, net::BytesView data);
+/// Appends the response to `req` as one frame. Response payload layout:
+/// status(1) + timestamp_us(8) + data.
+void write_response(net::Bytes& out, const Envelope& req, Status status,
+                    std::uint64_t timestamp_us, net::BytesView data);
 
-/// Parsed response payload.
+/// Parsed response payload; `data` views the envelope's payload.
 struct ResponseBody {
   Status status = Status::kOk;
   std::uint64_t timestamp_us = 0;
-  net::Bytes data;
+  net::BytesView data;
 };
 std::optional<ResponseBody> parse_response_body(const Envelope& e);
 

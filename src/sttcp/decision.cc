@@ -13,27 +13,15 @@ const char* to_string(DecisionKind k) {
   return "?";
 }
 
-std::uint64_t DecisionLog::choose(DecisionKind kind,
-                                  const std::function<std::uint64_t()>& gen) {
-  // Post-promotion drain: replayed records the dead primary committed are
-  // consumed before any fresh choice is generated (choices and execution
-  // order both come out of the backlog until it is empty).
-  if (!queue_.empty() &&
-      queue_.front().kind == static_cast<std::uint8_t>(kind)) {
-    const DecisionRecord rec = queue_.front();
-    queue_.pop_front();
-    next_consume_ = rec.seq + 1;
-    ++stats_.replayed;
-    return rec.value;
-  }
+std::uint64_t DecisionLog::append(DecisionKind kind, std::uint64_t value) {
   DecisionRecord rec;
   rec.seq = next_seq_++;
   rec.kind = static_cast<std::uint8_t>(kind);
-  rec.value = gen();
+  rec.value = value;
   ++stats_.appended;
   if (!standalone_ || retain_) unacked_.push_back(rec);
   if (standalone_ && commit_hook_) commit_hook_();
-  return rec.value;
+  return value;
 }
 
 void DecisionLog::set_standalone(bool standalone, bool retain) {

@@ -89,7 +89,12 @@ class DecisionLog {
   /// backlog, `gen` runs and its value is appended. A freshly promoted
   /// primary still holding replayed-but-unconsumed records consumes those
   /// first — the dead primary may have released responses built on them.
-  std::uint64_t choose(DecisionKind kind, const std::function<std::uint64_t()>& gen);
+  template <class Gen>
+  std::uint64_t choose(DecisionKind kind, Gen&& gen) {
+    std::uint64_t value = 0;
+    if (try_take(kind, &value)) return value;
+    return append(kind, gen());
+  }
   /// Highest seq this side has appended.
   std::uint64_t last_seq() const { return next_seq_ - 1; }
   /// Highest seq whose dependents may be released to clients: everything
@@ -172,6 +177,8 @@ class DecisionLog {
   void set_promote_hook(std::function<void()> fn) { promote_hook_ = std::move(fn); }
 
  private:
+  /// Record a freshly generated choice; returns `value`.
+  std::uint64_t append(DecisionKind kind, std::uint64_t value);
   void ingest_one(const DecisionRecord& r);
   /// Settle one ingest: advance the cursor past `before`, fire the hook.
   bool ingest_done(std::uint64_t before);

@@ -42,20 +42,23 @@ TEST(EnvelopeTest, RequestRoundtrip) {
 TEST(EnvelopeTest, ResponseRoundtripAndBodyParse) {
   const Envelope req = make_request(MsgType::kGet, 9, 3, net::Bytes{1, 2, 3, 4});
   const net::Bytes data{0x10, 0x20, 0x30};
-  const Envelope resp = make_response(req, Status::kNotFound, 123456789, data);
-  EXPECT_TRUE(resp.is_response());
-  EXPECT_EQ(resp.request_type(), MsgType::kGet);
-  EXPECT_EQ(resp.req_id, req.req_id);
+  net::Bytes wire{0xEE};  // appends after whatever the buffer holds
+  write_response(wire, req, Status::kNotFound, 123456789, data);
+  ASSERT_EQ(wire.size(), 1 + Envelope::kHeaderSize + 9 + data.size());
 
   Decoder dec;
-  dec.feed(resp.serialize());
+  dec.feed(net::BytesView(wire).subspan(1));
   Envelope out;
   ASSERT_EQ(dec.next(&out), Decoder::Result::kOk);
+  EXPECT_TRUE(out.is_response());
+  EXPECT_EQ(out.request_type(), MsgType::kGet);
+  EXPECT_EQ(out.session, req.session);
+  EXPECT_EQ(out.req_id, req.req_id);
   const auto body = parse_response_body(out);
   ASSERT_TRUE(body.has_value());
   EXPECT_EQ(body->status, Status::kNotFound);
   EXPECT_EQ(body->timestamp_us, 123456789u);
-  EXPECT_EQ(body->data, data);
+  EXPECT_EQ(net::Bytes(body->data.begin(), body->data.end()), data);
 
   // A response payload shorter than status+timestamp cannot parse.
   Envelope stub = out;

@@ -7,7 +7,8 @@
 // and so must the warm receive path (parsing a data segment out of its frame,
 // consuming the receive ring in place). A heartbeat costs exactly its
 // frame's block to send and nothing to receive and ingest, and a whole
-// replicated download is pinned to a per-MiB budget.
+// replicated download is pinned to a per-MiB budget, a replicated
+// block-store request to a per-response one.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,8 +18,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "app/block_server.h"
 #include "app/client.h"
 #include "app/server.h"
+#include "harness/block_workload.h"
 #include "harness/topology.h"
 #include "net/frame.h"
 #include "net/headers.h"
@@ -347,6 +350,53 @@ TEST(AllocBudget, PairDownloadAllocationsPerMiB) {
   constexpr double kMeasuredPerMiB = 2155;
   if (kCountsExact) {
     EXPECT_LE(per_mib, kMeasuredPerMiB * 1.10);
+  }
+}
+
+// A warm replicated block store serving the end-to-end benchmark's mix
+// (16 clients, 1,000-op sessions, 35% PUT, 5% DELETE, the rest GET) over a
+// fixed-seed pair: primary recording, backup replaying, output commit on.
+// The budget is the measured count per response plus 10%. What is left is
+// the TCP layer's: one block per frame (the request, its response, their
+// ACKs and two decision beats, the request's tap copy shared), plus the
+// send and receive rings, which free their storage whenever they drain and
+// so refill about once per request or response on every host.
+TEST(AllocBudget, WarmBlockStoreRequestsAllocationsPerResponse) {
+  harness::TopologyConfig cfg;
+  cfg.seed = 1;
+  const auto topo = harness::make_figure2(cfg);
+  harness::Cell& cell = topo->cell();
+  harness::Topology::HostEntry& client = *topo->host_by_name("client");
+  using Mode = sttcp::DecisionLog::Mode;
+  app::BlockStoreServer primary(cell.primary_stack(), cell.service_port(), {},
+                                Mode::kRecord);
+  app::BlockStoreServer backup(cell.backup_stack(), cell.service_port(), {},
+                               Mode::kReplay);
+  cell.primary_endpoint()->set_decision_log(&primary.decisions());
+  cell.backup_endpoint()->set_decision_log(&backup.decisions());
+  harness::BlockWorkloadConfig wc;
+  wc.clients = 16;
+  wc.ops_per_session = 1000;
+  wc.duration = Duration::seconds(3);
+  harness::BlockWorkload workload(topo->world(), *client.stack, client.ip,
+                                  cell.connect_addr(), wc);
+  workload.start();
+  topo->run_for(Duration::millis(500));  // sessions open, caches and buffers warm
+  const std::uint64_t before = workload.stats().responses;
+  AllocationWindow w;
+  topo->run_for(Duration::seconds(1));
+  const std::uint64_t allocations = w.count();
+  const std::uint64_t responses = workload.stats().responses - before;
+  ASSERT_GT(responses, 5'000u);
+  EXPECT_EQ(workload.stats().mismatches, 0u);
+  EXPECT_EQ(backup.store_stats().replay_mismatch, 0u);
+  const double per_response =
+      static_cast<double>(allocations) / static_cast<double>(responses);
+  RecordProperty("allocations_per_response", std::to_string(per_response));
+  std::printf("block store: %.2f allocations per response\n", per_response);
+  constexpr double kMeasuredPerResponse = 12.74;
+  if (kCountsExact) {
+    EXPECT_LE(per_response, kMeasuredPerResponse * 1.10);
   }
 }
 
