@@ -20,10 +20,13 @@
 # (docs/CHAOS.md, "Grey failures"). With --group, run the 1+N replication-
 # group lane in the Release lane: the exhaustive three-host promotion-race
 # explorer (single and simultaneous-double failure windows), a 64-seed
-# simultaneous double-failure sweep at N=3, its N=2 negative control, and
-# the group reintegration tests (docs/GROUPS.md). With --stbench, run the
-# end-to-end benchmark (stbench/README.md) on every workload for one
-# measured second at seed 1 and fail unless each run reports correct. With
+# simultaneous double-failure sweep at N=3, its N=2 negative control, the
+# group reintegration tests, and the hung-follower tests: a follower whose
+# application hangs is convicted by the leader on that follower's own
+# progress, alone and followed by a leader crash (docs/GROUPS.md). With
+# --stbench, run the end-to-end benchmark (stbench/README.md) on every
+# workload for one measured second at seed 1 and fail unless each run
+# reports correct. With
 # --same=<rev>, prove a refactor changed no output: build <rev> in a
 # throwaway git worktree (Release, under build-same/), run the deterministic
 # benches (bench_table1_scenarios, bench_chaos 64, bench_demo1_failover,
@@ -180,7 +183,9 @@ for arg in "$@"; do
       # re-run them at N=2, where every leader-involving schedule must
       # FAIL (the negative control proves the sweep measures redundancy).
       # Group reintegration (rejoin at lowest rank, second failure during
-      # snapshot) rides along.
+      # snapshot) rides along, and so does a follower's app hang: the leader
+      # must convict the hung follower on its own progress even while
+      # another follower keeps up.
       ./build-release/tests/integration_explore_test \
         --gtest_filter='ExploreGroupTest.*'
       STTCP_MULTI_SEEDS=64 STTCP_MULTI_NEG_SEEDS=32 \
@@ -188,6 +193,8 @@ for arg in "$@"; do
         --gtest_filter='*Sweep*:*NegativeControl*'
       ./build-release/tests/sttcp_reintegration_test \
         --gtest_filter='GroupReintegrationTest.*'
+      ./build-release/tests/integration_app_crash_test \
+        --gtest_filter='AppCrashTest.Group*'
       ;;
     --scale)
       cmake -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null

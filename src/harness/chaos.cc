@@ -5,30 +5,11 @@
 
 #include "app/client.h"
 #include "app/server.h"
+#include "harness/fnv.h"
 #include "harness/topology.h"
 #include "net/impairment.h"
 
 namespace sttcp::harness {
-
-namespace {
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
   TopologyConfig cfg;
@@ -92,7 +73,7 @@ ChaosVerdict run_chaos_seed(std::uint64_t seed, const ChaosOptions& opts) {
   v.non_ft = topo->world().trace().count("non_ft_mode");
   v.sim_ns = (topo->world().now() - sim::SimTime::zero()).ns();
 
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kDigestSeed;
   h = fnv_mix(h, v.seed);
   h = fnv_mix(h, v.plan);
   for (const Violation& viol : v.violations) h = fnv_mix(h, viol.str());
@@ -167,7 +148,7 @@ MultiFailureVerdict run_multi_failure_seed(std::uint64_t seed,
   v.non_ft = trace.count("non_ft_mode");
   v.sim_ns = (topo->world().now() - sim::SimTime::zero()).ns();
 
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kDigestSeed;
   h = fnv_mix(h, v.seed);
   h = fnv_mix(h, v.plan);
   for (const Violation& viol : v.violations) h = fnv_mix(h, viol.str());
@@ -296,7 +277,7 @@ GreyVerdict run_grey_seed(std::uint64_t seed, const GreyOptions& opts) {
   v.non_ft = trace.count("non_ft_mode");
   v.sim_ns = (topo->world().now() - sim::SimTime::zero()).ns();
 
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kDigestSeed;
   h = fnv_mix(h, v.seed);
   h = fnv_mix(h, v.plan);
   for (const Violation& viol : v.violations) h = fnv_mix(h, viol.str());

@@ -6,33 +6,12 @@
 
 #include "app/client.h"
 #include "app/server.h"
+#include "harness/fnv.h"
 #include "harness/invariants.h"
 #include "harness/topology.h"
 #include "sim/event_loop.h"
 
 namespace sttcp::harness {
-
-namespace {
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
-}  // namespace
 
 Explorer::Explorer(ExploreOptions opts) : opts_(opts) {}
 
@@ -40,7 +19,7 @@ std::uint64_t Explorer::state_digest(sim::EventLoop& loop, Topology& topo,
                                      const app::DownloadClient& client) {
   Cell& cell = topo.cell();
   Topology::HostEntry& client_host = *topo.host_by_name("client");
-  std::uint64_t h = kFnvBasis;
+  std::uint64_t h = kDigestSeed;
   // Pending events as offsets from now. Sequence numbers are excluded: they
   // encode allocation history, and two interleavings that converged to the
   // same semantic state differ only in history.
@@ -177,7 +156,7 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
   for (const Violation& v : checker.check(client)) {
     r.violations.push_back(v.str());
   }
-  std::uint64_t h = kFnvBasis;
+  std::uint64_t h = kDigestSeed;
   h = fnv_mix(h, client.received());
   h = fnv_mix(h, r.complete ? 1 : 0);
   h = fnv_mix(h, topo->world().trace().count("takeover"));
@@ -191,7 +170,7 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
 
 ExploreStats Explorer::explore() {
   ExploreStats stats;
-  stats.digest = kFnvBasis;
+  stats.digest = kDigestSeed;
   seen_.clear();
   schedules_.clear();
 

@@ -5,6 +5,7 @@
 
 #include "app/client.h"
 #include "harness/block_workload.h"
+#include "harness/fnv.h"
 #include "harness/topology.h"
 #include "harness/workload.h"
 #include "net/headers.h"
@@ -27,15 +28,6 @@ std::string fmt_u64(const char* format, std::uint64_t a, std::uint64_t b) {
 }
 
 }  // namespace
-
-std::uint64_t InvariantChecker::fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 InvariantChecker::Scope InvariantChecker::scope_from(Topology& topo,
                                                      const Options& opt) {
@@ -99,7 +91,7 @@ InvariantChecker::InvariantChecker(Topology& topo, Options opt)
     l->impairment().set_corrupt_tap(
         [this](const net::Frame& f, std::size_t off) {
           ++corrupt_events_;
-          corrupted_[fnv1a(f.data(), f.size())] = off;
+          corrupted_[fnv_mix(kDigestSeed, f.view())] = off;
         });
   }
 
@@ -247,7 +239,7 @@ void InvariantChecker::on_switch_frame(sim::SimTime at,
 
 void InvariantChecker::on_host_rx(int host_idx, const net::Frame& frame) {
   if (corrupted_.empty()) return;
-  const auto it = corrupted_.find(fnv1a(frame.data(), frame.size()));
+  const auto it = corrupted_.find(fnv_mix(kDigestSeed, frame.view()));
   if (it == corrupted_.end()) return;
 
   // A corrupted frame reached a host. Only a flip inside a TCP segment must

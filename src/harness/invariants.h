@@ -175,8 +175,6 @@ class InvariantChecker {
   void check_checksums(std::vector<Violation>& out) const;
   void check_memory(std::vector<Violation>& out, std::size_t conn_table_cap) const;
 
-  static std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n);
-
   Scope scope_;
   Options opt_;
   net::EthernetSwitch::FrameTap prev_tap_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "harness/fnv.h"
+
 namespace sttcp::harness {
 
 // --- Topology ---------------------------------------------------------------
@@ -508,22 +510,6 @@ std::unique_ptr<Topology> make_figure2(TopologyConfig cfg, CellConfig cell,
 
 // --- ShardDirector ----------------------------------------------------------
 
-namespace {
-
-std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-}  // namespace
-
 ShardDirector::ShardDirector(Topology& topo, int vnodes) {
   targets_.reserve(topo.cell_count());
   for (std::size_t i = 0; i < topo.cell_count(); ++i) {
@@ -537,7 +523,7 @@ ShardDirector::ShardDirector(Topology& topo, int vnodes) {
       const std::uint64_t key =
           (std::uint64_t{targets_[shard].ip.value()} << 16) |
           static_cast<std::uint64_t>(v);
-      ring_.push_back({fnv1a64(&key, sizeof(key), kFnvOffset), shard});
+      ring_.push_back({fnv_mix(kFnvBasis, key), shard});
     }
   }
   std::sort(ring_.begin(), ring_.end(), [](const Point& a, const Point& b) {
@@ -547,7 +533,7 @@ ShardDirector::ShardDirector(Topology& topo, int vnodes) {
 
 std::size_t ShardDirector::shard_for(std::uint64_t flow_id) const {
   if (ring_.empty()) throw std::logic_error("ShardDirector: no cells");
-  const std::uint64_t h = fnv1a64(&flow_id, sizeof(flow_id), kFnvOffset);
+  const std::uint64_t h = fnv_mix(kFnvBasis, flow_id);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const Point& p, std::uint64_t v) { return p.hash < v; });

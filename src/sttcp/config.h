@@ -79,8 +79,6 @@ struct StTcpConfig {
   /// AppMaxLagTime: a byte processed locally but not by the peer for this
   /// long fails the peer.
   sim::Duration app_max_lag_time = sim::Duration::seconds(2);
-  /// Don't evaluate app lag until the replica has had a chance to appear.
-  sim::Duration replica_setup_grace = sim::Duration::seconds(1);
   /// Grey-failure criterion (beyond the paper's §4.2.1 pair): the backup
   /// convicts the primary when a connection's peer counter sum stays frozen
   /// this long while heartbeats keep arriving and the backup holds
@@ -96,8 +94,6 @@ struct StTcpConfig {
   sim::Duration max_delay_fin = sim::Duration::seconds(60);
 
   // --- NIC-failure arbitration (§4.3) -----------------------------------------
-  std::uint64_t nic_lag_bytes = 32 * 1024;
-  sim::Duration nic_lag_time = sim::Duration::seconds(2);
   sim::Duration ping_interval = sim::Duration::millis(300);
   sim::Duration ping_timeout = sim::Duration::millis(250);
   /// Consecutive peer ping failures (with local pings succeeding) that
@@ -112,8 +108,6 @@ struct StTcpConfig {
   /// ~bandwidth x hb_period (2.5 MB at 100 Mbps / 200 ms) plus recovery
   /// backlog; size well above that.
   std::size_t hold_buffer_capacity = 8 * 1024 * 1024;
-  /// How long a receive gap must persist before the backup asks the primary.
-  sim::Duration recovery_request_delay = sim::Duration::millis(50);
   /// Payload bytes per MissedBytesReply datagram (fits a 1500-byte MTU).
   std::size_t recovery_chunk = 1200;
 
@@ -139,11 +133,6 @@ struct StTcpConfig {
   /// Survivor: snapshot attempts before abandoning the reintegration and
   /// falling back to unprotected single-server operation.
   int reintegration_max_attempts = 25;
-
-  // --- housekeeping -----------------------------------------------------------
-  /// Closed connections linger in heartbeat records this long (lets the peer
-  /// observe the closed flag before the record disappears).
-  sim::Duration closed_linger = sim::Duration::seconds(2);
 };
 
 }  // namespace sttcp::sttcp

@@ -173,7 +173,7 @@ bool StTcpEndpoint::announces(std::uint16_t id, const ReplConn& rc,
   if (rc.conn == nullptr) return false;
   // Announces are per peer: each peer keeps seeing the announce until IT
   // has echoed the id (or a reintegration snapshot carried the connection).
-  if (role_ == Role::kPrimary) return !(pi < rc.gp.size() && rc.gp[pi].echoed);
+  if (role_ == Role::kPrimary) return !rc.gp[pi].echoed;
   // A replica still under an inferred id: the primary cannot match the
   // record by id, so carry the tuple (announce extension) and let it match
   // by connection identity. Under load the primary's own announce can sit
@@ -570,70 +570,37 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t pi) {
     world_.trace().record(host_.name(), "announce_confirmed", rc->tuple.str());
   }
 
-  // Keep the mirror the record's sender owns; the shared p_* fields below
-  // become the max across peers.
-  ensure_peer_progress(*rc);
+  // The record updates its sender's mirror only: every detector below
+  // compares the sender with us and convicts the sender.
   ReplConn::PeerProgress& g = rc->gp[pi];
   g.valid = true;
   if (matched_by_id) g.echoed = true;
+  // Unwrap the 32-bit wire counters against the sender's previous values.
   g.received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received), g.received);
+  g.acked = unwrap_counter(static_cast<std::uint32_t>(rec.acked_by_peer), g.acked);
+  g.written = unwrap_counter(static_cast<std::uint32_t>(rec.app_written), g.written);
+  g.read = unwrap_counter(static_cast<std::uint32_t>(rec.app_read), g.read);
   g.fin = g.fin || rec.fin_generated;
   g.rst = g.rst || rec.rst_generated;
   g.closed = g.closed || rec.closed;
 
-  // Unwrap the 32-bit wire counters against the previous values.
-  rc->p_received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
-                                  rc->p_received);
-  rc->p_acked =
-      unwrap_counter(static_cast<std::uint32_t>(rec.acked_by_peer), rc->p_acked);
-  rc->p_written =
-      unwrap_counter(static_cast<std::uint32_t>(rec.app_written), rc->p_written);
-  rc->p_read = unwrap_counter(static_cast<std::uint32_t>(rec.app_read), rc->p_read);
-  rc->p_fin = rc->p_fin || rec.fin_generated;
-  rc->p_rst = rc->p_rst || rec.rst_generated;
-  rc->p_closed = rc->p_closed || rec.closed;
-  rc->peer_valid = true;
-
   // Grey-failure watch: note the peer's total progress. Stagnation is
   // evaluated on the detector tick (it needs the clock even when a record's
   // values are unchanged); here we only timestamp changes.
-  rc->progress.observe(rc->p_received + rc->p_acked + rc->p_written + rc->p_read,
-                       world_.now());
+  g.progress.observe(g.received + g.acked + g.written + g.read, world_.now());
 
-  // Primary: the peers have confirmed receipt — release the hold buffer
-  // below the MINIMUM confirmed across every watched peer; a peer without a
-  // record yet pins the buffer entirely (its replica may still need every
-  // held byte). With no watched peer (a pair's rejoiner mid-snapshot), the
-  // record's sender is the only confirmation there is.
+  // Primary: the peers have confirmed receipt — release the hold buffer.
   if (role_ == Role::kPrimary) {
-    std::size_t live = 0;
-    bool all_valid = true;
-    bool all_closed = true;
-    std::uint64_t min_rx = rc->p_received;
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      if (!view_.contains(peers_[i].member)) continue;
-      ++live;
-      const ReplConn::PeerProgress& m = rc->gp[i];
-      if (!m.valid) all_valid = false;
-      if (!(m.valid && m.closed)) all_closed = false;
-      if (m.valid) min_rx = std::min(min_rx, m.received);
-    }
-    const std::uint64_t release = live == 0 ? rc->p_received : (all_valid ? min_rx : 0);
     const std::size_t before = rc->hold.size();
-    rc->hold.release_to(release);
+    rc->hold.release_to(release_point(*rc, pi));
     note_hold_change(before, rc->hold.size());
-
-    // "Peer closed" means EVERY watched peer closed its replica — GC must
-    // not reap the final-counter record while a slower peer still
-    // reconciles against it.
-    if (live > 0) rc->p_closed = all_closed;
   }
 
   // FIN arbitration: the peer generated a FIN/RST. A primary holding a
   // withheld FIN settles only on full agreement (every watched peer FINed);
   // a lone peer's FIN with no local counterpart still arms the
   // disagreement timer below via on_peer_fin_notice.
-  if (rc->p_fin || rc->p_rst) {
+  if (g.fin || g.rst) {
     if (role_ != Role::kPrimary || !rc->fin_withheld || fins_agree(*rc)) {
       on_peer_fin_notice(*rc);
     }
@@ -654,7 +621,7 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t pi) {
   // benign — its frozen counters are exactly the §4.2.1 symptom.
   const bool local_closing = rc->conn == nullptr || rc->conn->fin_generated() ||
                              rc->conn->rst_generated();
-  const bool peer_closing = rc->p_fin || rc->p_rst || rc->p_closed;
+  const bool peer_closing = g.fin || g.rst || g.closed;
   // While we are actively serving missed bytes to the peer, its app lag is
   // explained by the gap being repaired — do not convict until the recovery
   // has had a couple of heartbeats to land.
@@ -672,12 +639,11 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t pi) {
                                   !(local_closing && peer_closing) &&
                                   !recovering_peer && peer_ip_ok;
   if (detection_eligible) {
-    const auto v_read = rc->lag_read.update(rc->read(), rc->p_read, now);
-    const auto v_written = rc->lag_written.update(rc->written(), rc->p_written, now);
+    const auto v_read = g.lag_read.update(rc->read(), g.read, now);
+    const auto v_written = g.lag_written.update(rc->written(), g.written, now);
     // Export the worst current byte lag before any conviction fires, so the
     // grey benches can read how far the peer fell behind.
-    const std::uint64_t lag =
-        std::max(rc->lag_read.lag_bytes(), rc->lag_written.lag_bytes());
+    const std::uint64_t lag = std::max(g.lag_read.lag_bytes(), g.lag_written.lag_bytes());
     if (lag > app_lag_peak_bytes_) app_lag_peak_bytes_ = lag;
     if (m_app_lag_bytes_ != nullptr) {
       m_app_lag_bytes_->set(static_cast<std::int64_t>(lag));
@@ -697,9 +663,9 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t pi) {
   // (§4.3) — only meaningful while the IP channel is dead and the serial
   // channel carries the heartbeat.
   if (mode_ == Mode::kReplicating && !peer_ip_ok && peer_serial_ok &&
-      rc->conn != nullptr && !rc->local_closed && !rc->p_closed) {
-    const auto v_rx = rc->lag_received.update(rc->received(), rc->p_received, now);
-    const auto v_ack = rc->lag_acked.update(rc->acked(), rc->p_acked, now);
+      rc->conn != nullptr && !rc->local_closed && !g.closed) {
+    const auto v_rx = g.lag_received.update(rc->received(), g.received, now);
+    const auto v_ack = g.lag_acked.update(rc->acked(), g.acked, now);
     if (v_rx.failed || v_ack.failed) {
       convict(sender,
               sim::cat("NIC failure (client-byte comparison): ",
@@ -783,7 +749,6 @@ void StTcpEndpoint::detector_tick() {
 
   if (leads(my_member())) {
     for (auto& [id, rc] : conns_) {
-      ensure_peer_progress(*rc);
       if (rc->conn != nullptr && !rc->local_closed) {
         // A connection a peer never started replicating within the grace
         // period means the peer application is not accepting (e.g. it
@@ -794,7 +759,7 @@ void StTcpEndpoint::detector_tick() {
           const ReplConn::PeerProgress& g = rc->gp[i];
           const sim::SimTime base =
               g.since < rc->registered_at ? rc->registered_at : g.since;
-          if (!g.valid && world_.now() - base > cfg_.replica_setup_grace) {
+          if (!g.valid && world_.now() - base > kReplicaSetupGrace) {
             convict(peers_[i],
                     sim::cat(worded("peer", sim::cat("member ", peers_[i].name)),
                              " never replicated connection ", rc->tuple.str()),
@@ -829,32 +794,33 @@ void StTcpEndpoint::detector_tick() {
     // Grey-failure conviction: progress-counter stagnation against the
     // leader (lag.h ProgressWatch). Only meaningful while its heartbeats
     // still arrive over IP — silence is the classic detector's jurisdiction
-    // — and only evaluated by backups: a stalled LEADER freezes both sides'
-    // counters at the same value, so the relative lag trackers never trip,
-    // while a stalled backup is already caught by the leader's write-lag
-    // tracker. Gating the absolute criterion to one role also means a grey
-    // host can never convict its healthy leader with it (the healthy
-    // leader's counters freeze only when the client stops acknowledging —
-    // which the demand test requires).
-    const auto lp = std::find_if(peers_.begin(), peers_.end(),
-                                 [this](const Peer& p) { return leads(p.member); });
-    if (lp != peers_.end() && peer_ip_alive(*lp)) {
+    // — and only evaluated by followers: a stalled LEADER freezes both
+    // sides' counters at the same value, so the relative lag trackers never
+    // trip, while a stalled follower is caught by the leader's write-lag
+    // tracker on that follower's own mirror. Gating the absolute criterion
+    // to one role also means a grey host can never convict its healthy
+    // leader with it (the healthy leader's counters freeze only when the
+    // client stops acknowledging — which the demand test requires).
+    const int li = leader_index();
+    if (li >= 0 && peer_ip_alive(peers_[li]) &&
+        cfg_.progress_stall_time > sim::Duration::zero()) {
       const sim::SimTime now = world_.now();
       for (auto& [id, rc] : conns_) {
-        if (!rc->progress.enabled()) break;  // same config for every conn
-        if (rc->conn == nullptr || rc->local_closed || !rc->peer_valid) continue;
-        if (rc->p_fin || rc->p_rst || rc->p_closed) continue;
+        ReplConn::PeerProgress& m = rc->gp[li];
+        if (rc->conn == nullptr || rc->local_closed || !m.valid) continue;
+        if (m.fin || m.rst || m.closed) continue;
         if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
-        if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
+        if (now - rc->registered_at <= kReplicaSetupGrace) continue;
         // Demand: this replica holds bytes the client has not acknowledged —
         // if the leader were healthy, SOME counter would be moving.
         const bool demand = rc->written() > rc->acked();
-        const auto v = rc->progress.check(demand, now);
+        const auto v = m.progress.check(demand, now);
         if (v.failed) {
           if (timeline_ != nullptr) {
             timeline_->mark(obs::Milestone::kProgressStall, now);
           }
-          convict(*lp, sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
+          convict(peers_[li],
+                  sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
                   "progress_stall_detected");
           return;
         }
@@ -922,14 +888,7 @@ std::uint16_t StTcpEndpoint::alloc_inferred_id() {
 
 void StTcpEndpoint::register_primary_conn(tcp::TcpConnection& conn) {
   const std::uint16_t id = alloc_primary_id();
-  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
-  rc->id = id;
-  rc->tuple = conn.tuple();
-  rc->conn = &conn;
-  rc->registered_at = world_.now();
-  conns_.emplace(id, std::move(rc));
-  id_by_tuple_[conn.tuple()] = id;
-  ensure_peer_progress(*conns_[id]);
+  track_conn(id, conn.tuple()).conn = &conn;
 
   install_primary_seams(conn, id);
 
@@ -1002,19 +961,12 @@ void StTcpEndpoint::create_replica_from(const HbRecord& rec) {
     }
   }
 
-  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
-  rc->id = rec.repl_id;
-  rc->tuple = tuple;
-  rc->registered_at = world_.now();
-  conns_.emplace(rec.repl_id, std::move(rc));
-  id_by_tuple_[tuple] = rec.repl_id;
-
+  ReplConn& rc = track_conn(rec.repl_id, tuple);
   tcp::TcpConnection::ReplicaInit init;
   init.iss = rec.iss;
   init.irs = rec.irs;
   init.established = rec.established;
-  tcp::TcpConnection& conn = stack_.create_replica(tuple, init);
-  conns_[rec.repl_id]->conn = &conn;
+  rc.conn = &stack_.create_replica(tuple, init);
   ++stats_.replicas_created;
   world_.trace().record(host_.name(), "replica_created", tuple.str(), rec.repl_id);
   // Mirror the primary's announce-immediately behaviour: confirm the new
@@ -1060,23 +1012,15 @@ void StTcpEndpoint::create_replica_inferred(const tcp::FourTuple& tuple,
     id_by_tuple_.erase(existing);
     world_.trace().record(host_.name(), "replica_displaced_stale", tuple.str());
   }
-  const std::uint16_t id = alloc_inferred_id();
-  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
-  rc->id = id;
-  rc->tuple = tuple;
-  rc->registered_at = world_.now();
   // The inferred replica has no peer record yet; the announce (if the
   // primary lives long enough to send one) will remap the id.
-  rc->peer_valid = true;  // suppress the setup-grace detector: we self-made it
-  conns_.emplace(id, std::move(rc));
-  id_by_tuple_[tuple] = id;
-
+  const std::uint16_t id = alloc_inferred_id();
+  ReplConn& rc = track_conn(id, tuple);
   tcp::TcpConnection::ReplicaInit init;
   init.iss = iss;
   init.irs = irs;
   init.established = established;
-  tcp::TcpConnection& conn = stack_.create_replica(tuple, init);
-  conns_[id]->conn = &conn;
+  rc.conn = &stack_.create_replica(tuple, init);
   ++stats_.replicas_created;
   world_.trace().record(host_.name(), "replica_created", tuple.str(), id);
   world_.trace().record(host_.name(), "replica_inferred", tuple.str(), id);
@@ -1098,9 +1042,11 @@ bool StTcpEndpoint::close_gate(std::uint16_t id, bool is_rst) {
   // Agreement: the peer generated one too => normal closure. A primary
   // needs EVERY watched peer to have produced the FIN/RST — one healthy
   // member's silence keeps the arbitration open. (A backup hears only the
-  // leader, whose notice is the shared p_fin/p_rst.)
-  const bool agreed =
-      role_ == Role::kPrimary ? fins_agree(*rc) : (rc->p_fin || rc->p_rst);
+  // leader.)
+  const int li = leader_index();
+  const bool agreed = role_ == Role::kPrimary
+                          ? fins_agree(*rc)
+                          : li >= 0 && (rc->gp[li].fin || rc->gp[li].rst);
   if (agreed) {
     ++stats_.fin_agreed;
     world_.trace().record(host_.name(), "fin_agreed", rc->tuple.str());
@@ -1161,7 +1107,7 @@ void StTcpEndpoint::on_peer_fin_notice(ReplConn& rc) {
         // Convict the peer whose lone FIN/RST started the disagreement.
         for (std::size_t i = 0; i < peers_.size(); ++i) {
           if (!view_.contains(peers_[i].member)) continue;
-          if (i < r->gp.size() && (r->gp[i].fin || r->gp[i].rst)) {
+          if (r->gp[i].fin || r->gp[i].rst) {
             convict(peers_[i],
                     sim::cat(worded("backup", "member"),
                              " generated FIN/RST with no local counterpart"),
@@ -1202,11 +1148,12 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
   if (rc.conn == nullptr) return;
   // Only the leader holds the bytes; a fenced-out or leaderless view has no
   // one to ask (the promotion settles first).
-  const net::Ipv4Addr dst = leader_ip();
-  if (dst.is_zero()) return;
+  const int li = leader_index();
+  if (li < 0) return;
   const std::uint64_t mine = rc.conn->bytes_received();
-  if (rc.p_received <= mine) return;
-  if (world_.now() - rc.last_request_at < cfg_.recovery_request_delay &&
+  const std::uint64_t theirs = rc.gp[li].received;
+  if (theirs <= mine) return;
+  if (world_.now() - rc.last_request_at < kRecoveryRequestDelay &&
       rc.last_request_offset == mine) {
     return;  // request outstanding for the same gap
   }
@@ -1214,13 +1161,13 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
   req.repl_id = rc.id;
   req.offset = mine;
   req.length = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(rc.p_received - mine, 512 * 1024));
+      std::min<std::uint64_t>(theirs - mine, 512 * 1024));
   rc.last_request_at = world_.now();
   rc.last_request_offset = mine;
   ++stats_.missed_requests_sent;
   world_.trace().record(host_.name(), "missed_bytes_request", rc.tuple.str(),
                         static_cast<std::int64_t>(req.length));
-  host_.udp_send(cfg_.my_ip, cfg_.control_port, dst, cfg_.control_port,
+  host_.udp_send(cfg_.my_ip, cfg_.control_port, peers_[li].ip, cfg_.control_port,
                  req.serialize());
 }
 
@@ -1374,7 +1321,10 @@ void StTcpEndpoint::logger_recovery_tick() {
   for (auto& [id, rc] : conns_) {
     if (rc->conn == nullptr) continue;
     const std::uint64_t mine = rc->conn->bytes_received();
-    std::uint64_t target = rc->p_received;
+    // The furthest any peer reported receiving: after a takeover or a
+    // promotion, the dead leader's last word.
+    std::uint64_t target = 0;
+    for (const ReplConn::PeerProgress& g : rc->gp) target = std::max(target, g.received);
     if (rc->conn->has_rx_gap()) {
       target = std::max(target, rc->conn->rx_gap_end());
     }
@@ -1463,45 +1413,50 @@ void StTcpEndpoint::reset_peer(Peer& p) {
   p.ping_fail_streak = 0;
 }
 
-void StTcpEndpoint::ensure_peer_progress(ReplConn& rc) {
-  while (rc.gp.size() < peers_.size()) {
-    ReplConn::PeerProgress g;
-    g.since = rc.registered_at;
-    rc.gp.push_back(g);
-  }
-}
-
-StTcpEndpoint::ReplConn::PeerProgress& StTcpEndpoint::progress_of(ReplConn& rc,
-                                                                 const Peer& p) {
-  ensure_peer_progress(rc);
-  return rc.gp[static_cast<std::size_t>(&p - peers_.data())];
-}
-
-void StTcpEndpoint::restart_peer_progress(ReplConn& rc, std::size_t pi) {
-  ensure_peer_progress(rc);
-  rc.gp[pi] = ReplConn::PeerProgress{};
-  rc.gp[pi].since = world_.now();
-}
-
 void StTcpEndpoint::update_group_gauges() {
   if (m_rank_ != nullptr) m_rank_->set(promotion_rank());
   if (m_epoch_ != nullptr) m_epoch_->set(static_cast<std::int64_t>(view_.epoch));
 }
 
-net::Ipv4Addr StTcpEndpoint::leader_ip() const {
-  for (const Peer& p : peers_) {
-    if (leads(p.member)) return p.ip;
+int StTcpEndpoint::leader_index() const {
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    if (leads(peers_[i].member)) return static_cast<int>(i);
   }
-  return net::Ipv4Addr();
+  return -1;
+}
+
+template <class Pred>
+bool StTcpEndpoint::all_watched(const ReplConn& rc, Pred pred) const {
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    if (view_.contains(peers_[i].member) && !pred(rc.gp[i])) return false;
+  }
+  return true;
 }
 
 bool StTcpEndpoint::fins_agree(const ReplConn& rc) const {
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (!view_.contains(peers_[i].member)) continue;
-    if (i >= rc.gp.size()) return false;
-    if (!rc.gp[i].valid || !(rc.gp[i].fin || rc.gp[i].rst)) return false;
+  return all_watched(rc, [](const ReplConn::PeerProgress& m) {
+    return m.valid && (m.fin || m.rst);
+  });
+}
+
+bool StTcpEndpoint::peers_closed(const ReplConn& rc) const {
+  if (!leads(my_member())) {
+    const int li = leader_index();
+    return li >= 0 && rc.gp[li].closed;
   }
-  return true;
+  return all_watched(rc, [](const ReplConn::PeerProgress& m) { return m.closed; });
+}
+
+std::uint64_t StTcpEndpoint::release_point(const ReplConn& rc, std::size_t sender) const {
+  bool any = false;
+  std::uint64_t low = UINT64_MAX;
+  const bool all_valid = all_watched(rc, [&](const ReplConn::PeerProgress& m) {
+    any = true;
+    low = std::min(low, m.received);
+    return m.valid;
+  });
+  if (!any) return rc.gp[sender].received;
+  return all_valid ? low : 0;
 }
 
 void StTcpEndpoint::convict(Peer& p, const std::string& reason,
@@ -1569,8 +1524,7 @@ void StTcpEndpoint::convict(Peer& p, const std::string& reason,
     ++stats_.view_changes;
     announce_view();
     update_group_gauges();
-    const auto pi = static_cast<std::size_t>(&p - peers_.data());
-    for (auto& [id, rc] : conns_) restart_peer_progress(*rc, pi);
+    for (auto& [id, rc] : conns_) progress_of(*rc, p).restart(world_.now());
     if (view_.order.size() <= 1 && mode_ == Mode::kReplicating) {
       go_non_ft(reason);
     }
@@ -1724,13 +1678,7 @@ void StTcpEndpoint::win_promotion() {
     // per-member mirrors and lag baselines (the survivors' counters restart
     // relative to OURS now), and primary-side seams on every live replica.
     for (auto& [id, rc] : conns_) {
-      rc->gp.clear();
-      for (std::size_t pi = 0; pi < peers_.size(); ++pi) restart_peer_progress(*rc, pi);
-      rc->lag_read.reset();
-      rc->lag_written.reset();
-      rc->lag_received.reset();
-      rc->lag_acked.reset();
-      rc->progress.reset();
+      for (ReplConn::PeerProgress& g : rc->gp) g.restart(world_.now());
       if (rc->conn != nullptr && !rc->local_closed) {
         install_primary_seams(*rc->conn, id);
       }
@@ -1879,9 +1827,8 @@ void StTcpEndpoint::group_commit_rejoin(std::uint8_t member) {
   ++stats_.view_changes;
   Peer* p = peer_by_member(member);
   if (p != nullptr) {
-    const std::size_t pi = static_cast<std::size_t>(p - peers_.data());
     reset_peer(*p);
-    for (auto& [id, rc] : conns_) restart_peer_progress(*rc, pi);
+    for (auto& [id, rc] : conns_) progress_of(*rc, *p).restart(world_.now());
   }
   announce_view();
   update_group_gauges();
@@ -1910,6 +1857,17 @@ void StTcpEndpoint::recompute_hold_total() {
   update_hold_gauge();
 }
 
+StTcpEndpoint::ReplConn& StTcpEndpoint::track_conn(std::uint16_t id,
+                                                   const tcp::FourTuple& tuple) {
+  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
+  rc->id = id;
+  rc->tuple = tuple;
+  rc->registered_at = world_.now();
+  rc->gp.assign(peers_.size(), ReplConn::PeerProgress(cfg_, rc->registered_at));
+  id_by_tuple_[tuple] = id;
+  return *conns_.emplace(id, std::move(rc)).first->second;
+}
+
 StTcpEndpoint::ReplConn* StTcpEndpoint::by_id(std::uint16_t id) {
   auto it = conns_.find(id);
   return it == conns_.end() ? nullptr : it->second.get();
@@ -1924,7 +1882,7 @@ void StTcpEndpoint::gc_closed_conns() {
   for (auto it = conns_.begin(); it != conns_.end();) {
     ReplConn& rc = *it->second;
     const bool expired = rc.local_closed &&
-                         (rc.p_closed || world_.now() - rc.closed_at > cfg_.closed_linger);
+                         (peers_closed(rc) || world_.now() - rc.closed_at > kClosedLinger);
     if (expired) {
       note_hold_change(rc.hold.size(), 0);
       // Only drop the tuple mapping if it still points at THIS record. Under

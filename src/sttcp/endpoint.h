@@ -167,6 +167,21 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void on_finished(tcp::TcpConnection& conn, tcp::CloseReason reason) override;
 
  private:
+  // Fixed thresholds (the configurable ones are in StTcpConfig).
+  /// How long a leader waits for a follower's first record of a connection
+  /// (its replica appearing) before convicting it; also the grey check's
+  /// quiet period after registration.
+  static constexpr sim::Duration kReplicaSetupGrace = sim::Duration::seconds(1);
+  /// LastByteReceived / LastAckReceived comparison (§4.3 NIC arbitration).
+  static constexpr std::uint64_t kNicLagBytes = 32 * 1024;
+  static constexpr sim::Duration kNicLagTime = sim::Duration::seconds(2);
+  /// How long a receive gap must persist before a follower asks again for
+  /// the same missing bytes.
+  static constexpr sim::Duration kRecoveryRequestDelay = sim::Duration::millis(50);
+  /// Closed connections linger in heartbeat records this long (lets the peer
+  /// observe the closed flag before the record disappears).
+  static constexpr sim::Duration kClosedLinger = sim::Duration::seconds(2);
+
   struct ReplConn {
     std::uint16_t id = 0;
     tcp::FourTuple tuple;
@@ -174,30 +189,6 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
     HoldBuffer hold;  // primary only
     bool announce_confirmed = false;
-
-    // Peer state from heartbeat records (unwrapped to 64 bits). With more
-    // than one peer these are the maximum across peers (unwrap_counter
-    // ignores regressions) — what the backup-side detectors want.
-    bool peer_valid = false;
-    std::uint64_t p_received = 0;
-    std::uint64_t p_acked = 0;
-    std::uint64_t p_written = 0;
-    std::uint64_t p_read = 0;
-    bool p_fin = false;
-    bool p_rst = false;
-    bool p_closed = false;
-
-    // Lag detectors (peer app read / write; LastByteReceived and
-    // LastAckReceived for NIC arbitration — the ACK comparison covers
-    // download-heavy workloads where the client sends no data, §4.3).
-    LagTracker lag_read;
-    LagTracker lag_written;
-    LagTracker lag_received;
-    LagTracker lag_acked;
-    // Grey-failure criterion: absolute stagnation of the peer counter sum
-    // under local demand (see lag.h). Disabled unless
-    // cfg.progress_stall_time > 0.
-    ProgressWatch progress;
 
     // FIN arbitration.
     bool fin_withheld = false;
@@ -219,30 +210,63 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
     sim::SimTime registered_at;
 
-    // Per-peer progress mirror, indexed like peers_. Hold release, FIN
-    // agreement, announces and the never-replicated grace are per peer on
-    // the leader: a buffer is released only below the minimum confirmed
-    // across the watched peers.
+    // One peer's progress on this connection, as its heartbeat records
+    // report it, and the detectors that compare it with ours. gp is indexed
+    // like peers_. The leader keeps one per follower and convicts each
+    // follower on its own progress; hold release, FIN agreement and GC fold
+    // over the watched followers. A follower hears only its leader, so it
+    // reads the leader's mirror.
     struct PeerProgress {
+      PeerProgress(const StTcpConfig& cfg, sim::SimTime since)
+          : since(since),
+            lag_read(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
+                     cfg.app_max_lag_time),
+            lag_written(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
+                        cfg.app_max_lag_time),
+            lag_received(kNicLagBytes, cfg.app_lag_bytes_grace, kNicLagTime),
+            lag_acked(kNicLagBytes, cfg.app_lag_bytes_grace, kNicLagTime),
+            progress(cfg.progress_stall_time) {}
+
       bool valid = false;   // a record matched: the member's replica exists
       bool echoed = false;  // matched by OUR id: stop announcing to this member
-      std::uint64_t received = 0;
+      // The member's counters, unwrapped to 64 bits against its own previous
+      // values.
+      std::uint64_t received = 0, acked = 0, written = 0, read = 0;
       bool fin = false, rst = false, closed = false;
       sim::SimTime since;  // when tracking (re)started; setup-grace baseline
+
+      // Lag detectors (the member's app read / write; LastByteReceived and
+      // LastAckReceived for NIC arbitration — the ACK comparison covers
+      // download-heavy workloads where the client sends no data, §4.3).
+      LagTracker lag_read;
+      LagTracker lag_written;
+      LagTracker lag_received;
+      LagTracker lag_acked;
+      // Grey-failure criterion: absolute stagnation of the member's counter
+      // sum under local demand (see lag.h). Disabled unless
+      // cfg.progress_stall_time > 0.
+      ProgressWatch progress;
+
+      void reset_lag() {
+        lag_read.reset();
+        lag_written.reset();
+        lag_received.reset();
+        lag_acked.reset();
+      }
+      /// Track the member afresh from `now`: flags, detectors and setup
+      /// grace start over. The counters stay: they are stream positions (the
+      /// unwrap baseline, and a promoted leader's logger target).
+      void restart(sim::SimTime now) {
+        valid = echoed = fin = rst = closed = false;
+        since = now;
+        reset_lag();
+        progress.reset();
+      }
     };
     std::vector<PeerProgress> gp;
 
     ReplConn(sim::EventLoop& loop, const StTcpConfig& cfg)
-        : hold(cfg.hold_buffer_capacity),
-          lag_read(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
-                   cfg.app_max_lag_time),
-          lag_written(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
-                      cfg.app_max_lag_time),
-          lag_received(cfg.nic_lag_bytes, cfg.app_lag_bytes_grace, cfg.nic_lag_time),
-          lag_acked(cfg.nic_lag_bytes, cfg.app_lag_bytes_grace, cfg.nic_lag_time),
-          progress(cfg.progress_stall_time),
-          fin_delay_timer(loop),
-          peer_fin_timer(loop) {}
+        : hold(cfg.hold_buffer_capacity), fin_delay_timer(loop), peer_fin_timer(loop) {}
 
     // Current counter values: live connection or final snapshot.
     std::uint64_t received() const { return conn ? conn->bytes_received() : f_received; }
@@ -372,13 +396,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// Fresh liveness and arbitration state: the peer's heartbeats start the
   /// clock over (boot, rejoin, readmission).
   void reset_peer(Peer& p);
-  /// Lazily size rc.gp to peers_. New entries take the connection's
-  /// registration time as their setup-grace baseline.
-  void ensure_peer_progress(ReplConn& rc);
-  /// Peer `p`'s mirror of `rc` (sized on demand).
-  ReplConn::PeerProgress& progress_of(ReplConn& rc, const Peer& p);
-  /// Restart peer `pi`'s mirror of `rc`: its setup grace starts now.
-  void restart_peer_progress(ReplConn& rc, std::size_t pi);
+  /// Peer `p`'s mirror of `rc`.
+  ReplConn::PeerProgress& progress_of(ReplConn& rc, const Peer& p) {
+    return rc.gp[static_cast<std::size_t>(&p - peers_.data())];
+  }
   /// Adopt a strictly newer view (from a heartbeat or a ViewAnnounce). A
   /// view that excludes this member is a fence: re-enter via rejoin.
   void maybe_adopt_view(std::uint32_t epoch, std::span<const std::uint8_t> order);
@@ -409,13 +430,27 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// Reintegration commit on a group leader (the rejoiner is already back in
   /// the view): bump the epoch, restart its mirrors and announce.
   void group_commit_rejoin(std::uint8_t member);
-  /// FIN/close agreement across every watched peer's mirror of `rc`
+  /// Whether `pred` holds for every watched peer's mirror of `rc`
   /// (vacuously true with none).
+  template <class Pred>
+  bool all_watched(const ReplConn& rc, Pred pred) const;
+  /// FIN/RST agreement: every watched peer produced one too.
   bool fins_agree(const ReplConn& rc) const;
+  /// Whoever replicates `rc` with us closed it: every watched peer on the
+  /// leader, the leader on a follower. GC may then drop the record.
+  bool peers_closed(const ReplConn& rc) const;
+  /// The hold buffer's release point: the client bytes every watched peer
+  /// has confirmed. A watched peer without a record yet pins the buffer
+  /// entirely (its replica may still need every held byte); with no watched
+  /// peer (a pair's rejoiner mid-snapshot), the sender's confirmation is the
+  /// only one there is.
+  std::uint64_t release_point(const ReplConn& rc, std::size_t sender) const;
   void update_group_gauges();
-  /// The leader's address; zero when we lead or nobody does.
-  net::Ipv4Addr leader_ip() const;
+  /// The leader's index in peers_; -1 when we lead or nobody does.
+  int leader_index() const;
 
+  /// Start tracking connection `id` on `tuple`, with a mirror per peer.
+  ReplConn& track_conn(std::uint16_t id, const tcp::FourTuple& tuple);
   ReplConn* by_id(std::uint16_t id);
   ReplConn* by_tuple(const tcp::FourTuple& t);
   void gc_closed_conns();

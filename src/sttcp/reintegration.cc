@@ -198,19 +198,15 @@ void Reintegrator::apply_snapshot() {
       ep_.next_inferred_id_ = std::max<std::uint16_t>(
           ep_.next_inferred_id_, static_cast<std::uint16_t>(id + 1));
     }
-    auto rc = std::make_unique<StTcpEndpoint::ReplConn>(ep_.world_.loop(), ep_.cfg_);
-    rc->id = id;
-    rc->tuple = sc.tuple;
-    rc->registered_at = ep_.world_.now();
-    rc->peer_valid = true;
-    rc->announce_confirmed = true;
-    rc->p_received = sc.received;
-    rc->p_acked = sc.acked;
-    rc->p_written = sc.written;
-    rc->p_read = sc.read;
-    StTcpEndpoint::ReplConn* raw = rc.get();
-    ep_.conns_.emplace(id, std::move(rc));
-    ep_.id_by_tuple_[sc.tuple] = id;
+    StTcpEndpoint::ReplConn& rc = ep_.track_conn(id, sc.tuple);
+    rc.announce_confirmed = true;
+    // The survivor's counters at capture: its records resume from them.
+    for (StTcpEndpoint::ReplConn::PeerProgress& g : rc.gp) {
+      g.received = sc.received;
+      g.acked = sc.acked;
+      g.written = sc.written;
+      g.read = sc.read;
+    }
 
     tcp::TcpConnection::ReplicaInit init;
     init.iss = sc.iss;
@@ -223,7 +219,7 @@ void Reintegrator::apply_snapshot() {
     init.rx_data = std::move(sc.rx);
     init.peer_fin = sc.peer_fin;
     init.peer_fin_offset = sc.peer_fin_offset;
-    raw->conn = &ep_.stack_.create_replica(sc.tuple, std::move(init));
+    rc.conn = &ep_.stack_.create_replica(sc.tuple, std::move(init));
     ++ep_.stats_.replicas_created;
     ++ep_.stats_.snapshot_conns_adopted;
     ++adopted;
@@ -352,12 +348,11 @@ void Reintegrator::begin_reintegration() {
     // a former backup never had them, and go_non_ft tore them down.
     for (auto& [id, rc] : ep_.conns_) {
       rc->hold.clear();
-      rc->lag_read.reset();
-      rc->lag_written.reset();
-      rc->lag_received.reset();
-      rc->lag_acked.reset();
-      rc->peer_valid = false;
-      if (peer != nullptr) ep_.progress_of(*rc, *peer).valid = false;
+      if (peer != nullptr) {
+        StTcpEndpoint::ReplConn::PeerProgress& m = ep_.progress_of(*rc, *peer);
+        m.reset_lag();
+        m.valid = false;
+      }
       if (rc->conn != nullptr) ep_.install_primary_seams(*rc->conn, id);
     }
     ep_.recompute_hold_total();
@@ -404,7 +399,8 @@ void Reintegrator::capture_and_send_snapshot() {
     // everything present at capture time (including skipped dying
     // connections — the rejoiner must not cold-start replicas for them).
     rc->announce_confirmed = true;
-    ep_.progress_of(*rc, rejoiner).echoed = true;
+    StTcpEndpoint::ReplConn::PeerProgress& m = ep_.progress_of(*rc, rejoiner);
+    m.echoed = true;
     tcp::TcpConnection* c = rc->conn;
     if (c == nullptr || !c->is_open() || c->fin_generated() ||
         c->rst_generated()) {
@@ -423,15 +419,13 @@ void Reintegrator::capture_and_send_snapshot() {
     it.read = c->app_bytes_read();
     it.tx = c->unacked_send_data();
     it.rx = c->unread_recv_data();
-    // Baseline the peer counters: the rejoiner's heartbeat records resume
-    // from exactly these values.
-    rc->p_received = it.received;
-    rc->p_acked = it.acked;
-    rc->p_written = it.written;
-    rc->p_read = it.read;
-    rc->peer_valid = true;
-    ep_.progress_of(*rc, rejoiner).valid = true;
-    ep_.progress_of(*rc, rejoiner).received = it.received;
+    // Baseline the rejoiner's mirror: its heartbeat records resume from
+    // exactly these values.
+    m.valid = true;
+    m.received = it.received;
+    m.acked = it.acked;
+    m.written = it.written;
+    m.read = it.read;
     items.push_back(std::move(it));
   }
 
@@ -560,13 +554,11 @@ void Reintegrator::on_rejoin_ready(std::uint32_t epoch, int member) {
     committed_epoch_ = epoch;
     have_committed_ = true;
     ++ep_.stats_.reintegrations;
-    // The rejoiner may still be a few tapped segments behind: restart lag
-    // history so the catch-up is not mistaken for an application failure.
-    for (auto& [id, rc] : ep_.conns_) {
-      rc->lag_read.reset();
-      rc->lag_written.reset();
-      rc->lag_received.reset();
-      rc->lag_acked.reset();
+    // The rejoiner may still be a few tapped segments behind: restart its
+    // lag history so the catch-up is not mistaken for an application failure.
+    const auto m = static_cast<std::uint8_t>(member);
+    if (const StTcpEndpoint::Peer* p = ep_.peer_by_member(m)) {
+      for (auto& [id, rc] : ep_.conns_) ep_.progress_of(*rc, *p).reset_lag();
     }
     if (ep_.timeline_ != nullptr) {
       ep_.timeline_->mark(obs::Milestone::kReintegrationComplete,
@@ -578,8 +570,8 @@ void Reintegrator::on_rejoin_ready(std::uint32_t epoch, int member) {
     // Readmit the rejoiner at the lowest rank: it is watched again. A group
     // also bumps the epoch and announces the widened view to every member
     // (a pair's view never goes on the wire).
-    ep_.view_.append_lowest(static_cast<std::uint8_t>(member));
-    if (ep_.group_mode()) ep_.group_commit_rejoin(static_cast<std::uint8_t>(member));
+    ep_.view_.append_lowest(m);
+    if (ep_.group_mode()) ep_.group_commit_rejoin(m);
     return;
   }
   if (have_committed_ && epoch == committed_epoch_) {

@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "harness/fault.h"
+#include "harness/invariants.h"
 #include "tests/integration/download_rig.h"
 
 namespace sttcp::harness {
@@ -60,6 +62,66 @@ TEST(AppCrashTest, BackupAppHangLeavesPrimaryServing) {
             sttcp::StTcpEndpoint::Mode::kNonFaultTolerant);
   // The client barely noticed: the primary never stopped.
   EXPECT_LT(rig.client->max_stall().ms(), 1000);
+}
+
+// --- the same hang in a 1+2 group ------------------------------------------------
+
+CellConfig group_cell() {
+  CellConfig c;
+  c.extra_backups = 1;  // 1 leader + 2 backups
+  return c;
+}
+
+// The leader runs the lag detectors on each follower's own progress: backup2
+// keeping up must not hide backup's hung application.
+TEST(AppCrashTest, GroupBackupAppHangIsConvictedByLeader) {
+  DownloadRig rig(quick_lag_cfg(), group_cell());
+  const std::uint64_t size = 40'000'000;
+  rig.start_file_service(size);
+  rig.start_download(size);
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.backup_app->hang(); });
+  rig.topo->run_for(sim::Duration::seconds(60));
+
+  EXPECT_TRUE(rig.client->complete());
+  EXPECT_FALSE(rig.client->corrupt());
+  EXPECT_EQ(rig.client->connection_failures(), 0);
+  const auto& trace = rig.topo->world().trace();
+  EXPECT_EQ(trace.count("primary", "app_failure_detected"), 1u) << trace.dump();
+  const std::vector<sim::TraceEntry> convicted = trace.all("member_convicted");
+  ASSERT_EQ(convicted.size(), 1u) << trace.dump();
+  EXPECT_EQ(convicted[0].component, "primary");
+  EXPECT_EQ(convicted[0].detail, "backup");
+  EXPECT_EQ(trace.count("takeover"), 0u);
+  // The leader keeps replicating to backup2.
+  EXPECT_EQ(rig.cell.primary_endpoint()->mode(),
+            sttcp::StTcpEndpoint::Mode::kReplicating);
+}
+
+// The hung follower, once convicted, is out of the promotion race: when the
+// leader crashes afterwards, backup2 alone takes over.
+TEST(AppCrashTest, GroupBackupAppHangThenLeaderCrashPromotesBackup2) {
+  DownloadRig rig(quick_lag_cfg(), group_cell());
+  const std::uint64_t size = 40'000'000;
+  rig.start_file_service(size);
+  InvariantChecker::Options iopt;
+  iopt.expected_bytes = size;
+  InvariantChecker checker(*rig.topo, iopt);
+  rig.start_download(size);
+  rig.topo->world().loop().schedule_after(sim::Duration::millis(500),
+                                          [&] { rig.backup_app->hang(); });
+  inject(*rig.topo, Fault::Crash(Node::kPrimary).at(sim::Duration::millis(1500)));
+  rig.topo->run_for(sim::Duration::seconds(60));
+
+  EXPECT_TRUE(rig.client->complete());
+  EXPECT_FALSE(rig.client->corrupt());
+  EXPECT_EQ(rig.client->connection_failures(), 0);
+  const auto& trace = rig.topo->world().trace();
+  EXPECT_EQ(trace.count("promoted"), 1u) << trace.dump();
+  EXPECT_EQ(trace.count("backup2", "promoted"), 1u) << trace.dump();
+  for (const Violation& v : checker.check(*rig.client)) {
+    ADD_FAILURE() << "violated " << v.str();
+  }
 }
 
 // --- Table 1 row 3: application failure WITH FIN --------------------------------

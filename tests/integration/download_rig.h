@@ -1,5 +1,5 @@
 // The rig the Table-1 failure tests share: the Figure-2 topology, a
-// replicated FileServer pair and one verifying DownloadClient.
+// replicated FileServer pair (or 1+N group) and one verifying DownloadClient.
 #pragma once
 
 #include <memory>
@@ -12,8 +12,8 @@
 namespace sttcp::harness {
 
 struct DownloadRig {
-  explicit DownloadRig(TopologyConfig cfg = {})
-      : topo(make_figure2(std::move(cfg))),
+  explicit DownloadRig(TopologyConfig cfg = {}, CellConfig cell_cfg = {})
+      : topo(make_figure2(std::move(cfg), std::move(cell_cfg))),
         cell(topo->cell()),
         client_host(*topo->host_by_name("client")) {}
 
@@ -22,6 +22,11 @@ struct DownloadRig {
         cell.primary_stack(), cell.service_port(), file_size);
     backup_app = std::make_unique<app::FileServer>(
         cell.backup_stack(), cell.service_port(), file_size);
+    // A group's further backups ("backup2", ...) serve the same file.
+    for (int i = 1; i < cell.backup_count(); ++i) {
+      extra_apps.push_back(std::make_unique<app::FileServer>(
+          cell.backup_stack(i), cell.service_port(), file_size));
+    }
   }
 
   void start_download(std::uint64_t expected) {
@@ -38,6 +43,7 @@ struct DownloadRig {
   Topology::HostEntry& client_host;
   std::unique_ptr<app::FileServer> primary_app;
   std::unique_ptr<app::FileServer> backup_app;
+  std::vector<std::unique_ptr<app::FileServer>> extra_apps;
   std::unique_ptr<app::DownloadClient> client;
 };
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "app/client.h"
 #include "app/server.h"
@@ -50,9 +51,17 @@ TEST(LoggerCodecTest, ReplyRoundTrip) {
   EXPECT_FALSE(LoggerReply::parse(LoggerRequest{}.serialize()).has_value());
 }
 
+harness::CellConfig with_backups(int extra_backups) {
+  harness::CellConfig c;
+  c.extra_backups = extra_backups;
+  return c;
+}
+
+// One client uploading a pattern stream to SinkServers on every member;
+// `extra_backups` > 0 makes the cell a 1+N group.
 struct UploadRig {
-  explicit UploadRig(bool with_logger)
-      : topo(harness::make_figure2({}, {}, with_logger)),
+  explicit UploadRig(bool with_logger, int extra_backups = 0)
+      : topo(harness::make_figure2({}, with_backups(extra_backups), with_logger)),
         cell(topo->cell()),
         client_host(*topo->host_by_name("client")) {
     if (with_logger) {
@@ -64,6 +73,10 @@ struct UploadRig {
                                               cell.service_port(), /*verify=*/true);
     b_app = std::make_unique<app::SinkServer>(cell.backup_stack(),
                                               cell.service_port(), /*verify=*/true);
+    for (int i = 1; i < cell.backup_count(); ++i) {
+      extra_apps.push_back(std::make_unique<app::SinkServer>(
+          cell.backup_stack(i), cell.service_port(), /*verify=*/true));
+    }
     tcp::TcpConnection::Callbacks cb;
     cb.on_established = [this] { pump(); };
     cb.on_writable = [this] { pump(); };
@@ -89,6 +102,7 @@ struct UploadRig {
   std::unique_ptr<StreamLogger> logger;
   std::unique_ptr<app::SinkServer> p_app;
   std::unique_ptr<app::SinkServer> b_app;
+  std::vector<std::unique_ptr<app::SinkServer>> extra_apps;
   tcp::TcpConnection* conn = nullptr;
   std::uint64_t sent = 0;
   bool failed = false;
@@ -137,6 +151,27 @@ TEST(LoggerTest, GapPlusPrimaryDeathRecoveredViaLogger) {
   EXPECT_GE(tr.count("backup", "logger_injected"), 1u);
   // The upload kept going well past the pre-crash volume, the connection
   // never failed, and the (verifying) backup app saw an intact stream.
+  EXPECT_FALSE(rig.failed);
+  EXPECT_GT(rig.sent, sent_before + 10'000'000u);
+  EXPECT_FALSE(rig.b_app->corrupt());
+  EXPECT_GT(rig.b_app->stats().bytes_read, sent_before);
+}
+
+// The same gap and leader death in a 1+2 group: the backup wins the
+// promotion, which starts every peer mirror afresh, and must still take its
+// logger target from the dead leader's last reported byte count.
+TEST(LoggerTest, GroupPromotionRecoversGapViaLogger) {
+  UploadRig rig(/*with_logger=*/true, /*extra_backups=*/1);
+  rig.topo->run_for(sim::Duration::millis(300));
+  const std::uint64_t sent_before = rig.sent;
+  run_gap_then_crash(rig);
+
+  const auto& tr = rig.topo->world().trace();
+  EXPECT_EQ(tr.count("promoted"), 1u);
+  EXPECT_EQ(tr.count("backup", "promoted"), 1u);
+  EXPECT_GE(tr.count("backup", "logger_request"), 1u);
+  EXPECT_GE(tr.count("logger", "logger_served"), 1u);
+  EXPECT_GE(tr.count("backup", "logger_injected"), 1u);
   EXPECT_FALSE(rig.failed);
   EXPECT_GT(rig.sent, sent_before + 10'000'000u);
   EXPECT_FALSE(rig.b_app->corrupt());
